@@ -1,7 +1,6 @@
 """1D finite element solver for stress waves in strain-limiting materials."""
 
-from .assembly import (AssembledSystem, BandedMatrix, apply_dirichlet,
-                       assemble_inertial, assemble_load, assemble_load_at,
+from .assembly import (BandedMatrix, assemble_inertial, assemble_load_at,
                        assemble_mass, assemble_residual, assemble_stiffness,
                        assemble_tangent)
 from .calibration import (FitResult, FitSettings, StressStrainDataset,
@@ -11,8 +10,7 @@ from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .constitutive import (HyperbolicityError, HyperbolicityReport,
                            MaterialParams, strain, strain_derivative,
                            verify_hyperbolicity, wave_speed)
-from .fe_space import (FeSpace, QuadratureRule, build_space, gauss_rule,
-                       shape_eval)
+from .fe_space import FeSpace, QuadratureRule, build_space, gauss_rule
 from .integrator import (BoundaryDrive, HhtParams, NewtonDivergedError,
                          NewtonReport, NewtonSettings, RunReport, SystemState,
                          advance_step, boundary_acceleration,

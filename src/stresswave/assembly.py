@@ -34,19 +34,23 @@ tangent chains through the Newmark updates and the stage weighting:
     C_nl  = integral 2 rho eps''(s*) sd* N_I N_J dx
     K_sig = integral rho (eps''(s*) sdd + eps'''(s*) sd*^2) N_I N_J dx.
 
-All matrices are stored in LAPACK banded form (half-bandwidth = max
-cell degree) and solved by direct banded factorization.
+Every integral is one vectorized pass over the space's cell table
+(FeSpace.batches), whose padded nodes and points contribute zero.  All
+matrices are stored in LAPACK banded form (half-bandwidth = max cell
+degree); element matrices reach it through the table's precomputed
+scatter index.  The two boundary DoFs always carry prescribed values,
+so the integrator solves only the interior block (BandedMatrix.interior)
+by direct banded factorization.
 """
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .constitutive import HyperbolicityError, MaterialParams, strain_derivative
-from .fe_space import FeSpace
+from .fe_space import CellTable, FeSpace
 
 
 class BandedMatrix:
@@ -56,19 +60,10 @@ class BandedMatrix:
     the layout scipy.linalg.solve_banded expects.
     """
 
-    def __init__(self, n: int, bandwidth: int, ab: np.ndarray | None = None):
+    def __init__(self, n: int, bandwidth: int, ab: np.ndarray):
         self.n = n
         self.bandwidth = bandwidth
-        if ab is None:
-            ab = np.zeros((2 * bandwidth + 1, n))
         self.ab = ab
-
-    def add_entries(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        """Accumulate vals at (rows, cols); duplicate indices sum."""
-        flat = (self.bandwidth + rows - cols) * self.n + cols
-        self.ab += np.bincount(
-            flat.ravel(), weights=vals.ravel(), minlength=self.ab.size
-        ).reshape(self.ab.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.ab[self.bandwidth] * x
@@ -81,6 +76,14 @@ class BandedMatrix:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return solve_banded((self.bandwidth, self.bandwidth), self.ab, rhs)
 
+    def interior(self) -> "BandedMatrix":
+        """View of the block without the first and last rows and columns.
+
+        Dropping the end columns of the storage leaves the couplings to
+        the end rows in slots that the banded solver never reads.
+        """
+        return BandedMatrix(self.n - 2, self.bandwidth, self.ab[:, 1:-1])
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
         for i in range(self.n):
@@ -89,32 +92,37 @@ class BandedMatrix:
                 out[i, j] = self.ab[self.bandwidth + i - j, j]
         return out
 
-    def copy(self) -> "BandedMatrix":
-        return BandedMatrix(self.n, self.bandwidth, self.ab.copy())
 
-
-@dataclass
-class AssembledSystem:
-    """Residual, tangent and the Dirichlet data of one Newton iteration.
-
-    `constrained` flags boundary DoFs whose acceleration is prescribed;
-    `prescribed` holds the target values there.  The Newton update
-    solves tangent * delta = -residual after apply_dirichlet.
-    """
-
-    residual: np.ndarray
-    tangent: BandedMatrix
-    constrained: np.ndarray
-    prescribed: np.ndarray
-
-
-def _check_hyperbolic(fp: np.ndarray, sig_q: np.ndarray, x_q: np.ndarray):
+def _check_hyperbolic(fp: np.ndarray, sig_q: np.ndarray, t: CellTable):
     if np.any(fp <= 0.0):
+        fp = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
         i = np.unravel_index(np.argmin(fp), fp.shape)
-        raise HyperbolicityError(
-            f"tangent compliance {fp[i]:.3e} <= 0 at quadrature point "
-            f"x={x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
-            sigma=float(sig_q[i]), x=float(x_q[i]))
+        if fp[i] <= 0.0:
+            raise HyperbolicityError(
+                f"tangent compliance {fp[i]:.3e} <= 0 at quadrature point "
+                f"x={t.x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
+                sigma=float(sig_q[i]), x=float(t.x_q[i]))
+
+
+def _vector(space: FeSpace, t: CellTable, integrand: np.ndarray) -> np.ndarray:
+    """F_I = integral integrand N_I dx from integrand values at the points."""
+    fe = np.einsum("mq,mqi->mi", integrand * t.weights * t.jac[:, None],
+                   t.shape)
+    return np.bincount(t.dofs.ravel(), weights=fe.ravel(),
+                       minlength=space.n_dofs)
+
+
+def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
+    """Sum of the element matrices `me`, one per cell, in banded storage."""
+    n, bw = space.n_dofs, space.bandwidth
+    ab = np.bincount(t.scatter, weights=me.ravel(), minlength=(2 * bw + 1) * n)
+    return BandedMatrix(n, bw, ab.reshape(2 * bw + 1, n))
+
+
+def _matrix(space: FeSpace, t: CellTable, coef: np.ndarray) -> BandedMatrix:
+    """M_IJ = integral coef N_I N_J dx from coef values at the points."""
+    return _banded(space, t, np.einsum(
+        "mq,mqk->mk", coef * t.weights * t.jac[:, None], t.outer))
 
 
 def assemble_stiffness(space: FeSpace) -> BandedMatrix:
@@ -122,67 +130,39 @@ def assemble_stiffness(space: FeSpace) -> BandedMatrix:
     cached = space._aux_cache.get("stiffness")
     if cached is not None:
         return cached
-    K = BandedMatrix(space.n_dofs, space.bandwidth)
-    for p, g in space.batches().items():
-        # reference element matrix, then scale by 1/jac per cell
-        ke_ref = np.einsum("qi,qj,q->ij", g["dshape"], g["dshape"], g["weights"])
-        ke = ke_ref[None, :, :] / g["jac"][:, None, None]
-        dofs = g["dofs"]
-        K.add_entries(dofs[:, :, None], dofs[:, None, :], ke)
+    t = space.batches()
+    K = _banded(space, t, np.einsum("mq,mqi,mqj->mij",
+                                    t.weights / t.jac[:, None],
+                                    t.dshape, t.dshape))
     space._aux_cache["stiffness"] = K
     return K
 
 
 def assemble_mass(space: FeSpace, Sigma: np.ndarray, p: MaterialParams) -> BandedMatrix:
     """State-dependent mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx."""
-    M = BandedMatrix(space.n_dofs, space.bandwidth)
-    for deg, g in space.batches().items():
-        sig_q = Sigma[g["dofs"]] @ g["shape"].T
-        fp = strain_derivative(sig_q, 1, p)
-        _check_hyperbolic(fp, sig_q, g["x_q"])
-        coef = p.rho * fp * g["weights"][None, :] * g["jac"][:, None]
-        me = np.einsum("mq,qi,qj->mij", coef, g["shape"], g["shape"])
-        M.add_entries(g["dofs"][:, :, None], g["dofs"][:, None, :], me)
-    return M
+    t = space.batches()
+    sig_q, = t.at_points(Sigma)
+    fp = strain_derivative(sig_q, 1, p)
+    _check_hyperbolic(fp, sig_q, t)
+    return _matrix(space, t, p.rho * fp)
 
 
 def assemble_inertial(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
                       Sigma_ddot: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
-    F = np.zeros(space.n_dofs)
-    for deg, g in space.batches().items():
-        shape_t = g["shape"].T
-        sig_q = Sigma[g["dofs"]] @ shape_t
-        sigd_q = Sigma_dot[g["dofs"]] @ shape_t
-        sigdd_q = Sigma_ddot[g["dofs"]] @ shape_t
-        fp = strain_derivative(sig_q, 1, p)
-        _check_hyperbolic(fp, sig_q, g["x_q"])
-        fpp = strain_derivative(sig_q, 2, p)
-        integ = p.rho * (fp * sigdd_q + fpp * sigd_q**2) \
-            * g["weights"][None, :] * g["jac"][:, None]
-        fe = integ @ g["shape"]
-        F += np.bincount(g["dofs"].ravel(), weights=fe.ravel(),
-                         minlength=space.n_dofs)
-    return F
+    t = space.batches()
+    sig_q, sigd_q, sigdd_q = t.at_points(Sigma, Sigma_dot, Sigma_ddot)
+    fp = strain_derivative(sig_q, 1, p)
+    _check_hyperbolic(fp, sig_q, t)
+    fpp = strain_derivative(sig_q, 2, p)
+    return _vector(space, t, p.rho * (fp * sigdd_q + fpp * sigd_q**2))
 
 
 def assemble_load_at(space: FeSpace, forcing, t: float) -> np.ndarray:
     """L_I(t) = integral forcing(x, t) N_I dx by cellwise quadrature."""
-    L = np.zeros(space.n_dofs)
-    for deg, g in space.batches().items():
-        fvals = np.asarray(forcing(g["x_q"], t), dtype=float)
-        integ = fvals * g["weights"][None, :] * g["jac"][:, None]
-        fe = integ @ g["shape"]
-        L += np.bincount(g["dofs"].ravel(), weights=fe.ravel(),
-                         minlength=space.n_dofs)
-    return L
-
-
-def assemble_load(space: FeSpace, forcing, t_next: float, t_prev: float,
-                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Load vectors at both time levels of the alpha-weighted residual."""
-    return (assemble_load_at(space, forcing, t_next),
-            assemble_load_at(space, forcing, t_prev))
+    table = space.batches()
+    return _vector(space, table,
+                   np.asarray(forcing(table.x_q, t), dtype=float))
 
 
 def stage_state(state_next, state_prev, alpha: float):
@@ -230,56 +210,15 @@ def assemble_tangent(space: FeSpace, stage, hht,
     dt = hht.dt
     w = 1.0 + hht.alpha  # stage sensitivity d(S*)/d(S_{n+1})
     beta, gamma = hht.beta_nm, hht.gamma_nm
-    S = BandedMatrix(space.n_dofs, space.bandwidth)
-    for deg, g in space.batches().items():
-        shape_t = g["shape"].T
-        sig_q = stage.Sigma[g["dofs"]] @ shape_t
-        sigd_q = stage.Sigma_dot[g["dofs"]] @ shape_t
-        sigdd_q = stage.Sigma_ddot[g["dofs"]] @ shape_t
-        fp = strain_derivative(sig_q, 1, p)
-        fpp = strain_derivative(sig_q, 2, p)
-        fppp = strain_derivative(sig_q, 3, p)
-        # M + w gamma dt C_nl + w beta dt^2 K_sig, fused in one pass
-        coef = p.rho * (fp
-                        + w * gamma * dt * 2.0 * fpp * sigd_q
-                        + w * beta * dt**2 * (fpp * sigdd_q + fppp * sigd_q**2))
-        coef = coef * g["weights"][None, :] * g["jac"][:, None]
-        me = np.einsum("mq,qi,qj->mij", coef, g["shape"], g["shape"])
-        S.add_entries(g["dofs"][:, :, None], g["dofs"][:, None, :], me)
+    t = space.batches()
+    sig_q, sigd_q, sigdd_q = t.at_points(stage.Sigma, stage.Sigma_dot,
+                                         stage.Sigma_ddot)
+    fp = strain_derivative(sig_q, 1, p)
+    fpp = strain_derivative(sig_q, 2, p)
+    fppp = strain_derivative(sig_q, 3, p)
+    # M + w gamma dt C_nl + w beta dt^2 K_sig, fused in one pass
+    S = _matrix(space, t, p.rho * (
+        fp + w * gamma * dt * 2.0 * fpp * sigd_q
+        + w * beta * dt**2 * (fpp * sigdd_q + fppp * sigd_q**2)))
     S.ab += beta * dt**2 * w * K.ab
     return S
-
-
-def apply_dirichlet(system: AssembledSystem, current: np.ndarray) -> AssembledSystem:
-    """Impose prescribed accelerations on the Newton system.
-
-    Constrained rows become identity equations for the exact update
-    (prescribed - current); coupled columns are eliminated symmetrically
-    with a right-side correction, preserving the banded structure.  The
-    returned residual row for a constrained DoF j is -(prescribed_j -
-    current_j) so that solving tangent * delta = -residual lands the
-    iterate exactly on the prescribed value.
-    """
-    n = len(system.residual)
-    dofs = np.flatnonzero(system.constrained)
-    if np.any((dofs != 0) & (dofs != n - 1)):
-        raise ValueError("acceleration constraints are only supported on "
-                         "the two boundary DoFs")
-    S = system.tangent.copy()
-    R = system.residual.copy()
-    bw = S.bandwidth
-    for j in dofs:
-        delta_j = system.prescribed[j] - current[j]
-        lo, hi = max(0, j - bw), min(n, j + bw + 1)
-        for i in range(lo, hi):
-            if i == j:
-                continue
-            # move S[i, j] * delta_j to the right side, then cut the coupling
-            R[i] += S.ab[bw + i - j, j] * delta_j
-            S.ab[bw + i - j, j] = 0.0
-            S.ab[bw + j - i, i] = 0.0
-        S.ab[bw, j] = 1.0
-        R[j] = -delta_j
-    return AssembledSystem(residual=R, tangent=S,
-                           constrained=system.constrained.copy(),
-                           prescribed=system.prescribed.copy())

@@ -27,7 +27,6 @@ from .calibration import (FitSettings, fit_material, generate_synthetic,
 from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
 from .constitutive import HyperbolicityError
-from .fe_space import build_space
 from .integrator import NewtonDivergedError, run_simulation
 from .postprocess import (append_spacetime, reconstruct, sample_solution,
                           write_snapshot)
@@ -51,8 +50,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Path,
                  write_outputs: bool = True) -> dict:
     """Run one scenario, write snapshots + manifest, return run metrics."""
     snapshots, report = run_simulation(config)
-    space = build_space(config.mesh.L, config.mesh.n_cells,
-                        config.mesh.degree_policy)
+    space = report.space
     m = config.output.samples
     # deviation is measured from the linear-law speed (identical to
     # |c - 1| in the rho = 1 sweep presets)

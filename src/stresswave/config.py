@@ -87,6 +87,8 @@ def _coerce(section: str, key: str, value: Any, typ):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
         return float(value)
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -13,7 +13,6 @@ sets the local wave speed c = sqrt(1 / (rho * eps'(sigma))).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -142,23 +141,14 @@ class HyperbolicityReport:
 
 
 def verify_hyperbolicity(sigma_min: float, sigma_max: float, n_samples: int,
-                         p: MaterialParams,
-                         derivative: Callable[[np.ndarray], np.ndarray] | None = None,
-                         ) -> HyperbolicityReport:
-    """Sample the tangent compliance on a uniform grid and report its minimum.
-
-    `derivative` defaults to the material's own first derivative; a
-    different callable can be injected to reuse the checker.
-    """
+                         p: MaterialParams) -> HyperbolicityReport:
+    """Sample the tangent compliance on a uniform grid and report its minimum."""
     if not sigma_min < sigma_max:
         raise ValueError("sigma_min must be < sigma_max")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     grid = np.linspace(sigma_min, sigma_max, n_samples)
-    if derivative is None:
-        vals = np.asarray(strain_derivative(grid, 1, p), dtype=float)
-    else:
-        vals = np.asarray(derivative(grid), dtype=float)
+    vals = np.asarray(strain_derivative(grid, 1, p), dtype=float)
     i = int(np.argmin(vals))
     return HyperbolicityReport(min_derivative=float(vals[i]),
                                worst_sigma=float(grid[i]),

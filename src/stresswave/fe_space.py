@@ -7,6 +7,10 @@ policies: `uniform(p)` everywhere, or `center_graded`, which places
 cubic cells in the middle band of the domain (|x/L - 1/2| < 0.2),
 quadratic in the next band (< 0.4) and linear outside, judged at cell
 midpoints.
+
+Assembly sees the space through one cell table per quadrature order
+(`FeSpace.batches`): every cell padded to the same node and point
+count, so each integral is one array operation over all cells.
 """
 from __future__ import annotations
 
@@ -65,6 +69,42 @@ def lagrange_basis(nodes: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
     return vals, ders
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """Quadrature data of all cells at one rule, padded to a common size.
+
+    Every cell has bandwidth + 1 local nodes and bandwidth + n_extra
+    points.  A cell of lower degree p uses its own (p + n_extra)-point
+    rule in the leading slots; its padded nodes have zero shape values
+    and repeat the cell's last DoF, and its padded points have zero
+    weight and sit at the cell midpoint.  Uniform meshes get no padding.
+
+    dofs    : (n_cells, n_nodes) global DoF of each local node
+    jac     : (n_cells,) half cell width, d x / d xi
+    x_q     : (n_cells, n_points) physical point coordinates
+    weights : (n_cells, n_points) reference weights
+    shape   : (n_cells, n_points, n_nodes) basis values
+    dshape  : (n_cells, n_points, n_nodes) basis derivatives d/d xi
+    outer   : (n_cells, n_points, n_nodes**2) products N_i N_j
+    scatter : flat index into banded storage (see BandedMatrix) of each
+              (cell, i, j) entry of an element matrix
+    """
+
+    dofs: np.ndarray
+    jac: np.ndarray
+    x_q: np.ndarray
+    weights: np.ndarray
+    shape: np.ndarray
+    dshape: np.ndarray
+    outer: np.ndarray
+    scatter: np.ndarray
+
+    def at_points(self, *fields: np.ndarray) -> list[np.ndarray]:
+        """Each nodal field at the points, shape (n_cells, n_points)."""
+        vals = self.shape @ np.array(fields).T[self.dofs]
+        return [vals[:, :, k] for k in range(len(fields))]
+
+
 class FeSpace:
     """Immutable mesh + DoF map for 1D C0 Lagrange elements.
 
@@ -110,7 +150,7 @@ class FeSpace:
         self.cell_dofs = cell_dofs
         self.n_dofs = next_dof
         self.bandwidth = int(degrees.max())
-        self._batch_cache: dict[int, dict] = {}
+        self._batch_cache: dict[int, CellTable] = {}
         self._aux_cache: dict = {}
 
     def cell_containing(self, x) -> np.ndarray:
@@ -119,35 +159,40 @@ class FeSpace:
         idx = np.searchsorted(self.cell_edges, x, side="right") - 1
         return np.clip(idx, 0, self.n_cells - 1)
 
-    def batches(self, n_extra: int = 2) -> dict[int, dict]:
-        """Per-degree assembly tables at a (degree + n_extra)-point rule.
-
-        Each entry holds cell indices, global DoF rows, jacobians,
-        physical quadrature coordinates and shape tables, vectorized
-        over all cells of that degree.
-        """
+    def batches(self, n_extra: int = 2) -> CellTable:
+        """Cell table at a (degree + n_extra)-point rule per cell (cached)."""
         if n_extra in self._batch_cache:
             return self._batch_cache[n_extra]
-        groups: dict[int, dict] = {}
-        for p in sorted(set(self.degrees.tolist())):
+        bw = self.bandwidth
+        m, nn, nq = self.n_cells, bw + 1, bw + n_extra
+        xi = np.zeros((m, nq))
+        weights = np.zeros((m, nq))
+        shape = np.zeros((m, nq, nn))
+        dshape = np.zeros((m, nq, nn))
+        for p in set(self.degrees.tolist()):
             cells = np.flatnonzero(self.degrees == p)
             rule = gauss_rule(p + n_extra)
             shp, dshp = lagrange_basis(_LOCAL_NODES[p], rule.points)
-            xl = self.cell_edges[cells]
-            xr = self.cell_edges[cells + 1]
-            jac = 0.5 * (xr - xl)
-            mid = 0.5 * (xl + xr)
-            groups[p] = {
-                "cells": cells,
-                "dofs": np.vstack([self.cell_dofs[k] for k in cells]),
-                "jac": jac,
-                "x_q": mid[:, None] + jac[:, None] * rule.points[None, :],
-                "shape": shp,
-                "dshape": dshp,
-                "weights": rule.weights,
-            }
-        self._batch_cache[n_extra] = groups
-        return groups
+            xi[cells, :p + n_extra] = rule.points
+            weights[cells, :p + n_extra] = rule.weights
+            shape[cells, :p + n_extra, :p + 1] = shp
+            dshape[cells, :p + n_extra, :p + 1] = dshp
+        dofs = np.vstack([np.pad(d, (0, nn - len(d)), mode="edge")
+                          for d in self.cell_dofs])
+        xl, xr = self.cell_edges[:-1], self.cell_edges[1:]
+        jac = 0.5 * (xr - xl)
+        table = CellTable(
+            dofs=dofs,
+            jac=jac,
+            x_q=0.5 * (xl + xr)[:, None] + jac[:, None] * xi,
+            weights=weights,
+            shape=shape,
+            dshape=dshape,
+            outer=(shape[:, :, :, None] * shape[:, :, None, :]).reshape(m, nq, -1),
+            scatter=((bw + dofs[:, :, None] - dofs[:, None, :]) * self.n_dofs
+                     + dofs[:, None, :]).ravel())
+        self._batch_cache[n_extra] = table
+        return table
 
     def eval_field(self, values: np.ndarray, x) -> np.ndarray:
         """Evaluate the FE field with nodal `values` at physical points."""
@@ -165,16 +210,6 @@ class FeSpace:
             nod = values[np.vstack([self.cell_dofs[k] for k in ks])]
             out[mask] = np.sum(shp * nod, axis=1)
         return out
-
-
-def shape_eval(space: FeSpace, cell: int, ref_points) -> tuple[np.ndarray, np.ndarray]:
-    """Local basis values and reference derivatives at points in [-1, 1]."""
-    if not 0 <= cell < space.n_cells:
-        raise ValueError(f"cell index {cell} out of range")
-    pts = np.atleast_1d(np.asarray(ref_points, dtype=float))
-    if np.any(np.abs(pts) > 1.0 + 1e-12):
-        raise ValueError("reference points must lie in [-1, 1]")
-    return lagrange_basis(_LOCAL_NODES[int(space.degrees[cell])], pts)
 
 
 def _degrees_center_graded(midpoints: np.ndarray, L: float) -> np.ndarray:

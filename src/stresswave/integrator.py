@@ -9,8 +9,10 @@ Newmark relations
 
 with beta = (1 - alpha)^2 / 4 and gamma = 1/2 - alpha derived from the
 dissipation parameter alpha in [-1/3, 0].  Stress Dirichlet data at the
-two boundary nodes is enforced exactly by converting it to equivalent
-acceleration constraints through the Newmark update.
+two boundary nodes is enforced exactly: before Newton starts, each
+boundary acceleration is set to the value whose Newmark update hits the
+prescribed stress, and every Newton update then solves only the interior
+rows and columns of the tangent.
 """
 from __future__ import annotations
 
@@ -143,45 +145,23 @@ def boundary_acceleration(bc_value_next: float, node: int,
     return (bc_value_next - free) / (beta * dt**2)
 
 
-def _boundary_values(space: FeSpace, drive: BoundaryDrive | None,
-                     t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(constrained mask, prescribed stress values) at the boundary nodes."""
-    mask = np.zeros(space.n_dofs, dtype=bool)
-    mask[0] = mask[-1] = True
-    vals = np.zeros(space.n_dofs)
-    if drive is not None:
-        vals[-1] = drive.value(t)
-    return mask, vals
-
-
 def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                  p: MaterialParams, newton: NewtonSettings,
                  drive: BoundaryDrive | None = None,
-                 forcing: Callable | None = None,
                  load_prev: np.ndarray | None = None,
                  load_next: np.ndarray | None = None,
                  ) -> tuple[SystemState, NewtonReport]:
     """Advance one HHT-alpha step by Newton iteration on the acceleration.
 
-    `load_prev` / `load_next` may carry already-assembled load vectors
-    at t_n / t_{n+1} to avoid re-assembly inside time loops; they are
-    computed on demand otherwise.
+    `load_prev` / `load_next` are the assembled load vectors at t_n /
+    t_{n+1}; None means no load.  The boundary accelerations are fixed
+    before the first iterate, so Newton updates only the interior DoFs.
     """
     t_next = state_n.t + hht.dt
-    if forcing is not None:
-        if load_next is None:
-            load_next = assembly.assemble_load_at(space, forcing, t_next)
-        if load_prev is None:
-            load_prev = assembly.assemble_load_at(space, forcing, state_n.t)
-
-    mask, bc_vals = _boundary_values(space, drive, t_next)
-    prescribed = np.zeros(space.n_dofs)
-    for node in np.flatnonzero(mask):
-        prescribed[node] = boundary_acceleration(bc_vals[node], node, state_n, hht)
-
     sdd = state_n.Sigma_ddot.copy()
-    sdd[mask] = prescribed[mask]
-    free = ~mask
+    sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
+    sdd[-1] = boundary_acceleration(
+        0.0 if drive is None else drive.value(t_next), -1, state_n, hht)
 
     def residual_at(sdd_vec):
         Sigma, Sigma_dot = newmark_update(state_n, sdd_vec, hht)
@@ -191,12 +171,17 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
         return trial, R
 
     trial, R = residual_at(sdd)
-    ref_norm = float(np.linalg.norm(R[free]))
+    ref_norm = float(np.linalg.norm(R[1:-1]))
     threshold = max(newton.tol * ref_norm, newton.abs_floor)
     history = [ref_norm]
     iters = 0
     while True:
         r_norm = history[-1]
+        if not np.isfinite(r_norm):
+            raise NewtonDivergedError(
+                f"Newton residual is not finite at t={t_next:.6g} "
+                f"after {iters} iterations",
+                t=t_next, iters=iters, history=history)
         if iters >= 1 and r_norm <= threshold:
             break
         if iters >= newton.k_max:
@@ -207,15 +192,10 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                 t=t_next, iters=iters, history=history)
         stage = assembly.stage_state(trial, state_n, hht.alpha)
         S = assembly.assemble_tangent(space, stage, hht, p)
-        system = assembly.AssembledSystem(residual=R, tangent=S,
-                                          constrained=mask,
-                                          prescribed=prescribed)
-        system = assembly.apply_dirichlet(system, sdd)
-        delta = system.tangent.solve(-system.residual)
-        sdd = sdd + delta
+        sdd[1:-1] -= S.interior().solve(R[1:-1])
         iters += 1
         trial, R = residual_at(sdd)
-        history.append(float(np.linalg.norm(R[free])))
+        history.append(float(np.linalg.norm(R[1:-1])))
 
     report = NewtonReport(iters=iters, residual_norm=history[-1],
                           history=history)
@@ -229,8 +209,9 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
                          t0: float = 0.0) -> np.ndarray:
     """Acceleration consistent with the semi-discrete balance at t0.
 
-    Solves M(S0) Sdd0 = L(t0) - F_vel(S0, Sd0) - K S0 with the boundary
-    accelerations constrained to the drive's second time derivative.
+    Solves the interior rows of M(S0) Sdd0 = L(t0) - F_vel(S0, Sd0) - K S0
+    with the boundary accelerations set to the drive's second time
+    derivative.
     """
     K = assembly.assemble_stiffness(space)
     rhs = -assembly.assemble_inertial(space, Sigma0, Sigma_dot0,
@@ -239,16 +220,13 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     if forcing is not None:
         rhs += assembly.assemble_load_at(space, forcing, t0)
 
-    mask = np.zeros(space.n_dofs, dtype=bool)
-    mask[0] = mask[-1] = True
-    prescribed = np.zeros(space.n_dofs)
+    sdd = np.zeros(space.n_dofs)
     if drive is not None:
-        prescribed[-1] = drive.accel(t0)
+        sdd[-1] = drive.accel(t0)
     M = assembly.assemble_mass(space, Sigma0, p)
-    system = assembly.AssembledSystem(residual=-rhs, tangent=M,
-                                      constrained=mask, prescribed=prescribed)
-    system = assembly.apply_dirichlet(system, np.zeros(space.n_dofs))
-    return system.tangent.solve(-system.residual)
+    rhs -= M.matvec(sdd)  # move the boundary columns to the right side
+    sdd[1:-1] = M.interior().solve(rhs[1:-1])
+    return sdd
 
 
 @dataclass
@@ -260,6 +238,7 @@ class RunReport:
     max_newton_iters: int
     newton_iters: list
     wall_time: float
+    space: FeSpace
     residual_histories: list | None = None
 
 
@@ -323,7 +302,7 @@ def run_simulation(config: "ScenarioConfig",
         if forcing is not None:
             load_next = assembly.assemble_load_at(space, forcing, t_target)
         state, report = advance_step(state, space, step_hht, p, newton,
-                                     drive, forcing, load_prev, load_next)
+                                     drive, load_prev, load_next)
         state.t = t_target  # avoid accumulated roundoff in t
         newton_iters.append(report.iters)
         if histories is not None:
@@ -340,5 +319,6 @@ def run_simulation(config: "ScenarioConfig",
                            max_newton_iters=int(np.max(newton_iters)) if newton_iters else 0,
                            newton_iters=newton_iters,
                            wall_time=_time.perf_counter() - t_start,
+                           space=space,
                            residual_histories=histories)
     return snapshots, run_report

@@ -104,14 +104,3 @@ def append_spacetime(record: SnapshotRecord, t: float, path) -> Path:
             writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
     return path
 
-
-def read_snapshot(path) -> SnapshotRecord:
-    """Parse a snapshot CSV back into arrays (inverse of write_snapshot)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return SnapshotRecord(x=np.atleast_1d(data["x"]),
-                          sigma=np.atleast_1d(data["sigma"]),
-                          sigma_dot=np.full_like(np.atleast_1d(data["x"]), np.nan),
-                          u=np.atleast_1d(data["u"]),
-                          v=np.atleast_1d(data["v"]),
-                          eps=np.atleast_1d(data["eps"]),
-                          c=np.atleast_1d(data["c"]))

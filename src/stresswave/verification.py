@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .constitutive import MaterialParams, strain_derivative
-from .fe_space import FeSpace, build_space
+from .fe_space import FeSpace
 from .integrator import run_simulation
 
 SPATIAL_CELLS = (16, 32, 64, 128)
@@ -57,13 +57,10 @@ def mms_forcing(x, t: float, p: MaterialParams):
 
 def l2_error(space: FeSpace, Sigma: np.ndarray, t: float) -> float:
     """L2 norm of (sigma_h - sigma_exact) at time t, degree+3 quadrature."""
-    total = 0.0
-    for deg, g in space.batches(n_extra=3).items():
-        sig_q = Sigma[g["dofs"]] @ g["shape"].T
-        diff = sig_q - mms_fields(g["x_q"], t).sigma
-        total += float(np.sum(diff**2 * g["weights"][None, :]
-                              * g["jac"][:, None]))
-    return float(np.sqrt(total))
+    table = space.batches(n_extra=3)
+    sig_q, = table.at_points(Sigma)
+    diff = sig_q - mms_fields(table.x_q, t).sigma
+    return float(np.sqrt(np.sum(diff**2 * table.weights * table.jac[:, None])))
 
 
 @dataclass(frozen=True)
@@ -120,16 +117,14 @@ def _mms_run_error(config) -> tuple[float, int]:
         config = dataclasses.replace(
             config, output=dataclasses.replace(config.output,
                                                snapshot_interval=0.0))
-    snapshots, _ = run_simulation(
+    snapshots, report = run_simulation(
         config,
         forcing=lambda x, t: mms_forcing(x, t, p),
         initial_sigma=lambda x: mms_fields(x, 0.0).sigma,
         initial_rate=lambda x: mms_fields(x, 0.0).sigma_t,
     )
     final = snapshots[-1]
-    space = build_space(config.mesh.L, config.mesh.n_cells,
-                        config.mesh.degree_policy)
-    return l2_error(space, final.Sigma, final.t), space.n_dofs
+    return l2_error(report.space, final.Sigma, final.t), report.space.n_dofs
 
 
 def convergence_study(kind: str, base_config,

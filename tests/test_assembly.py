@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stresswave.assembly import (AssembledSystem, BandedMatrix, apply_dirichlet,
-                                 assemble_inertial, assemble_load,
+from stresswave.assembly import (BandedMatrix, assemble_inertial,
                                  assemble_load_at, assemble_mass,
                                  assemble_residual, assemble_stiffness,
                                  assemble_tangent, stage_state)
-from stresswave.constitutive import HyperbolicityError, MaterialParams
-from stresswave.fe_space import FeSpace, build_space
+from stresswave.constitutive import (HyperbolicityError, MaterialParams,
+                                     strain_derivative)
+from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
 from stresswave.integrator import HhtParams, SystemState, newmark_update
 from stresswave.verification import mms_fields, mms_forcing
 
@@ -19,27 +21,44 @@ def _single_cell(h):
     return FeSpace(np.array([0.0, h]), np.array([1]))
 
 
-def test_banded_matrix_roundtrip_and_matvec():
-    rng = np.random.default_rng(0)
-    n, bw = 9, 2
-    B = BandedMatrix(n, bw)
+def _random_banded(n, bw, seed):
+    """Random diagonally dominant banded matrix and its dense copy."""
+    rng = np.random.default_rng(seed)
     dense = np.zeros((n, n))
-    for _ in range(40):
-        i = rng.integers(0, n)
-        j = rng.integers(max(0, i - bw), min(n, i + bw + 1))
-        v = rng.normal()
-        B.add_entries(np.array([i]), np.array([j]), np.array([v]))
-        dense[i, j] += v
-    np.testing.assert_allclose(B.to_dense(), dense, atol=1e-15)
+    for d in range(-bw, bw + 1):
+        dense += np.diag(rng.uniform(-1.0, 1.0, size=n - abs(d)), d)
+    dense += np.diag(2.0 * bw + 1.0 + rng.random(n))
+    ab = np.zeros((2 * bw + 1, n))
+    for i in range(n):
+        for j in range(max(0, i - bw), min(n, i + bw + 1)):
+            ab[bw + i - j, j] = dense[i, j]
+    return BandedMatrix(n, bw, ab), dense, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(bw=st.integers(1, 3), n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
+def test_banded_matrix_roundtrip_and_matvec(bw, n, seed):
+    B, dense, rng = _random_banded(n, bw, seed)
+    np.testing.assert_array_equal(B.to_dense(), dense)
     x = rng.normal(size=n)
-    np.testing.assert_allclose(B.matvec(x), dense @ x, atol=1e-13)
+    np.testing.assert_allclose(B.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bw=st.integers(1, 3), n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
+def test_banded_interior_solve_matches_dense(bw, n, seed):
+    B, dense, rng = _random_banded(n, bw, seed)
+    rhs = rng.normal(size=n - 2)
+    np.testing.assert_allclose(B.interior().solve(rhs),
+                               np.linalg.solve(dense[1:-1, 1:-1], rhs),
+                               rtol=1e-10)
 
 
 def test_banded_solve_matches_dense():
     rng = np.random.default_rng(1)
     space = build_space(1.0, 5, "uniform(2)")
     K = assemble_stiffness(space)
-    A = K.copy()
+    A = BandedMatrix(K.n, K.bandwidth, K.ab.copy())
     A.ab[A.bandwidth] += 1.0  # shift to make it definite
     rhs = rng.normal(size=space.n_dofs)
     x = A.solve(rhs)
@@ -112,9 +131,9 @@ def test_inertial_hyperbolicity_error_carries_location():
 
 def test_load_zero_forcing():
     space = build_space(1.0, 4, "uniform(2)")
-    ln, lp = assemble_load(space, lambda x, t: np.zeros_like(x), 0.1, 0.0, -0.05)
-    np.testing.assert_array_equal(ln, 0.0)
-    np.testing.assert_array_equal(lp, 0.0)
+    for t in (0.1, 0.0):
+        L = assemble_load_at(space, lambda x, t: np.zeros_like(x), t)
+        np.testing.assert_array_equal(L, 0.0)
 
 
 def test_load_constant_forcing_partition_of_unity():
@@ -264,50 +283,26 @@ def test_tangent_matches_fd_jacobian():
         assert np.linalg.norm(fd - Sd) <= 1e-5 * np.linalg.norm(Sd)
 
 
-def _random_system(n=9, bw=1, seed=4):
-    rng = np.random.default_rng(seed)
-    space = build_space(1.0, n - 1, "uniform(1)")
-    S = assemble_stiffness(space).copy()
-    S.ab[S.bandwidth] += 2.0
-    R = rng.normal(size=n)
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = mask[-1] = True
-    prescribed = np.zeros(n)
-    return space, S, R, mask, prescribed
-
-
-def test_dirichlet_zero_prescribed_zero_state():
-    space, S, R, mask, prescribed = _random_system()
-    R[:] = 0.0
-    sys_in = AssembledSystem(R, S, mask, prescribed)
-    out = apply_dirichlet(sys_in, np.zeros(len(R)))
-    delta = out.tangent.solve(-out.residual)
-    np.testing.assert_allclose(delta[mask], 0.0, atol=1e-15)
-
-
-def test_dirichlet_update_is_exact():
-    space, S, R, mask, prescribed = _random_system()
-    prescribed[0], prescribed[-1] = 3.25, -1.5
-    current = np.full(len(R), 0.75)
-    out = apply_dirichlet(AssembledSystem(R, S, mask, prescribed), current)
-    delta = out.tangent.solve(-out.residual)
-    assert delta[0] == pytest.approx(3.25 - 0.75, abs=1e-14)
-    assert delta[-1] == pytest.approx(-1.5 - 0.75, abs=1e-14)
-
-
-def test_dirichlet_interior_equations_preserved():
-    space, S, R, mask, prescribed = _random_system()
-    prescribed[0], prescribed[-1] = 0.6, -0.9
-    current = np.zeros(len(R))
-    out = apply_dirichlet(AssembledSystem(R, S, mask, prescribed), current)
-    delta = out.tangent.solve(-out.residual)
-    # the solved update still satisfies the original interior equations
-    check = S.matvec(delta) + R
-    np.testing.assert_allclose(check[1:-1], 0.0, atol=1e-13)
-
-
-def test_dirichlet_rejects_interior_constraints():
-    space, S, R, mask, prescribed = _random_system()
-    mask[3] = True
-    with pytest.raises(ValueError):
-        apply_dirichlet(AssembledSystem(R, S, mask, prescribed), np.zeros(len(R)))
+def test_graded_assembly_matches_per_cell_loop():
+    # reference: each cell integrated with its own (degree + 2)-point rule
+    space = build_space(1.0, 10, "center_graded")
+    n = space.n_dofs
+    rng = np.random.default_rng(21)
+    Sigma, Sigma_dot, Sigma_ddot = 0.3 * rng.normal(size=(3, n))
+    M_ref = np.zeros((n, n))
+    F_ref = np.zeros(n)
+    for k, dofs in enumerate(space.cell_dofs):
+        xl, xr = space.cell_edges[k], space.cell_edges[k + 1]
+        rule = gauss_rule(len(dofs) + 1)
+        shp, _ = lagrange_basis(2.0 * (space.dof_coords[dofs] - xl) / (xr - xl)
+                                - 1.0, rule.points)
+        wj = rule.weights * 0.5 * (xr - xl)
+        s, sd, sdd = shp @ Sigma[dofs], shp @ Sigma_dot[dofs], shp @ Sigma_ddot[dofs]
+        fp, fpp = strain_derivative(s, 1, P12), strain_derivative(s, 2, P12)
+        M_ref[np.ix_(dofs, dofs)] += (shp * (P12.rho * fp * wj)[:, None]).T @ shp
+        F_ref[dofs] += shp.T @ (P12.rho * (fp * sdd + fpp * sd**2) * wj)
+    np.testing.assert_allclose(assemble_mass(space, Sigma, P12).to_dense(),
+                               M_ref, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(
+        assemble_inertial(space, Sigma, Sigma_dot, Sigma_ddot, P12), F_ref,
+        rtol=1e-13, atol=1e-15)

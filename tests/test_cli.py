@@ -59,6 +59,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("text,field", [
+    ("material: {b: .nan}", "material.b"),
+    ("material: {b: 1.0, reg_eta: .inf}", "material.reg_eta"),
+    ("material: {b: 1.0}\nmesh: {L: .nan}", "mesh.L"),
+    ("material: {b: 1.0}\ntime: {t_final: .inf}", "time.t_final"),
+    ("material: {b: 1.0}\ndrive: {A: .nan}", "drive.A"),
+    ("material: {b: 1.0}\ndrive: {omega: .nan}", "drive.omega"),
+    ("material: {b: 1.0}\noutput: {snapshot_interval: .inf}",
+     "output.snapshot_interval"),
+])
+def test_non_finite_config_number_exit_code(tmp_path, capsys, text, field):
+    cfg = _write(tmp_path, "bad.yaml", text + "\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
 def test_solver_failure_exit_code(tmp_path):
     cfg = _write(tmp_path, "diverge.yaml", """
 material: {b: 10.0, a: 1.5}

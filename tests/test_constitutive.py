@@ -186,9 +186,12 @@ def test_verify_hyperbolicity_linear():
 
 
 def test_verify_hyperbolicity_injected_failure():
-    rep = verify_hyperbolicity(0.0, 4.0, 101, P12, derivative=np.cos)
+    # saturating law: (b sigma)^a overflows and eps' underflows to 0
+    p = MaterialParams(rho=1.0, b=1e200, a=2.0)
+    rep = verify_hyperbolicity(0.0, 1e200, 101, p)
     assert not rep.passed
-    assert rep.min_derivative < 0.0
+    assert rep.min_derivative == 0.0
+    assert rep.worst_sigma > 0.0
 
 
 def test_verify_hyperbolicity_preconditions():

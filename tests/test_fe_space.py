@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from stresswave.fe_space import (FeSpace, build_space, gauss_rule,
-                                 shape_eval)
+                                 lagrange_basis)
+
+# local nodes of degrees 1-3 on [-1, 1] (Gauss-Lobatto for p = 3)
+NODES = {1: [-1.0, 1.0], 2: [-1.0, 0.0, 1.0],
+         3: [-1.0, -1.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0), 1.0]}
 
 
 def _map_to(rule, lo, hi):
@@ -83,33 +87,41 @@ def test_dofs_left_to_right_and_shared():
 
 
 def test_shape_linear_midpoint():
-    space = build_space(1.0, 2, "uniform(1)")
-    vals, _ = shape_eval(space, 0, [0.0])
+    vals, _ = lagrange_basis(NODES[1], [0.0])
     assert vals[0] == pytest.approx([0.5, 0.5])
 
 
 def test_shape_kronecker_at_nodes():
-    space = build_space(1.0, 2, "uniform(2)")
-    vals, _ = shape_eval(space, 0, [-1.0, 0.0, 1.0])
-    np.testing.assert_allclose(vals, np.eye(3), atol=1e-14)
+    for nodes in NODES.values():
+        vals, _ = lagrange_basis(nodes, nodes)
+        np.testing.assert_allclose(vals, np.eye(len(nodes)), atol=1e-14)
 
 
 def test_shape_partition_of_unity():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, size=20)
-    for p in (1, 2, 3):
-        space = build_space(1.0, 3, f"uniform({p})")
-        vals, ders = shape_eval(space, 1, pts)
+    for nodes in NODES.values():
+        vals, ders = lagrange_basis(nodes, pts)
         np.testing.assert_allclose(np.sum(vals, axis=1), 1.0, atol=1e-14)
         np.testing.assert_allclose(np.sum(ders, axis=1), 0.0, atol=1e-12)
 
 
-def test_shape_eval_validates():
-    space = build_space(1.0, 2, "uniform(1)")
-    with pytest.raises(ValueError):
-        shape_eval(space, 5, [0.0])
-    with pytest.raises(ValueError):
-        shape_eval(space, 0, [1.5])
+def test_cell_table_padding():
+    uniform = build_space(1.0, 4, "uniform(2)").batches()
+    assert uniform.shape.shape == (4, 4, 3)
+    assert np.all(uniform.weights > 0.0)
+    space = build_space(1.0, 10, "center_graded")
+    table = space.batches()
+    assert table.shape.shape == (10, 5, 4)
+    for k, p in enumerate(space.degrees):
+        # real nodes and points first, then zero-valued padding
+        assert np.all(table.dofs[k, :p + 1] == space.cell_dofs[k])
+        assert np.all(table.dofs[k, p + 1:] == space.cell_dofs[k][-1])
+        assert np.all(table.shape[k, :, p + 1:] == 0.0)
+        assert np.all(table.weights[k, :p + 2] > 0.0)
+        assert np.all(table.weights[k, p + 2:] == 0.0)
+        mid = 0.5 * (space.cell_edges[k] + space.cell_edges[k + 1])
+        assert np.all(table.x_q[k, p + 2:] == mid)
 
 
 def test_global_polynomial_reproduction():

@@ -128,6 +128,17 @@ def test_advance_step_zero_data_one_iteration():
     assert state.t == pytest.approx(1e-3)
 
 
+def test_advance_step_nan_load_diverges_at_once():
+    space = build_space(1.0, 8, "uniform(1)")
+    nan = np.full(space.n_dofs, np.nan)
+    with pytest.raises(NewtonDivergedError) as err:
+        advance_step(SystemState.zeros(space.n_dofs), space,
+                     HhtParams(alpha=-0.05, dt=1e-3), P12, NewtonSettings(),
+                     load_prev=np.zeros(space.n_dofs), load_next=nan)
+    assert err.value.iters == 0
+    assert err.value.t == pytest.approx(1e-3)
+
+
 def test_linear_material_single_newton_iteration():
     cfg = parse_config({"material": {"b": 0.0},
                         "mesh": {"n_cells": 32},
@@ -191,6 +202,25 @@ def test_initial_acceleration_solves_t0_balance():
     np.testing.assert_allclose(sdd_mms, 0.0, atol=1e-10)
 
 
+def test_initial_acceleration_with_boundary_drive():
+    from stresswave.assembly import (assemble_inertial, assemble_mass,
+                                     assemble_stiffness)
+    space = build_space(1.0, 6, "center_graded")
+    x = space.dof_coords
+    drive = BoundaryDrive(amplitude=0.5, omega=3.0)
+    t0 = 0.4
+    Sigma0 = 0.3 * np.sin(np.pi * x) + drive.value(t0) * x
+    Sigma_dot0 = 0.1 * np.sin(2 * np.pi * x)
+    sdd0 = initial_acceleration(space, Sigma0, Sigma_dot0, P12, drive, t0=t0)
+    assert drive.accel(t0) != 0.0
+    assert sdd0[-1] == drive.accel(t0)
+    assert sdd0[0] == 0.0
+    rhs = -assemble_inertial(space, Sigma0, Sigma_dot0, np.zeros_like(x), P12) \
+        - assemble_stiffness(space).matvec(Sigma0)
+    balance = assemble_mass(space, Sigma0, P12).matvec(sdd0) - rhs
+    np.testing.assert_allclose(balance[1:-1], 0.0, atol=1e-12)
+
+
 def test_run_simulation_snapshot_schedule():
     cfg = parse_config({"material": {"b": 0.0},
                         "mesh": {"n_cells": 8},
@@ -200,6 +230,7 @@ def test_run_simulation_snapshot_schedule():
     times = [st.t for st in snaps]
     np.testing.assert_allclose(times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-12)
     assert report.steps == 50
+    assert report.space.n_dofs == len(snaps[0].Sigma) == 9
 
 
 def test_run_simulation_short_final_step():
@@ -222,9 +253,8 @@ def test_temporal_accuracy_pair():
     for dt in (8e-3, 4e-3):
         cfg = _mms_config({"mesh": {"n_cells": 24, "degree_policy": "uniform(3)"},
                            "time": {"dt": dt, "t_final": 0.5}})
-        snaps, _ = _run_mms(cfg)
-        space = build_space(1.0, 24, "uniform(3)")
-        errs.append(l2_error(space, snaps[-1].Sigma, snaps[-1].t))
+        snaps, report = _run_mms(cfg)
+        errs.append(l2_error(report.space, snaps[-1].Sigma, snaps[-1].t))
     rate = np.log2(errs[0] / errs[1])
     assert rate == pytest.approx(2.0, abs=0.15)
 
