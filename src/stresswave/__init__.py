@@ -8,8 +8,8 @@ from .calibration import (FitResult, FitSettings, StressStrainDataset,
                           sse_objective)
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .constitutive import (HyperbolicityError, HyperbolicityReport,
-                           MaterialParams, strain, strain_derivative,
-                           verify_hyperbolicity, wave_speed)
+                           MaterialParams, derivatives, strain,
+                           strain_derivative, verify_hyperbolicity, wave_speed)
 from .fe_space import FeSpace, QuadratureRule, build_space, gauss_rule
 from .integrator import (BoundaryDrive, HhtParams, NewtonDivergedError,
                          NewtonReport, NewtonSettings, RunReport, SystemState,

@@ -34,30 +34,36 @@ tangent chains through the Newmark updates and the stage weighting:
     C_nl  = integral 2 rho eps''(s*) sd* N_I N_J dx
     K_sig = integral rho (eps''(s*) sdd + eps'''(s*) sd*^2) N_I N_J dx.
 
+Residual and tangent share one evaluation of the stage at the points
+(stage_points, with eps', eps'' and eps''' fused), and the elastic term
+is the single product K S* = (1+alpha) K S_{n+1} - alpha K S_n.
+
 Every integral is one vectorized pass over the space's cell table
 (FeSpace.batches), whose padded nodes and points contribute zero.  All
 matrices are stored in LAPACK banded form (half-bandwidth = max cell
 degree); element matrices reach it through the table's precomputed
 scatter index.  The two boundary DoFs always carry prescribed values,
 so the integrator solves only the interior block (BandedMatrix.interior)
-by direct banded factorization.
+by direct banded factorization (LAPACK gtsv, or gbsv above bandwidth 1).
 """
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
-from .constitutive import HyperbolicityError, MaterialParams, strain_derivative
+from .constitutive import HyperbolicityError, MaterialParams, derivatives
 from .fe_space import CellTable, FeSpace
+
+_gtsv, _gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
 
 
 class BandedMatrix:
     """Square matrix in diagonal-ordered banded storage.
 
     Entry (i, j) with |i - j| <= bandwidth lives at ab[bandwidth + i - j, j],
-    the layout scipy.linalg.solve_banded expects.
+    LAPACK's band layout with kl = ku = bandwidth (less gbsv's fill-in rows).
     """
 
     def __init__(self, n: int, bandwidth: int, ab: np.ndarray):
@@ -74,7 +80,16 @@ class BandedMatrix:
         return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((self.bandwidth, self.bandwidth), self.ab, rhs)
+        """x with A x = rhs; np.linalg.LinAlgError if A is singular."""
+        bw, ab = self.bandwidth, self.ab
+        if bw == 1:
+            *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+        else:
+            lab = np.vstack((np.zeros((bw, self.n)), ab))  # fill-in rows
+            *_, x, info = _gbsv(bw, bw, lab, rhs, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
+        return x
 
     def interior(self) -> "BandedMatrix":
         """View of the block without the first and last rows and columns.
@@ -91,17 +106,6 @@ class BandedMatrix:
             for j in range(lo, hi):
                 out[i, j] = self.ab[self.bandwidth + i - j, j]
         return out
-
-
-def _check_hyperbolic(fp: np.ndarray, sig_q: np.ndarray, t: CellTable):
-    if np.any(fp <= 0.0):
-        fp = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
-        i = np.unravel_index(np.argmin(fp), fp.shape)
-        if fp[i] <= 0.0:
-            raise HyperbolicityError(
-                f"tangent compliance {fp[i]:.3e} <= 0 at quadrature point "
-                f"x={t.x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
-                sigma=float(sig_q[i]), x=float(t.x_q[i]))
 
 
 def _vector(space: FeSpace, t: CellTable, integrand: np.ndarray) -> np.ndarray:
@@ -140,22 +144,16 @@ def assemble_stiffness(space: FeSpace) -> BandedMatrix:
 
 def assemble_mass(space: FeSpace, Sigma: np.ndarray, p: MaterialParams) -> BandedMatrix:
     """State-dependent mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx."""
-    t = space.batches()
-    sig_q, = t.at_points(Sigma)
-    fp = strain_derivative(sig_q, 1, p)
-    _check_hyperbolic(fp, sig_q, t)
-    return _matrix(space, t, p.rho * fp)
+    zero = np.zeros_like(Sigma)
+    _, _, fp, _, _ = stage_points(space, Sigma, zero, zero, p)
+    return _matrix(space, space.batches(), p.rho * fp)
 
 
 def assemble_inertial(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
                       Sigma_ddot: np.ndarray, p: MaterialParams) -> np.ndarray:
     """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
-    t = space.batches()
-    sig_q, sigd_q, sigdd_q = t.at_points(Sigma, Sigma_dot, Sigma_ddot)
-    fp = strain_derivative(sig_q, 1, p)
-    _check_hyperbolic(fp, sig_q, t)
-    fpp = strain_derivative(sig_q, 2, p)
-    return _vector(space, t, p.rho * (fp * sigdd_q + fpp * sigd_q**2))
+    pts = stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
+    return stage_residual(space, np.zeros_like(Sigma), pts, 0.0, p)
 
 
 def assemble_load_at(space: FeSpace, forcing, t: float) -> np.ndarray:
@@ -163,6 +161,56 @@ def assemble_load_at(space: FeSpace, forcing, t: float) -> np.ndarray:
     table = space.batches()
     return _vector(space, table,
                    np.asarray(forcing(table.x_q, t), dtype=float))
+
+
+def stage_points(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
+                 Sigma_ddot: np.ndarray, p: MaterialParams) -> tuple:
+    """A stage at the points of space.batches(), shared by residual and tangent.
+
+    Returns (sigma_dot, sigma_ddot, eps', eps'', eps''') at the points,
+    each (n_cells, n_points).  Raises HyperbolicityError where eps' <= 0.
+    """
+    t = space.batches()
+    sig_q, sigd_q, sigdd_q = t.at_points(Sigma, Sigma_dot, Sigma_ddot)
+    fp, fpp, fppp = derivatives(sig_q, p)
+    if np.any(fp <= 0.0):
+        bad = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
+        i = np.unravel_index(np.argmin(bad), bad.shape)
+        if bad[i] <= 0.0:
+            raise HyperbolicityError(
+                f"tangent compliance {bad[i]:.3e} <= 0 at quadrature point "
+                f"x={t.x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
+                sigma=float(sig_q[i]), x=float(t.x_q[i]))
+    return sigd_q, sigdd_q, fp, fpp, fppp
+
+
+def stage_load(load_next: np.ndarray | None, load_prev: np.ndarray | None,
+               alpha: float):
+    """Alpha-weighted load (1+alpha) L_{n+1} - alpha L_n; None is no load."""
+    return ((0.0 if load_next is None else (1.0 + alpha) * load_next)
+            - (0.0 if load_prev is None else alpha * load_prev))
+
+
+def stage_residual(space: FeSpace, Sigma: np.ndarray, pts: tuple, load,
+                   p: MaterialParams) -> np.ndarray:
+    """R = F_inrt(pts) + K S* - load, where Sigma is the stage stress S*."""
+    sigd_q, sigdd_q, fp, fpp, _ = pts
+    R = _vector(space, space.batches(), p.rho * (fp * sigdd_q + fpp * sigd_q**2))
+    return R + assemble_stiffness(space).matvec(Sigma) - load
+
+
+def stage_tangent(space: FeSpace, pts: tuple, hht,
+                  p: MaterialParams) -> BandedMatrix:
+    """Consistent tangent dR/d(Sdd_{n+1}) at the stage values `pts`."""
+    sigd_q, sigdd_q, fp, fpp, fppp = pts
+    w = 1.0 + hht.alpha  # stage sensitivity d(S*)/d(S_{n+1})
+    c_dot, c = w * hht.gamma_nm * hht.dt, w * hht.beta_nm * hht.dt**2
+    # M + w gamma dt C_nl + w beta dt^2 (K + K_sig), fused in one pass
+    S = _matrix(space, space.batches(), p.rho * (
+        fp + c_dot * 2.0 * fpp * sigd_q
+        + c * (fpp * sigdd_q + fppp * sigd_q**2)))
+    S.ab += c * assemble_stiffness(space).ab
+    return S
 
 
 def stage_state(state_next, state_prev, alpha: float):
@@ -184,18 +232,10 @@ def assemble_residual(space: FeSpace, state_next, state_prev, hht,
                       p: MaterialParams, load_next: np.ndarray | None = None,
                       load_prev: np.ndarray | None = None) -> np.ndarray:
     """Time-discrete residual at the n+1 iterate (zero when balanced)."""
-    K = assemble_stiffness(space)
-    alpha = hht.alpha
-    stage = stage_state(state_next, state_prev, alpha)
-    R = assemble_inertial(space, stage.Sigma, stage.Sigma_dot,
-                          state_next.Sigma_ddot, p)
-    R += (1.0 + alpha) * K.matvec(state_next.Sigma)
-    R -= alpha * K.matvec(state_prev.Sigma)
-    if load_next is not None:
-        R -= (1.0 + alpha) * load_next
-    if load_prev is not None:
-        R += alpha * load_prev
-    return R
+    stage = stage_state(state_next, state_prev, hht.alpha)
+    pts = stage_points(space, stage.Sigma, stage.Sigma_dot, stage.Sigma_ddot, p)
+    return stage_residual(space, stage.Sigma, pts,
+                          stage_load(load_next, load_prev, hht.alpha), p)
 
 
 def assemble_tangent(space: FeSpace, stage, hht,
@@ -206,19 +246,5 @@ def assemble_tangent(space: FeSpace, stage, hht,
     coefficients were evaluated at (see stage_state); for alpha = 0 it
     is simply the n+1 iterate.
     """
-    K = assemble_stiffness(space)
-    dt = hht.dt
-    w = 1.0 + hht.alpha  # stage sensitivity d(S*)/d(S_{n+1})
-    beta, gamma = hht.beta_nm, hht.gamma_nm
-    t = space.batches()
-    sig_q, sigd_q, sigdd_q = t.at_points(stage.Sigma, stage.Sigma_dot,
-                                         stage.Sigma_ddot)
-    fp = strain_derivative(sig_q, 1, p)
-    fpp = strain_derivative(sig_q, 2, p)
-    fppp = strain_derivative(sig_q, 3, p)
-    # M + w gamma dt C_nl + w beta dt^2 K_sig, fused in one pass
-    S = _matrix(space, t, p.rho * (
-        fp + w * gamma * dt * 2.0 * fpp * sigd_q
-        + w * beta * dt**2 * (fpp * sigdd_q + fppp * sigd_q**2)))
-    S.ab += beta * dt**2 * w * K.ab
-    return S
+    return stage_tangent(space, stage_points(
+        space, stage.Sigma, stage.Sigma_dot, stage.Sigma_ddot, p), hht, p)

@@ -78,44 +78,46 @@ def strain(sigma, p: MaterialParams):
     return _as_result(sigma, out)
 
 
-def strain_derivative(sigma, order: int, p: MaterialParams):
-    """d^order(eps)/d(sigma)^order for order in {1, 2, 3}.
+def derivatives(sigma, p: MaterialParams):
+    """The first three stress derivatives (eps', eps'', eps''') of eps.
 
-    Closed forms, with D = 1 + (b|s|)^a:
+    Closed forms, with w = (b|s|)^a and D = 1 + w computed once:
 
         eps'   = D^-(1+1/a)
-        eps''  = -(a+1) b^a |s|^(a-1) sign(s) D^-(2+1/a)
-        eps''' = -(a+1) b^a |s|^(a-2) [(a-1) - (a+2)(b|s|)^a] D^-(3+1/a)
+        eps''  = -(a+1) b^a |s|^(a-1) sign(s) eps' / D
+        eps''' = -(a+1) b^a |s|^(a-2) [(a-1) - (a+2) w] eps' / D^2
 
-    Factors |s|^(a-1) (order 2, a < 1) and |s|^(a-2) (order 3, a < 2)
-    carry a negative exponent and are evaluated with the regularized
-    magnitude sqrt(s^2 + reg_eta^2); every other factor is exact.
+    Factors |s|^(a-1) (a < 1) and |s|^(a-2) (a < 2) carry a negative
+    exponent and are evaluated with the regularized magnitude
+    sqrt(s^2 + reg_eta^2); every other factor is exact.  Where w
+    overflows the law has saturated: eps' underflows to 0 and the
+    higher orders are 0.
     """
+    s = np.asarray(sigma, dtype=float)
+    a, mag = p.a, np.abs(s)
+    if p.b == 0.0:
+        out = (np.ones_like(s), np.zeros_like(s), np.zeros_like(s))
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            reg = mag if a >= 2.0 else np.sqrt(s * s + p.reg_eta**2)
+            w = (p.b * mag) ** a
+            d = 1.0 + w
+            fp = d ** (-(1.0 + 1.0 / a))
+            g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
+            fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0) * np.sign(s)
+            fppp = g * reg ** (a - 2.0) * ((a - 1.0) - (a + 2.0) * w) / d
+        saturated = np.isinf(w)
+        if saturated.any():
+            fpp, fppp = np.where(saturated, 0.0, (fpp, fppp))
+        out = (fp, fpp, fppp)
+    return tuple(map(float, out)) if s.ndim == 0 else out
+
+
+def strain_derivative(sigma, order: int, p: MaterialParams):
+    """d^order(eps)/d(sigma)^order for order in {1, 2, 3} (see derivatives)."""
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    s = np.asarray(sigma, dtype=float)
-    if p.b == 0.0:
-        out = np.ones_like(s) if order == 1 else np.zeros_like(s)
-        return _as_result(sigma, out)
-
-    a = p.a
-    mag = np.abs(s)
-    with np.errstate(over="ignore"):
-        w = (p.b * mag) ** a
-        d = 1.0 + w
-        if order == 1:
-            out = d ** (-(1.0 + 1.0 / a))
-        elif order == 2:
-            m = mag if a >= 1.0 else np.sqrt(s * s + p.reg_eta**2)
-            out = -(a + 1.0) * p.b**a * m ** (a - 1.0) * np.sign(s) \
-                * d ** (-(2.0 + 1.0 / a))
-            out = np.where(np.isinf(w), 0.0, out)
-        else:
-            m = mag if a >= 2.0 else np.sqrt(s * s + p.reg_eta**2)
-            out = -(a + 1.0) * p.b**a * m ** (a - 2.0) \
-                * ((a - 1.0) - (a + 2.0) * w) * d ** (-(3.0 + 1.0 / a))
-            out = np.where(np.isinf(w), 0.0, out)
-    return _as_result(sigma, out)
+    return derivatives(sigma, p)[order - 1]
 
 
 def wave_speed(sigma, p: MaterialParams):

@@ -13,6 +13,9 @@ two boundary nodes is enforced exactly: before Newton starts, each
 boundary acceleration is set to the value whose Newmark update hits the
 prescribed stress, and every Newton update then solves only the interior
 rows and columns of the tangent.
+
+Each Newton iterate evaluates its stage at the quadrature points once
+(fused eps', eps'', eps''') for both its residual and its tangent.
 """
 from __future__ import annotations
 
@@ -158,19 +161,25 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
     before the first iterate, so Newton updates only the interior DoFs.
     """
     t_next = state_n.t + hht.dt
+    alpha, w = hht.alpha, 1.0 + hht.alpha
     sdd = state_n.Sigma_ddot.copy()
     sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
     sdd[-1] = boundary_acceleration(
         0.0 if drive is None else drive.value(t_next), -1, state_n, hht)
+    # Stage stress and rate: S* = base + c Sdd, Sd* = base_dot + c_dot Sdd
+    pred, pred_dot = newmark_update(state_n, 0.0, hht)
+    base = w * pred - alpha * state_n.Sigma
+    base_dot = w * pred_dot - alpha * state_n.Sigma_dot
+    c, c_dot = w * hht.beta_nm * hht.dt**2, w * hht.gamma_nm * hht.dt
+    load = assembly.stage_load(load_next, load_prev, alpha)
 
     def residual_at(sdd_vec):
-        Sigma, Sigma_dot = newmark_update(state_n, sdd_vec, hht)
-        trial = SystemState(t_next, Sigma, Sigma_dot, sdd_vec)
-        R = assembly.assemble_residual(space, trial, state_n, hht, p,
-                                       load_next, load_prev)
-        return trial, R
+        Sigma = base + c * sdd_vec
+        pts = assembly.stage_points(space, Sigma, base_dot + c_dot * sdd_vec,
+                                    sdd_vec, p)
+        return pts, assembly.stage_residual(space, Sigma, pts, load, p)
 
-    trial, R = residual_at(sdd)
+    pts, R = residual_at(sdd)
     ref_norm = float(np.linalg.norm(R[1:-1]))
     threshold = max(newton.tol * ref_norm, newton.abs_floor)
     history = [ref_norm]
@@ -190,16 +199,21 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                 f"|R|={r_norm:.3e} after {iters} iterations "
                 f"(threshold {threshold:.3e})",
                 t=t_next, iters=iters, history=history)
-        stage = assembly.stage_state(trial, state_n, hht.alpha)
-        S = assembly.assemble_tangent(space, stage, hht, p)
-        sdd[1:-1] -= S.interior().solve(R[1:-1])
+        S = assembly.stage_tangent(space, pts, hht, p)
+        try:
+            sdd[1:-1] -= S.interior().solve(R[1:-1])
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDivergedError(
+                f"Newton tangent is singular at t={t_next:.6g}: {exc}",
+                t=t_next, iters=iters, history=history) from exc
         iters += 1
-        trial, R = residual_at(sdd)
+        pts, R = residual_at(sdd)
         history.append(float(np.linalg.norm(R[1:-1])))
 
     report = NewtonReport(iters=iters, residual_norm=history[-1],
                           history=history)
-    return trial, report
+    Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
+    return SystemState(t_next, Sigma, Sigma_dot, sdd), report
 
 
 def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
@@ -213,19 +227,17 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     with the boundary accelerations set to the drive's second time
     derivative.
     """
-    K = assembly.assemble_stiffness(space)
-    rhs = -assembly.assemble_inertial(space, Sigma0, Sigma_dot0,
-                                      np.zeros_like(Sigma0), p)
-    rhs -= K.matvec(Sigma0)
-    if forcing is not None:
-        rhs += assembly.assemble_load_at(space, forcing, t0)
-
     sdd = np.zeros(space.n_dofs)
     if drive is not None:
         sdd[-1] = drive.accel(t0)
+    load = (0.0 if forcing is None
+            else assembly.assemble_load_at(space, forcing, t0))
+    # The balance is linear in Sdd0 with matrix M(S0), so one Newton step
+    # from zero interior values solves it.
+    R = assembly.stage_residual(space, Sigma0, assembly.stage_points(
+        space, Sigma0, Sigma_dot0, sdd, p), load, p)
     M = assembly.assemble_mass(space, Sigma0, p)
-    rhs -= M.matvec(sdd)  # move the boundary columns to the right side
-    sdd[1:-1] = M.interior().solve(rhs[1:-1])
+    sdd[1:-1] -= M.interior().solve(R[1:-1])
     return sdd
 
 

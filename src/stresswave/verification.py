@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import MaterialParams, strain_derivative
+from .constitutive import MaterialParams, derivatives
 from .fe_space import FeSpace
 from .integrator import run_simulation
 
@@ -50,8 +50,7 @@ def mms_fields(x, t: float) -> MmsFields:
 def mms_forcing(x, t: float, p: MaterialParams):
     """Source term that makes the manufactured field an exact solution."""
     f = mms_fields(x, t)
-    fp = strain_derivative(f.sigma, 1, p)
-    fpp = strain_derivative(f.sigma, 2, p)
+    fp, fpp, _ = derivatives(f.sigma, p)
     return p.rho * (fp * f.sigma_tt + fpp * f.sigma_t**2) - f.sigma_xx
 
 

@@ -65,6 +65,14 @@ def test_banded_solve_matches_dense():
     np.testing.assert_allclose(A.to_dense() @ x, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("bw", [1, 3])
+def test_banded_solve_singular_raises(bw):
+    B, _, rng = _random_banded(9, bw, seed=bw)
+    B.ab[:, 4] = 0.0  # column 4 is zero, so a pivot is exactly zero
+    with pytest.raises(np.linalg.LinAlgError):
+        B.solve(rng.normal(size=9))
+
+
 def test_stiffness_two_cell_hand_value():
     space = build_space(1.0, 2, "uniform(1)")
     K = assemble_stiffness(space).to_dense()

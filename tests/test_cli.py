@@ -88,6 +88,22 @@ newton: {tol: 1.0e-12, k_max: 1}
                  "--out", str(tmp_path / "o"), "--quiet"]) == 3
 
 
+def test_singular_tangent_exit_code(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from stresswave import assembly
+
+    def zero_tangent(space, pts, hht, p):
+        ab = np.zeros((2 * space.bandwidth + 1, space.n_dofs))
+        return assembly.BandedMatrix(space.n_dofs, space.bandwidth, ab)
+
+    monkeypatch.setattr(assembly, "stage_tangent", zero_tangent)
+    cfg = _write(tmp_path, "run.yaml", SMALL_SIM)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert "singular at t=0.001" in capsys.readouterr().err
+
+
 def test_io_failure_exit_code(tmp_path):
     cfg = _write(tmp_path, "run.yaml", SMALL_SIM)
     blocker = tmp_path / "blocked"

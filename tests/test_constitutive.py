@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresswave.constitutive import (HyperbolicityError, MaterialParams,
-                                     strain, strain_derivative,
+                                     derivatives, strain, strain_derivative,
                                      verify_hyperbolicity, wave_speed)
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
@@ -199,3 +203,61 @@ def test_verify_hyperbolicity_preconditions():
         verify_hyperbolicity(1.0, 1.0, 10, P12)
     with pytest.raises(ValueError):
         verify_hyperbolicity(0.0, 1.0, 1, P12)
+
+
+# b|sigma| <= 1e3 keeps the gap to the limiting strain 1/b far above
+# roundoff, so the strict bound can be asserted.
+materials = st.builds(lambda b, a: MaterialParams(rho=1.0, b=b, a=a),
+                      st.floats(0.1, 10.0), st.floats(0.5, 3.0))
+stresses = st.floats(-100.0, 100.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=materials, s=stresses, ds=st.floats(1e-6, 50.0))
+def test_strain_odd_monotone_bounded_property(p, s, ds):
+    assert strain(-s, p) == -strain(s, p)
+    assert abs(strain(s, p)) < 1.0 / p.b
+    assert strain(s, p) < strain(s + ds, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=materials, s=stresses)
+def test_tangent_compliance_in_unit_interval_property(p, s):
+    fp, _, _ = derivatives(s, p)
+    assert 0.0 < fp <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=materials, s=st.floats(0.05, 20.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_derivatives_match_central_differences_property(p, s, sign):
+    # Each order against a 5-point difference of the order below.  The
+    # scale |lower| / |s| keeps the check meaningful where the higher
+    # order crosses zero; the difference's own error is far below it.
+    s *= sign
+    h = 1e-4 * abs(s)
+    lower = (lambda x: strain(x, p),
+             lambda x: derivatives(x, p)[0],
+             lambda x: derivatives(x, p)[1])
+    for k, an in enumerate(derivatives(s, p)):
+        fd = central_diff5(lower[k], s, h)
+        scale = abs(an) + abs(lower[k](s)) / abs(s)
+        assert abs(an - fd) <= 1e-6 * scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=st.floats(-1e300, 1e300), a=st.floats(0.1, 5.0))
+def test_derivatives_linear_law_property(s, a):
+    assert derivatives(s, MaterialParams(rho=1.0, b=0.0, a=a)) == (1.0, 0.0, 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=st.floats(1e10, 1e300), sign=st.sampled_from([-1.0, 1.0]),
+       a=st.floats(1.6, 3.0))
+def test_derivatives_saturated_are_zero_without_warning(s, sign, a):
+    p = MaterialParams(rho=1.0, b=1e200, a=a)  # (b|s|)^a overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert derivatives(sign * s, p) == (0.0, 0.0, 0.0)
+        out = derivatives(np.array([sign * s, -sign * s]), p)
+    for d in out:
+        np.testing.assert_array_equal(d, 0.0)

@@ -139,6 +139,68 @@ def test_advance_step_nan_load_diverges_at_once():
     assert err.value.t == pytest.approx(1e-3)
 
 
+def test_advance_step_singular_tangent_diverges(monkeypatch):
+    from stresswave import assembly
+    space = build_space(1.0, 8, "uniform(1)")
+
+    def zero_tangent(space, pts, hht, p):
+        ab = np.zeros((2 * space.bandwidth + 1, space.n_dofs))
+        return assembly.BandedMatrix(space.n_dofs, space.bandwidth, ab)
+
+    monkeypatch.setattr(assembly, "stage_tangent", zero_tangent)
+    with pytest.raises(NewtonDivergedError, match="singular") as err:
+        advance_step(SystemState.zeros(space.n_dofs), space,
+                     HhtParams(alpha=-0.05, dt=1e-3), P12, NewtonSettings(),
+                     BoundaryDrive())
+    assert err.value.iters == 0
+    assert err.value.t == pytest.approx(1e-3)
+
+
+def test_advance_step_matches_public_newton_loop():
+    # Reference: the documented residual / stage / tangent API and a
+    # dense solve, iterated to the same stopping rule as advance_step.
+    from stresswave.assembly import (assemble_residual, assemble_tangent,
+                                     stage_state)
+    space = build_space(1.0, 12, "center_graded")
+    n = space.n_dofs
+    p = MaterialParams(rho=1.0, b=5.0, a=1.5)
+    hht = HhtParams(alpha=-0.05, dt=1e-2)
+    newton = NewtonSettings()
+    drive = BoundaryDrive(amplitude=0.3, omega=3.0)
+    rng = np.random.default_rng(11)
+    state_n = SystemState(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                          rng.normal(size=n))
+    load_prev, load_next = rng.normal(size=n), rng.normal(size=n)
+    got, report = advance_step(state_n, space, hht, p, newton, drive,
+                               load_prev, load_next)
+
+    t_next = state_n.t + hht.dt
+    sdd = state_n.Sigma_ddot.copy()
+    sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
+    sdd[-1] = boundary_acceleration(drive.value(t_next), -1, state_n, hht)
+    history = []
+    while True:
+        Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
+        trial = SystemState(t_next, Sigma, Sigma_dot, sdd)
+        R = assemble_residual(space, trial, state_n, hht, p, load_next,
+                              load_prev)
+        history.append(np.linalg.norm(R[1:-1]))
+        threshold = max(newton.tol * history[0], newton.abs_floor)
+        if len(history) > 1 and history[-1] <= threshold:
+            break
+        S = assemble_tangent(space, stage_state(trial, state_n, hht.alpha),
+                             hht, p).to_dense()
+        sdd = sdd.copy()
+        sdd[1:-1] -= np.linalg.solve(S[1:-1, 1:-1], R[1:-1])
+
+    assert report.iters == len(history) - 1 >= 3
+    np.testing.assert_allclose(report.history, history, rtol=1e-9,
+                               atol=1e-12 * history[0])
+    for mine, ref in ((got.Sigma, Sigma), (got.Sigma_dot, Sigma_dot),
+                      (got.Sigma_ddot, sdd)):
+        assert np.linalg.norm(mine - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_linear_material_single_newton_iteration():
     cfg = parse_config({"material": {"b": 0.0},
                         "mesh": {"n_cells": 32},
