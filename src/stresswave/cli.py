@@ -28,7 +28,7 @@ from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
 from .constitutive import HyperbolicityError
 from .integrator import NewtonDivergedError, run_simulation
-from .postprocess import (append_spacetime, reconstruct, sample_solution,
+from .postprocess import (reconstruct, sample_solution, snapshot_filename,
                           write_snapshot)
 from .verification import convergence_study
 
@@ -57,21 +57,22 @@ def run_scenario(config: ScenarioConfig, out_dir: Path,
     c0 = 1.0 / np.sqrt(config.material.rho)
 
     max_c_dev = 0.0
-    final_record = None
-    spacetime = out_dir / "spacetime.csv"
     if write_outputs:
+        names = {snapshot_filename(state.t) for state in snapshots}
+        if len(names) < len(snapshots):
+            raise ConfigError(
+                f"output.snapshot_interval: {len(snapshots)} snapshots map to "
+                f"{len(names)} file names, which carry t to 6 decimals")
         out_dir.mkdir(parents=True, exist_ok=True)
-        spacetime.unlink(missing_ok=True)
+        (out_dir / "spacetime.csv").unlink(missing_ok=True)
     for state in snapshots:
         rec = reconstruct(sample_solution(space, state.Sigma, state.Sigma_dot, m),
                           config.material)
         max_c_dev = max(max_c_dev, float(np.max(np.abs(rec.c - c0))))
-        final_record = rec
         if write_outputs:
             write_snapshot(rec, state.t, out_dir)
-            append_spacetime(rec, state.t, spacetime)
 
-    grad = np.gradient(final_record.sigma, final_record.x)
+    grad = np.gradient(rec.sigma, rec.x)  # of the final snapshot
     metrics = {
         "b": config.material.b,
         "a": config.material.a,
@@ -149,9 +150,8 @@ def cmd_mms(args, kind: str) -> int:
 
 
 def _sweep_member(mapping: dict, b: float, a: float, out_dir: str) -> dict:
-    config = parse_config(mapping)
-    config = dataclasses.replace(
-        config, material=dataclasses.replace(config.material, b=b, a=a))
+    config = parse_config({**mapping,
+                           "material": {**mapping["material"], "b": b, "a": a}})
     label = f"b{b:g}_a{a:g}"
     metrics = run_scenario(config, Path(out_dir) / label)
     metrics["label"] = label

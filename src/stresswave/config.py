@@ -129,6 +129,9 @@ def _validated(merged: dict) -> ScenarioConfig:
                                   reg_eta=m["reg_eta"])
     except ValueError as exc:
         raise ConfigError(f"material: {exc}") from exc
+    if material.reg_eta == 0.0 and material.a < 2.0:
+        raise ConfigError("material.reg_eta: must be positive when a < 2, "
+                          "where eps''' is infinite at sigma = 0")
 
     mesh = MeshConfig(**merged["mesh"])
     try:

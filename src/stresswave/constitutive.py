@@ -120,9 +120,13 @@ def strain_derivative(sigma, order: int, p: MaterialParams):
     return derivatives(sigma, p)[order - 1]
 
 
-def wave_speed(sigma, p: MaterialParams):
-    """Local wave speed c(sigma) = sqrt(1 / (rho * eps'(sigma)))."""
-    fp = np.asarray(strain_derivative(sigma, 1, p), dtype=float)
+def wave_speed(sigma, p: MaterialParams, fp=None):
+    """Local wave speed c(sigma) = sqrt(1 / (rho * eps'(sigma))).
+
+    `fp` is eps'(sigma) when the caller has it already.
+    """
+    fp = np.asarray(strain_derivative(sigma, 1, p) if fp is None else fp,
+                    dtype=float)
     if np.any(fp <= 0.0):
         idx = int(np.argmin(fp))
         bad = float(np.asarray(sigma, dtype=float).ravel()[idx]) \

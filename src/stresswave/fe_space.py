@@ -114,6 +114,8 @@ class FeSpace:
     degrees    : (n_cells,) polynomial degree per cell
     dof_coords : (n_dofs,) global node coordinates, left to right
     cell_dofs  : list of per-cell global DoF index arrays
+    dof_table  : (n_cells, bandwidth + 1) the same, padded by repeating
+                 each cell's last DoF
     """
 
     def __init__(self, cell_edges: np.ndarray, degrees: np.ndarray):
@@ -132,24 +134,16 @@ class FeSpace:
         self.x_left = float(cell_edges[0])
         self.x_right = float(cell_edges[-1])
 
-        coords = [self.x_left]
-        cell_dofs = []
-        next_dof = 1
-        for k in range(self.n_cells):
-            p = int(degrees[k])
-            xl, xr = cell_edges[k], cell_edges[k + 1]
-            mid, half = 0.5 * (xl + xr), 0.5 * (xr - xl)
-            local = mid + half * _LOCAL_NODES[p]
-            dofs = [0 if k == 0 else int(cell_dofs[k - 1][-1])]
-            for xi in local[1:]:
-                coords.append(float(xi))
-                dofs.append(next_dof)
-                next_dof += 1
-            cell_dofs.append(np.array(dofs, dtype=int))
-        self.dof_coords = np.array(coords)
-        self.cell_dofs = cell_dofs
-        self.n_dofs = next_dof
         self.bandwidth = int(degrees.max())
+        first = np.concatenate([[0], np.cumsum(degrees)])  # first DoF of each cell
+        self.n_dofs = int(first[-1]) + 1
+        self.dof_table = first[:-1, None] + np.minimum(
+            np.arange(self.bandwidth + 1), degrees[:, None])
+        self.cell_dofs = [d[:p + 1] for d, p in zip(self.dof_table, degrees)]
+        mid = 0.5 * (cell_edges[:-1] + cell_edges[1:])
+        half = 0.5 * (cell_edges[1:] - cell_edges[:-1])
+        self.dof_coords = np.concatenate([[self.x_left]] + [
+            m + h * _LOCAL_NODES[p][1:] for m, h, p in zip(mid, half, degrees)])
         self._batch_cache: dict[int, CellTable] = {}
         self._aux_cache: dict = {}
 
@@ -177,8 +171,7 @@ class FeSpace:
             weights[cells, :p + n_extra] = rule.weights
             shape[cells, :p + n_extra, :p + 1] = shp
             dshape[cells, :p + n_extra, :p + 1] = dshp
-        dofs = np.vstack([np.pad(d, (0, nn - len(d)), mode="edge")
-                          for d in self.cell_dofs])
+        dofs = self.dof_table
         xl, xr = self.cell_edges[:-1], self.cell_edges[1:]
         jac = 0.5 * (xr - xl)
         table = CellTable(
@@ -195,20 +188,25 @@ class FeSpace:
         return table
 
     def eval_field(self, values: np.ndarray, x) -> np.ndarray:
-        """Evaluate the FE field with nodal `values` at physical points."""
+        """Evaluate the FE field with nodal `values` at physical points.
+
+        `values` (k, n_dofs) stacks k fields, evaluated to (k, n_points).
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        values = np.asarray(values, dtype=float)
         cells = self.cell_containing(x)
-        out = np.empty_like(x)
-        for p in set(self.degrees[cells].tolist()):
-            mask = self.degrees[cells] == p
+        degrees = self.degrees[cells]
+        out = np.empty(values.shape[:-1] + x.shape)
+        for p in set(degrees.tolist()):
+            mask = degrees == p
             ks = cells[mask]
             xl = self.cell_edges[ks]
             xr = self.cell_edges[ks + 1]
             # exact -1/+1 when x coincides with a cell edge
             xi = 2.0 * (x[mask] - xl) / (xr - xl) - 1.0
             shp, _ = lagrange_basis(_LOCAL_NODES[p], xi)
-            nod = values[np.vstack([self.cell_dofs[k] for k in ks])]
-            out[mask] = np.sum(shp * nod, axis=1)
+            nod = values[..., self.dof_table[ks, :p + 1]]
+            out[..., mask] = np.sum(shp * nod, axis=-1)
         return out
 
 

@@ -1,4 +1,4 @@
-"""Kinematic reconstruction and snapshot output.
+r"""Kinematic reconstruction and snapshot output.
 
 The solver carries only the stress field; displacement and particle
 velocity are recovered on a uniform sampling grid by trapezoidal
@@ -9,10 +9,14 @@ integration of the strain and strain rate, anchored at u(0) = v(0) = 0:
     epsdot_i  = eps'(sigma_i) sigmadot_i
     v_i       = v_{i-1} + (epsdot_i + epsdot_{i-1}) dx / 2
     c_i       = sqrt(1 / (rho eps'(sigma_i)))
+
+Output is CSV with a header row, rows ended by \r\n and every float as
+"%.17g", which reads back to the same float: snapshot_t<t to 6
+decimals>.csv holds x,sigma,u,v,eps,c and spacetime.csv stacks every
+snapshot's rows, each prefixed by t.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,9 +54,8 @@ def sample_solution(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     x = np.linspace(space.x_left, space.x_right, M + 1)
-    return Samples(x=x,
-                   sigma=space.eval_field(Sigma, x),
-                   sigma_dot=space.eval_field(Sigma_dot, x))
+    sigma, sigma_dot = space.eval_field(np.array([Sigma, Sigma_dot]), x)
+    return Samples(x=x, sigma=sigma, sigma_dot=sigma_dot)
 
 
 def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
@@ -61,8 +64,9 @@ def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=0.0):
         raise ValueError("sample spacing must be uniform")
     eps = np.asarray(strain(samples.sigma, p))
-    c = np.asarray(wave_speed(samples.sigma, p))
-    eps_dot = np.asarray(strain_derivative(samples.sigma, 1, p)) * samples.sigma_dot
+    fp = np.asarray(strain_derivative(samples.sigma, 1, p))
+    c = np.asarray(wave_speed(samples.sigma, p, fp))
+    eps_dot = fp * samples.sigma_dot
 
     u = np.zeros_like(eps)
     v = np.zeros_like(eps)
@@ -78,29 +82,20 @@ def snapshot_filename(t: float) -> str:
 
 
 def write_snapshot(record: SnapshotRecord, t: float, directory) -> Path:
-    """Write one snapshot CSV (header x,sigma,u,v,eps,c) into `directory`."""
+    """Write one snapshot CSV into `directory` and append it to spacetime.csv."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    cols = np.column_stack([record.x, record.sigma, record.u, record.v,
+                            record.eps, record.c])
+    rows = ("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n" * len(cols)) \
+        % tuple(cols.ravel().tolist())
     path = directory / snapshot_filename(t)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "sigma", "u", "v", "eps", "c"])
-        for row in zip(record.x, record.sigma, record.u, record.v,
-                       record.eps, record.c):
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write("x,sigma,u,v,eps,c\r\n" + rows)
+    spacetime = directory / "spacetime.csv"
+    header = "" if spacetime.exists() else "t,x,sigma,u,v,eps,c\r\n"
+    prefix = f"{t:.17g},"  # starts every row: one replace over the row ends
+    block = (prefix + rows).replace("\r\n", "\r\n" + prefix)[:-len(prefix)]
+    with open(spacetime, "a", newline="") as fh:
+        fh.write(header + block)
     return path
-
-
-def append_spacetime(record: SnapshotRecord, t: float, path) -> Path:
-    """Append one snapshot to the space-time aggregate file (t,x,...)."""
-    path = Path(path)
-    new = not path.exists()
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(["t", "x", "sigma", "u", "v", "eps", "c"])
-        for row in zip(record.x, record.sigma, record.u, record.v,
-                       record.eps, record.c):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
-    return path
-

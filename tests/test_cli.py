@@ -68,12 +68,29 @@ def test_config_error_exit_code(tmp_path):
     ("material: {b: 1.0}\ndrive: {omega: .nan}", "drive.omega"),
     ("material: {b: 1.0}\noutput: {snapshot_interval: .inf}",
      "output.snapshot_interval"),
+    ("material: {b: 1.0, a: 1.5, reg_eta: 0.0}", "material.reg_eta"),
 ])
 def test_non_finite_config_number_exit_code(tmp_path, capsys, text, field):
     cfg = _write(tmp_path, "bad.yaml", text + "\n")
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_colliding_snapshot_names_exit_code(tmp_path, capsys):
+    # 51 snapshots 1e-7 apart, but file names carry t to 6 decimals
+    cfg = _write(tmp_path, "run.yaml", """
+material: {b: 0.0}
+mesh: {n_cells: 8}
+time: {dt: 1.0e-7, t_final: 5.0e-6}
+output: {snapshot_interval: 1.0e-7, samples: 16}
+""")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: output.snapshot_interval: ")
+    assert not out.exists()
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from stresswave.constitutive import MaterialParams, strain, wave_speed
-from stresswave.fe_space import build_space
-from stresswave.postprocess import (Samples, reconstruct, sample_solution,
-                                    snapshot_filename, write_snapshot)
+from stresswave.fe_space import _LOCAL_NODES, build_space, lagrange_basis
+from stresswave.postprocess import (Samples, SnapshotRecord, reconstruct,
+                                    sample_solution, snapshot_filename,
+                                    write_snapshot)
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)
@@ -41,6 +42,25 @@ def test_sample_at_cell_boundary_is_nodal_value():
     nodal = rng.normal(size=space.n_dofs)
     s = sample_solution(space, nodal, nodal, 10)  # sample points hit the nodes
     np.testing.assert_array_equal(s.sigma, nodal)
+
+
+@pytest.mark.parametrize("policy", ["center_graded", "uniform(2)", "uniform(3)"])
+def test_sample_matches_per_point_loop(policy):
+    # 60 samples on 10 cells: every 6th point is a cell edge, both ends included
+    space = build_space(2.0, 10, policy)
+    rng = np.random.default_rng(5)
+    fields = rng.normal(size=(2, space.n_dofs))
+    s = sample_solution(space, fields[0], fields[1], 60)
+    ref = np.empty((2, len(s.x)))
+    for i, xp in enumerate(s.x):
+        k = int(space.cell_containing(xp)[0])
+        xl, xr = space.cell_edges[k], space.cell_edges[k + 1]
+        vals, _ = lagrange_basis(_LOCAL_NODES[int(space.degrees[k])],
+                                 [2.0 * (xp - xl) / (xr - xl) - 1.0])
+        for j in range(2):
+            ref[j, i] = np.sum(vals[0] * fields[j][space.cell_dofs[k]])
+    np.testing.assert_array_equal(s.sigma, ref[0])
+    np.testing.assert_array_equal(s.sigma_dot, ref[1])
 
 
 def test_sample_rejects_bad_m():
@@ -136,3 +156,43 @@ def test_write_snapshot_roundtrip_bit_identical(tmp_path):
 def test_snapshot_filenames_distinct():
     assert snapshot_filename(0.1) != snapshot_filename(0.2)
     assert snapshot_filename(0.1) == "snapshot_t0.100000.csv"
+
+
+def _csv_reference(record, t, directory):
+    """The csv.writer loops the vectorised writer replaced."""
+    rows = list(zip(record.x, record.sigma, record.u, record.v,
+                    record.eps, record.c))
+    with open(directory / snapshot_filename(t), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "sigma", "u", "v", "eps", "c"])
+        for row in rows:
+            writer.writerow([f"{v:.17g}" for v in row])
+    path = directory / "spacetime.csv"
+    new = not path.exists()
+    with open(path, "a", newline="") as fh:
+        writer = csv.writer(fh)
+        if new:
+            writer.writerow(["t", "x", "sigma", "u", "v", "eps", "c"])
+        for row in rows:
+            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+
+
+def test_write_snapshot_matches_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.0]
+    fields = rng.normal(size=(5, 20))
+    fields[:, :len(special)] = special
+    fields[2] = np.roll(fields[2], 5)
+    records = [SnapshotRecord(x=np.linspace(0.0, 1.0, 20), sigma=f[0],
+                              sigma_dot=f[1], u=f[2], v=f[3], eps=f[4],
+                              c=f[0] * 1e-7)
+               for f in (fields, fields[::-1] * 3.7)]
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    ref.mkdir()
+    times = (0.1 + 0.2, 1.0 / 3.0)  # both need 17 significant digits
+    for rec, t in zip(records, times):
+        write_snapshot(rec, t, new)
+        _csv_reference(rec, t, ref)
+    for name in [snapshot_filename(t) for t in times] + ["spacetime.csv"]:
+        assert (new / name).read_bytes() == (ref / name).read_bytes()
+    assert (new / "spacetime.csv").read_bytes().count(b"t,x") == 1
