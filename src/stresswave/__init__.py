@@ -1,11 +1,8 @@
 """1D finite element solver for stress waves in strain-limiting materials."""
 
-from .assembly import (BandedMatrix, assemble_inertial, assemble_load_at,
-                       assemble_mass, assemble_residual, assemble_stiffness,
-                       assemble_tangent)
-from .calibration import (FitResult, FitSettings, StressStrainDataset,
-                          fit_material, generate_synthetic, load_dataset,
-                          sse_objective)
+from .assembly import BandedMatrix, assemble_load_at, assemble_stiffness
+from .calibration import (FitResult, StressStrainDataset, fit_material,
+                          generate_synthetic, load_dataset, sse_objective)
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .constitutive import (HyperbolicityError, HyperbolicityReport,
                            MaterialParams, derivatives, strain,

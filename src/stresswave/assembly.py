@@ -1,42 +1,23 @@
-"""Assembly of the semi-discrete stress wave system.
+"""Spatial assembly of the semi-discrete stress wave system.
 
 The weak form produces, on nodal vectors (Sigma, Sigma_dot, Sigma_ddot),
 
     F_inrt_I = integral rho [eps'(s) s_ddot + eps''(s) s_dot^2] N_I dx
     K_IJ     = integral N_I' N_J' dx              (constant)
 
-and the time-discrete residual weights the elastic and load terms with
-the dissipation parameter alpha (in [-1/3, 0]):
+A stage is one such set of vectors, and its residual and tangent are
 
-    R = F_inrt(S*, Sd*, Sdd_{n+1}) + (1+alpha) K S_{n+1} - alpha K S_n
-        - [(1+alpha) L_{n+1} - alpha L_n]
+    R       = F_inrt(S, Sd, Sdd) + K S - L
+    dR/dSdd = M(S) + c_dot C_nl + c [K + K_sig]
+    C_nl    = integral 2 rho eps''(s) s_dot N_I N_J dx
+    K_sig   = integral rho (eps''(s) s_ddot + eps'''(s) s_dot^2) N_I N_J dx
 
-where the starred quantities are the alpha-weighted stage states
-
-    S*  = (1+alpha) S_{n+1}  - alpha S_n
-    Sd* = (1+alpha) Sd_{n+1} - alpha Sd_n.
-
-This is the pairing that keeps second-order accuracy with beta =
-(1-alpha)^2/4 and gamma = 1/2 - alpha: the converged acceleration is
-effectively a sample of the true acceleration at t_{n+1} + alpha dt,
-and the gamma excess over 1/2 cancels exactly that shift in the
-kinematic updates.  The cancellation requires the inertial operator's
-state-dependent coefficients to be sampled at the same shifted time,
-hence the stage states; evaluating them at t_{n+1} instead degrades the
-scheme to first order whenever the mass depends on the solution.  For a
-linear material (b = 0) the stage states drop out of the (constant)
-coefficients and the method reduces to the classical form exactly.
-
-The Newton unknown is the acceleration vector, so the consistent
-tangent chains through the Newmark updates and the stage weighting:
-
-    S = M(S*) + (1+alpha) { gamma dt C_nl + beta dt^2 [K + K_sig] }
-    C_nl  = integral 2 rho eps''(s*) sd* N_I N_J dx
-    K_sig = integral rho (eps''(s*) sdd + eps'''(s*) sd*^2) N_I N_J dx.
-
-Residual and tangent share one evaluation of the stage at the points
-(stage_points, with eps', eps'' and eps''' fused), and the elastic term
-is the single product K S* = (1+alpha) K S_{n+1} - alpha K S_n.
+where M(S) = integral rho eps'(s) N_I N_J dx and the stage stress and
+rate move with the acceleration as dS = c dSdd, dSd = c_dot dSdd.  The
+time scheme that picks the stage, c and c_dot lives in the integrator;
+this module only integrates in space.  Residual and tangent share one
+evaluation of the stage at the points (stage_points, with eps', eps''
+and eps''' fused).
 
 Every integral is one vectorized pass over the space's cell table
 (FeSpace.batches), whose padded nodes and points contribute zero.  All
@@ -47,8 +28,6 @@ so the integrator solves only the interior block (BandedMatrix.interior)
 by direct banded factorization (LAPACK gtsv, or gbsv above bandwidth 1).
 """
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -142,20 +121,6 @@ def assemble_stiffness(space: FeSpace) -> BandedMatrix:
     return K
 
 
-def assemble_mass(space: FeSpace, Sigma: np.ndarray, p: MaterialParams) -> BandedMatrix:
-    """State-dependent mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx."""
-    zero = np.zeros_like(Sigma)
-    _, _, fp, _, _ = stage_points(space, Sigma, zero, zero, p)
-    return _matrix(space, space.batches(), p.rho * fp)
-
-
-def assemble_inertial(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
-                      Sigma_ddot: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
-    pts = stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
-    return stage_residual(space, np.zeros_like(Sigma), pts, 0.0, p)
-
-
 def assemble_load_at(space: FeSpace, forcing, t: float) -> np.ndarray:
     """L_I(t) = integral forcing(x, t) N_I dx by cellwise quadrature."""
     table = space.batches()
@@ -184,67 +149,24 @@ def stage_points(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
     return sigd_q, sigdd_q, fp, fpp, fppp
 
 
-def stage_load(load_next: np.ndarray | None, load_prev: np.ndarray | None,
-               alpha: float):
-    """Alpha-weighted load (1+alpha) L_{n+1} - alpha L_n; None is no load."""
-    return ((0.0 if load_next is None else (1.0 + alpha) * load_next)
-            - (0.0 if load_prev is None else alpha * load_prev))
-
-
 def stage_residual(space: FeSpace, Sigma: np.ndarray, pts: tuple, load,
                    p: MaterialParams) -> np.ndarray:
-    """R = F_inrt(pts) + K S* - load, where Sigma is the stage stress S*."""
+    """R = F_inrt(pts) + K Sigma - load, where Sigma is the stage stress."""
     sigd_q, sigdd_q, fp, fpp, _ = pts
     R = _vector(space, space.batches(), p.rho * (fp * sigdd_q + fpp * sigd_q**2))
     return R + assemble_stiffness(space).matvec(Sigma) - load
 
 
-def stage_tangent(space: FeSpace, pts: tuple, hht,
+
+
+def stage_tangent(space: FeSpace, pts: tuple, c_dot: float, c: float,
                   p: MaterialParams) -> BandedMatrix:
-    """Consistent tangent dR/d(Sdd_{n+1}) at the stage values `pts`."""
+    """Tangent dR/d(Sdd) at the stage values `pts` for dS = c dSdd and
+    dSd = c_dot dSdd; c = c_dot = 0 gives the mass matrix M(S)."""
     sigd_q, sigdd_q, fp, fpp, fppp = pts
-    w = 1.0 + hht.alpha  # stage sensitivity d(S*)/d(S_{n+1})
-    c_dot, c = w * hht.gamma_nm * hht.dt, w * hht.beta_nm * hht.dt**2
-    # M + w gamma dt C_nl + w beta dt^2 (K + K_sig), fused in one pass
+    # M + c_dot C_nl + c (K + K_sig), fused in one pass
     S = _matrix(space, space.batches(), p.rho * (
         fp + c_dot * 2.0 * fpp * sigd_q
         + c * (fpp * sigdd_q + fppp * sigd_q**2)))
     S.ab += c * assemble_stiffness(space).ab
     return S
-
-
-def stage_state(state_next, state_prev, alpha: float):
-    """Alpha-weighted stage state whose coefficients the inertia sees.
-
-    Stress and rate are blended to the sampling time t_{n+1} + alpha dt;
-    the acceleration stays the n+1 unknown.
-    """
-    if alpha == 0.0:
-        return state_next
-    w = 1.0 + alpha
-    return dataclasses.replace(
-        state_next,
-        Sigma=w * state_next.Sigma - alpha * state_prev.Sigma,
-        Sigma_dot=w * state_next.Sigma_dot - alpha * state_prev.Sigma_dot)
-
-
-def assemble_residual(space: FeSpace, state_next, state_prev, hht,
-                      p: MaterialParams, load_next: np.ndarray | None = None,
-                      load_prev: np.ndarray | None = None) -> np.ndarray:
-    """Time-discrete residual at the n+1 iterate (zero when balanced)."""
-    stage = stage_state(state_next, state_prev, hht.alpha)
-    pts = stage_points(space, stage.Sigma, stage.Sigma_dot, stage.Sigma_ddot, p)
-    return stage_residual(space, stage.Sigma, pts,
-                          stage_load(load_next, load_prev, hht.alpha), p)
-
-
-def assemble_tangent(space: FeSpace, stage, hht,
-                     p: MaterialParams) -> BandedMatrix:
-    """Consistent tangent of the residual w.r.t. the acceleration vector.
-
-    `stage` is the alpha-weighted stage state the residual's inertial
-    coefficients were evaluated at (see stage_state); for alpha = 0 it
-    is simply the n+1 iterate.
-    """
-    return stage_tangent(space, stage_points(
-        space, stage.Sigma, stage.Sigma_dot, stage.Sigma_ddot, p), hht, p)

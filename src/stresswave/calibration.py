@@ -19,6 +19,8 @@ from .constitutive import MaterialParams, strain
 # a must stay strictly positive for the law to make sense; the fit is
 # bounded away from zero rather than constrained by an open interval.
 _A_MIN = 1.0e-6
+# xtol, ftol and gtol of the least-squares solver
+_TOL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -67,19 +69,13 @@ def sse_objective(b: float, a: float, data: StressStrainDataset) -> float:
     return float(np.sum(r * r))
 
 
-@dataclass(frozen=True)
-class FitSettings:
-    max_iters: int = 200
-    tol: float = 1.0e-12
-
-
 def fit_material(data: StressStrainDataset, init: tuple = (1.0, 1.0),
-                 settings: FitSettings = FitSettings()) -> FitResult:
+                 max_iters: int = 200) -> FitResult:
     """Fit (b, a) by bounded nonlinear least squares from `init`.
 
     The returned SSE never exceeds the SSE at the initial guess.  If the
-    optimizer hits its evaluation budget the best-so-far result is
-    returned with converged=False.
+    optimizer hits its budget of max_iters residual evaluations the
+    best-so-far result is returned with converged=False.
     """
     b0, a0 = float(init[0]), float(init[1])
     if b0 < 0 or a0 <= 0:
@@ -90,8 +86,8 @@ def fit_material(data: StressStrainDataset, init: tuple = (1.0, 1.0),
 
     result = least_squares(residuals, x0=[b0, max(a0, _A_MIN)],
                            bounds=([0.0, _A_MIN], [np.inf, np.inf]),
-                           method="trf", xtol=settings.tol, ftol=settings.tol,
-                           gtol=settings.tol, max_nfev=settings.max_iters)
+                           method="trf", xtol=_TOL, ftol=_TOL, gtol=_TOL,
+                           max_nfev=max_iters)
     b_fit, a_fit = float(result.x[0]), float(result.x[1])
     sse = sse_objective(b_fit, a_fit, data)
     sse_init = sse_objective(b0, a0, data)
@@ -150,14 +146,12 @@ def load_dataset(path, label: str | None = None) -> StressStrainDataset:
                                label=label or path.stem)
 
 
-def write_fit_csv(path, label: str, result: FitResult, append: bool = False) -> Path:
-    """Write one fit result row: label, b, a, sse, r2."""
+def write_fit_csv(path, label: str, result: FitResult) -> Path:
+    """Write a header and one fit result row: label, b, a, sse, r2."""
     path = Path(path)
-    new = not (append and path.exists())
-    with open(path, "a" if append else "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if new:
-            writer.writerow(["label", "b", "a", "sse", "r2"])
+        writer.writerow(["label", "b", "a", "sse", "r2"])
         writer.writerow([label, f"{result.b:.17g}", f"{result.a:.17g}",
                          f"{result.sse:.17g}", f"{result.r2:.17g}"])
     return path

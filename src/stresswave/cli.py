@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 config error, 3 solver failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -22,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (FitSettings, fit_material, generate_synthetic,
-                          load_dataset, write_fit_csv)
+from .calibration import (fit_material, generate_synthetic, load_dataset,
+                          write_fit_csv)
 from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
 from .constitutive import HyperbolicityError
@@ -46,8 +45,7 @@ SWEEP_B_GRID = ((0.0, 1.5), (1.0, 1.5), (5.0, 1.5), (10.0, 1.5))
 SWEEP_A_GRID = ((1.0, 1.5), (1.0, 3.0), (1.0, 5.0), (1.0, 10.0))
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Path,
-                 write_outputs: bool = True) -> dict:
+def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     """Run one scenario, write snapshots + manifest, return run metrics."""
     snapshots, report = run_simulation(config)
     space = report.space
@@ -57,20 +55,18 @@ def run_scenario(config: ScenarioConfig, out_dir: Path,
     c0 = 1.0 / np.sqrt(config.material.rho)
 
     max_c_dev = 0.0
-    if write_outputs:
-        names = {snapshot_filename(state.t) for state in snapshots}
-        if len(names) < len(snapshots):
-            raise ConfigError(
-                f"output.snapshot_interval: {len(snapshots)} snapshots map to "
-                f"{len(names)} file names, which carry t to 6 decimals")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "spacetime.csv").unlink(missing_ok=True)
+    names = {snapshot_filename(state.t) for state in snapshots}
+    if len(names) < len(snapshots):
+        raise ConfigError(
+            f"output.snapshot_interval: {len(snapshots)} snapshots map to "
+            f"{len(names)} file names, which carry t to 6 decimals")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "spacetime.csv").unlink(missing_ok=True)
     for state in snapshots:
         rec = reconstruct(sample_solution(space, state.Sigma, state.Sigma_dot, m),
                           config.material)
         max_c_dev = max(max_c_dev, float(np.max(np.abs(rec.c - c0))))
-        if write_outputs:
-            write_snapshot(rec, state.t, out_dir)
+        write_snapshot(rec, state.t, out_dir)
 
     grad = np.gradient(rec.sigma, rec.x)  # of the final snapshot
     metrics = {
@@ -84,27 +80,23 @@ def run_scenario(config: ScenarioConfig, out_dir: Path,
         "wall_time": report.wall_time,
         "snapshots": len(snapshots),
     }
-    if write_outputs:
-        manifest = {"config": config_to_mapping(config), "stats": metrics}
-        with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
+    manifest = {"config": config_to_mapping(config), "stats": metrics}
+    with open(out_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
     return metrics
 
 
-def _build_config(args, preset: dict | None = None) -> ScenarioConfig:
-    if getattr(args, "config", None):
-        config = load_config(args.config)
+def _config_mapping(args, preset: dict | None = None) -> dict:
+    """Mapping of --config (else `preset`) with --snapshot-every applied."""
+    if args.config:
+        mapping = config_to_mapping(load_config(args.config))
     elif preset is not None:
-        config = parse_config(preset)
+        mapping = preset
     else:
         raise ConfigError("--config PATH is required for this subcommand")
-    if getattr(args, "snapshot_every", None) is not None:
-        if args.snapshot_every < 0:
-            raise ConfigError("--snapshot-every must be non-negative")
-        config = dataclasses.replace(
-            config, output=dataclasses.replace(
-                config.output, snapshot_interval=args.snapshot_every))
-    return config
+    if args.snapshot_every is not None:
+        mapping.setdefault("output", {})["snapshot_interval"] = args.snapshot_every
+    return mapping
 
 
 def _out_dir(args, config: ScenarioConfig | None = None) -> Path:
@@ -121,7 +113,7 @@ def _say(args, message: str):
 
 
 def cmd_simulate(args) -> int:
-    config = _build_config(args)
+    config = parse_config(_config_mapping(args))
     out = _out_dir(args, config)
     metrics = run_scenario(config, out)
     _say(args, f"simulate: {metrics['steps']} steps, "
@@ -139,7 +131,7 @@ def _mms_preset(kind: str) -> dict:
 
 
 def cmd_mms(args, kind: str) -> int:
-    config = _build_config(args, preset=_mms_preset(kind))
+    config = parse_config(_config_mapping(args, preset=_mms_preset(kind)))
     table = convergence_study(kind, config)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,11 +151,7 @@ def _sweep_member(mapping: dict, b: float, a: float, out_dir: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    base = {"material": {"b": 0.0}}
-    if args.config:
-        base = config_to_mapping(load_config(args.config))
-    if args.snapshot_every is not None:
-        base.setdefault("output", {})["snapshot_interval"] = args.snapshot_every
+    base = _config_mapping(args, preset={"material": {"b": 0.0}})
     parse_config(base)  # fail early on bad base config
 
     members = []
@@ -201,7 +189,7 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     data = load_dataset(args.dataset)
     result = fit_material(data, init=(args.init_b, args.init_a),
-                          settings=FitSettings(max_iters=args.max_iters))
+                          max_iters=args.max_iters)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = write_fit_csv(out / "fit.csv", data.label, result)

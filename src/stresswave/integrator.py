@@ -14,8 +14,41 @@ boundary acceleration is set to the value whose Newmark update hits the
 prescribed stress, and every Newton update then solves only the interior
 rows and columns of the tangent.
 
-Each Newton iterate evaluates its stage at the quadrature points once
-(fused eps', eps'', eps''') for both its residual and its tangent.
+The time-discrete residual weights the elastic and load terms with
+alpha:
+
+    R = F_inrt(S*, Sd*, Sdd_{n+1}) + (1+alpha) K S_{n+1} - alpha K S_n
+        - [(1+alpha) L_{n+1} - alpha L_n]
+
+where the starred quantities are the alpha-weighted stage states
+
+    S*  = (1+alpha) S_{n+1}  - alpha S_n
+    Sd* = (1+alpha) Sd_{n+1} - alpha Sd_n,
+
+so the elastic term is the single product K S*.  This is the pairing
+that keeps second-order accuracy with the beta and gamma above: the
+converged acceleration is effectively a sample of the true acceleration
+at t_{n+1} + alpha dt, and the gamma excess over 1/2 cancels exactly
+that shift in the kinematic updates.  The cancellation
+requires the inertial operator's state-dependent coefficients to be
+sampled at the same shifted time, hence the stage states; evaluating
+them at t_{n+1} instead degrades the scheme to first order whenever the
+mass depends on the solution.  For a linear material (b = 0) the stage
+states drop out of the (constant) coefficients and the method reduces
+to the classical form exactly.
+
+The consistent tangent chains through the Newmark updates and the
+stage weighting:
+
+    dR/dSdd = M(S*) + (1+alpha) { gamma dt C_nl + beta dt^2 [K + K_sig] }
+
+with C_nl and K_sig the stage integrals of assembly, that is
+assembly.stage_tangent with c_dot = (1+alpha) gamma dt and c =
+(1+alpha) beta dt^2.  step_system forms the Newmark predictor, the
+stage terms that do not move within a step and the alpha-weighted load
+once per step; each Newton iterate then evaluates its stage at the
+quadrature points once (fused eps', eps'', eps''') for both its
+residual and its tangent.
 """
 from __future__ import annotations
 
@@ -148,6 +181,38 @@ def boundary_acceleration(bc_value_next: float, node: int,
     return (bc_value_next - free) / (beta * dt**2)
 
 
+def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
+                p: MaterialParams, load_prev: np.ndarray | None = None,
+                load_next: np.ndarray | None = None) -> tuple:
+    """Residual and tangent of one step as functions of Sdd_{n+1}.
+
+    Returns (residual, tangent): residual(sdd) evaluates the stage of
+    the acceleration vector sdd once and returns (pts, R); tangent(pts)
+    is the BandedMatrix dR/dSdd at those stage values.  `load_prev` /
+    `load_next` are the assembled load vectors at t_n / t_{n+1}; None
+    means no load.
+    """
+    alpha, w = hht.alpha, 1.0 + hht.alpha
+    # Stage stress and rate: S* = base + c Sdd, Sd* = base_dot + c_dot Sdd
+    pred, pred_dot = newmark_update(state_n, 0.0, hht)
+    base = w * pred - alpha * state_n.Sigma
+    base_dot = w * pred_dot - alpha * state_n.Sigma_dot
+    c, c_dot = w * hht.beta_nm * hht.dt**2, w * hht.gamma_nm * hht.dt
+    load = ((0.0 if load_next is None else w * load_next)
+            - (0.0 if load_prev is None else alpha * load_prev))
+
+    def residual(sdd):
+        Sigma = base + c * sdd
+        pts = assembly.stage_points(space, Sigma, base_dot + c_dot * sdd,
+                                    sdd, p)
+        return pts, assembly.stage_residual(space, Sigma, pts, load, p)
+
+    def tangent(pts):
+        return assembly.stage_tangent(space, pts, c_dot, c, p)
+
+    return residual, tangent
+
+
 def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                  p: MaterialParams, newton: NewtonSettings,
                  drive: BoundaryDrive | None = None,
@@ -156,30 +221,17 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                  ) -> tuple[SystemState, NewtonReport]:
     """Advance one HHT-alpha step by Newton iteration on the acceleration.
 
-    `load_prev` / `load_next` are the assembled load vectors at t_n /
-    t_{n+1}; None means no load.  The boundary accelerations are fixed
+    Loads are as in step_system.  The boundary accelerations are fixed
     before the first iterate, so Newton updates only the interior DoFs.
     """
     t_next = state_n.t + hht.dt
-    alpha, w = hht.alpha, 1.0 + hht.alpha
     sdd = state_n.Sigma_ddot.copy()
     sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
     sdd[-1] = boundary_acceleration(
         0.0 if drive is None else drive.value(t_next), -1, state_n, hht)
-    # Stage stress and rate: S* = base + c Sdd, Sd* = base_dot + c_dot Sdd
-    pred, pred_dot = newmark_update(state_n, 0.0, hht)
-    base = w * pred - alpha * state_n.Sigma
-    base_dot = w * pred_dot - alpha * state_n.Sigma_dot
-    c, c_dot = w * hht.beta_nm * hht.dt**2, w * hht.gamma_nm * hht.dt
-    load = assembly.stage_load(load_next, load_prev, alpha)
-
-    def residual_at(sdd_vec):
-        Sigma = base + c * sdd_vec
-        pts = assembly.stage_points(space, Sigma, base_dot + c_dot * sdd_vec,
-                                    sdd_vec, p)
-        return pts, assembly.stage_residual(space, Sigma, pts, load, p)
-
-    pts, R = residual_at(sdd)
+    residual, tangent = step_system(state_n, space, hht, p, load_prev,
+                                    load_next)
+    pts, R = residual(sdd)
     ref_norm = float(np.linalg.norm(R[1:-1]))
     threshold = max(newton.tol * ref_norm, newton.abs_floor)
     history = [ref_norm]
@@ -199,15 +251,14 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                 f"|R|={r_norm:.3e} after {iters} iterations "
                 f"(threshold {threshold:.3e})",
                 t=t_next, iters=iters, history=history)
-        S = assembly.stage_tangent(space, pts, hht, p)
         try:
-            sdd[1:-1] -= S.interior().solve(R[1:-1])
+            sdd[1:-1] -= tangent(pts).interior().solve(R[1:-1])
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergedError(
                 f"Newton tangent is singular at t={t_next:.6g}: {exc}",
                 t=t_next, iters=iters, history=history) from exc
         iters += 1
-        pts, R = residual_at(sdd)
+        pts, R = residual(sdd)
         history.append(float(np.linalg.norm(R[1:-1])))
 
     report = NewtonReport(iters=iters, residual_norm=history[-1],
@@ -234,9 +285,9 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
             else assembly.assemble_load_at(space, forcing, t0))
     # The balance is linear in Sdd0 with matrix M(S0), so one Newton step
     # from zero interior values solves it.
-    R = assembly.stage_residual(space, Sigma0, assembly.stage_points(
-        space, Sigma0, Sigma_dot0, sdd, p), load, p)
-    M = assembly.assemble_mass(space, Sigma0, p)
+    pts = assembly.stage_points(space, Sigma0, Sigma_dot0, sdd, p)
+    R = assembly.stage_residual(space, Sigma0, pts, load, p)
+    M = assembly.stage_tangent(space, pts, 0.0, 0.0, p)
     sdd[1:-1] -= M.interior().solve(R[1:-1])
     return sdd
 
@@ -251,23 +302,20 @@ class RunReport:
     newton_iters: list
     wall_time: float
     space: FeSpace
-    residual_histories: list | None = None
+    residual_histories: list
 
 
 def run_simulation(config: "ScenarioConfig",
                    forcing: Callable | None = None,
                    initial_sigma: Callable | None = None,
                    initial_rate: Callable | None = None,
-                   solve_initial_accel: bool = True,
-                   record_convergence: bool = False,
                    ) -> tuple[list[SystemState], RunReport]:
     """Run a scenario from t=0 to t_final, collecting state snapshots.
 
     Initial stress / stress-rate profiles are nodal interpolants of the
     given callables (zero by default).  Snapshots are taken at t=0,
     every output.snapshot_interval and at t_final.  The initial
-    acceleration is solved from the t=0 balance unless
-    solve_initial_accel is False (then it starts at zero).
+    acceleration is solved from the t=0 balance.
     """
     space = build_space(config.mesh.L, config.mesh.n_cells,
                         config.mesh.degree_policy)
@@ -282,11 +330,8 @@ def run_simulation(config: "ScenarioConfig",
         Sigma0 = np.asarray(initial_sigma(space.dof_coords), dtype=float)
     if initial_rate is not None:
         Sigma_dot0 = np.asarray(initial_rate(space.dof_coords), dtype=float)
-    if solve_initial_accel:
-        Sigma_ddot0 = initial_acceleration(space, Sigma0, Sigma_dot0, p,
-                                           drive, forcing)
-    else:
-        Sigma_ddot0 = np.zeros(space.n_dofs)
+    Sigma_ddot0 = initial_acceleration(space, Sigma0, Sigma_dot0, p, drive,
+                                       forcing)
     state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
 
     t_final = config.time.t_final
@@ -299,7 +344,7 @@ def run_simulation(config: "ScenarioConfig",
 
     snapshots = [state]
     newton_iters = []
-    histories = [] if record_convergence else None
+    histories = []
     load_prev = None
     if forcing is not None:
         load_prev = assembly.assemble_load_at(space, forcing, 0.0)
@@ -317,8 +362,7 @@ def run_simulation(config: "ScenarioConfig",
                                      drive, load_prev, load_next)
         state.t = t_target  # avoid accumulated roundoff in t
         newton_iters.append(report.iters)
-        if histories is not None:
-            histories.append(report.history)
+        histories.append(report.history)
         load_prev = load_next
         if state.t >= next_snap - 0.5 * hht.dt and step < n_steps - 1:
             snapshots.append(state)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresswave.assembly import (BandedMatrix, assemble_inertial,
-                                 assemble_load_at, assemble_mass,
-                                 assemble_residual, assemble_stiffness,
-                                 assemble_tangent, stage_state)
+from stresswave.assembly import (BandedMatrix, assemble_load_at,
+                                 assemble_stiffness, stage_points,
+                                 stage_residual, stage_tangent)
 from stresswave.constitutive import (HyperbolicityError, MaterialParams,
                                      strain_derivative)
 from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
-from stresswave.integrator import HhtParams, SystemState, newmark_update
+from stresswave.integrator import (HhtParams, SystemState, newmark_update,
+                                   step_system)
 from stresswave.verification import mms_fields, mms_forcing
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
@@ -19,6 +19,24 @@ P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)
 
 def _single_cell(h):
     return FeSpace(np.array([0.0, h]), np.array([1]))
+
+
+def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):
+    """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
+    pts = stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
+    return stage_residual(space, np.zeros_like(Sigma), pts, 0.0, p)
+
+
+def _mass(space, Sigma, p):
+    """Mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx."""
+    zero = np.zeros_like(Sigma)
+    return stage_tangent(space, stage_points(space, Sigma, zero, zero, p),
+                         0.0, 0.0, p)
+
+
+def _random_state(rng, n, t=0.0):
+    return SystemState(t, rng.normal(size=n), rng.normal(size=n),
+                       rng.normal(size=n))
 
 
 def _random_banded(n, bw, seed):
@@ -97,7 +115,7 @@ def test_stiffness_cached_per_space():
 def test_mass_linear_material_hand_value():
     h = 0.4
     space = _single_cell(h)
-    M = assemble_mass(space, np.zeros(2), MaterialParams(rho=2.0, b=0.0, a=1.5))
+    M = _mass(space, np.zeros(2), MaterialParams(rho=2.0, b=0.0, a=1.5))
     np.testing.assert_allclose(
         M.to_dense(), 2.0 * h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]),
         atol=1e-15)
@@ -106,7 +124,7 @@ def test_mass_linear_material_hand_value():
 def test_inertial_zero_rates():
     space = build_space(1.0, 4, "uniform(2)")
     n = space.n_dofs
-    F = assemble_inertial(space, np.full(n, 0.7), np.zeros(n), np.zeros(n), P12)
+    F = _inertial(space, np.full(n, 0.7), np.zeros(n), np.zeros(n), P12)
     np.testing.assert_array_equal(F, np.zeros(n))
 
 
@@ -114,8 +132,8 @@ def test_inertial_linear_single_cell_hand_value():
     h = 0.3
     rho = 1.7
     space = _single_cell(h)
-    F = assemble_inertial(space, np.zeros(2), np.zeros(2), np.ones(2),
-                          MaterialParams(rho=rho, b=0.0, a=1.5))
+    F = _inertial(space, np.zeros(2), np.zeros(2), np.ones(2),
+                  MaterialParams(rho=rho, b=0.0, a=1.5))
     np.testing.assert_allclose(F, [rho * h / 2.0, rho * h / 2.0], atol=1e-15)
 
 
@@ -123,8 +141,8 @@ def test_inertial_constant_state_scales_by_tangent_compliance():
     h = 0.3
     space = _single_cell(h)
     ones = np.ones(2)
-    F_lin = assemble_inertial(space, np.zeros(2), np.zeros(2), ones, P0)
-    F_nl = assemble_inertial(space, ones, np.zeros(2), ones, P12)
+    F_lin = _inertial(space, np.zeros(2), np.zeros(2), ones, P0)
+    F_nl = _inertial(space, ones, np.zeros(2), ones, P12)
     np.testing.assert_allclose(F_nl, 2.0**-1.5 * F_lin, rtol=1e-14)
 
 
@@ -133,7 +151,7 @@ def test_inertial_hyperbolicity_error_carries_location():
     n = space.n_dofs
     p = MaterialParams(rho=1.0, b=1e200, a=2.0)
     with pytest.raises(HyperbolicityError) as err:
-        assemble_inertial(space, np.full(n, 1e200), np.zeros(n), np.ones(n), p)
+        _inertial(space, np.full(n, 1e200), np.zeros(n), np.ones(n), p)
     assert err.value.x is not None
 
 
@@ -171,8 +189,8 @@ def test_residual_zero_states():
     space = build_space(1.0, 4, "uniform(1)")
     n = space.n_dofs
     hht = HhtParams(alpha=-0.05, dt=1e-2)
-    z = SystemState.zeros(n)
-    R = assemble_residual(space, z, z, hht, P12)
+    residual, _ = step_system(SystemState.zeros(n), space, hht, P12)
+    _, R = residual(np.zeros(n))
     np.testing.assert_array_equal(R, np.zeros(n))
 
 
@@ -181,13 +199,15 @@ def test_residual_alpha_zero_is_plain_newmark_form():
     space = build_space(1.0, 6, "uniform(2)")
     n = space.n_dofs
     hht = HhtParams(alpha=0.0, dt=1e-2)
-    sn = SystemState(0.0, rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
-    st = SystemState(1e-2, rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
+    sn = _random_state(rng, n)
+    sdd = rng.normal(size=n)
     load = rng.normal(size=n)
-    R = assemble_residual(space, st, sn, hht, P12, load, np.zeros(n))
+    residual, _ = step_system(sn, space, hht, P12, np.zeros(n), load)
+    _, R = residual(sdd)
+    Sigma, Sigma_dot = newmark_update(sn, sdd, hht)
     K = assemble_stiffness(space)
-    expected = assemble_inertial(space, st.Sigma, st.Sigma_dot, st.Sigma_ddot, P12) \
-        + K.matvec(st.Sigma) - load
+    expected = _inertial(space, Sigma, Sigma_dot, sdd, P12) \
+        + K.matvec(Sigma) - load
     np.testing.assert_allclose(R, expected, atol=1e-14)
 
 
@@ -199,21 +219,25 @@ def test_residual_linear_material_exact_form():
     n = space.n_dofs
     p = MaterialParams(rho=1.8, b=0.0, a=1.5)
     hht = HhtParams(alpha=-0.1, dt=3e-2)
-    sn = SystemState(0.0, rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
-    st = SystemState(3e-2, rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
+    sn = _random_state(rng, n)
+    sdd = rng.normal(size=n)
     ln, lp = rng.normal(size=n), rng.normal(size=n)
-    R = assemble_residual(space, st, sn, hht, p, ln, lp)
-    M0 = assemble_mass(space, np.zeros(n), p)
+    residual, _ = step_system(sn, space, hht, p, lp, ln)
+    _, R = residual(sdd)
+    Sigma, _ = newmark_update(sn, sdd, hht)
+    M0 = _mass(space, np.zeros(n), p)
     K = assemble_stiffness(space)
     a = hht.alpha
-    expected = (M0.matvec(st.Sigma_ddot) + (1 + a) * K.matvec(st.Sigma)
+    expected = (M0.matvec(sdd) + (1 + a) * K.matvec(Sigma)
                 - a * K.matvec(sn.Sigma) - (1 + a) * ln + a * lp)
     np.testing.assert_allclose(R, expected, atol=1e-14)
 
 
 def test_residual_mms_consistency_linear():
     # exact-solution samples at fixed small dt: residual shrinks ~4x per
-    # mesh halving (spatial consistency of the discrete operator)
+    # mesh halving (spatial consistency of the discrete operator).  The
+    # step starts from the exact state at t and is evaluated at the exact
+    # acceleration at t + dt; its Newmark stress is O(dt^3) from exact.
     hht = HhtParams(alpha=-0.05, dt=1e-5)
     t = 0.4
     norms = []
@@ -221,14 +245,12 @@ def test_residual_mms_consistency_linear():
         space = build_space(1.0, n, "uniform(1)")
         x = space.dof_coords
 
-        def state_at(tt):
-            f = mms_fields(x, tt)
-            return SystemState(tt, f.sigma, f.sigma_t, f.sigma_tt)
-
+        f = mms_fields(x, t)
         loads = [assemble_load_at(space, lambda xx, tt: mms_forcing(xx, tt, P0), s)
                  for s in (t + hht.dt, t)]
-        R = assemble_residual(space, state_at(t + hht.dt), state_at(t), hht,
-                              P0, loads[0], loads[1])
+        residual, _ = step_system(SystemState(t, f.sigma, f.sigma_t, f.sigma_tt),
+                                  space, hht, P0, loads[1], loads[0])
+        _, R = residual(mms_fields(x, t + hht.dt).sigma_tt)
         norms.append(np.max(np.abs(R[1:-1])))
     assert norms[1] < norms[0] / 3.0
     assert norms[2] < norms[1] / 3.0
@@ -242,8 +264,9 @@ def test_tangent_linear_material_exact():
     hht = HhtParams(alpha=-0.05, dt=2e-2)
     state = SystemState(0.0, np.random.default_rng(2).normal(size=n),
                         np.zeros(n), np.zeros(n))
-    S = assemble_tangent(space, state, hht, p).to_dense()
-    M0 = assemble_mass(space, np.zeros(n), p).to_dense()
+    residual, tangent = step_system(state, space, hht, p)
+    S = tangent(residual(np.zeros(n))[0]).to_dense()
+    M0 = _mass(space, np.zeros(n), p).to_dense()
     K = assemble_stiffness(space).to_dense()
     expected = M0 + hht.beta_nm * hht.dt**2 * (1.0 + hht.alpha) * K
     np.testing.assert_allclose(S, expected, atol=1e-14)
@@ -255,20 +278,17 @@ def test_tangent_structure_matches_stiffness():
     rng = np.random.default_rng(8)
     state = SystemState(0.0, 0.5 + rng.random(n), rng.normal(size=n),
                         rng.normal(size=n))
-    S = assemble_tangent(space, state, HhtParams(alpha=-0.05, dt=1e-2), P12)
+    residual, tangent = step_system(state, space,
+                                    HhtParams(alpha=-0.05, dt=1e-2), P12)
+    S = tangent(residual(rng.normal(size=n))[0])
     K = assemble_stiffness(space)
     assert S.bandwidth == K.bandwidth
     np.testing.assert_array_equal(np.abs(S.to_dense()) > 0,
                                   np.abs(K.to_dense()) > 0)
 
 
-def _fd_directional(space, state_n, sdd, d, hht, p, eps=1e-6):
-    def R_of(v):
-        Sig, Sigd = newmark_update(state_n, v, hht)
-        trial = SystemState(state_n.t + hht.dt, Sig, Sigd, v)
-        return assemble_residual(space, trial, state_n, hht, p)
-
-    return (R_of(sdd + eps * d) - R_of(sdd - eps * d)) / (2.0 * eps)
+def _fd_directional(residual, sdd, d, eps=1e-6):
+    return (residual(sdd + eps * d)[1] - residual(sdd - eps * d)[1]) / (2.0 * eps)
 
 
 def test_tangent_matches_fd_jacobian():
@@ -282,11 +302,9 @@ def test_tangent_matches_fd_jacobian():
                               rng.normal(size=n), rng.normal(size=n))
         sdd = rng.normal(size=n)
         d = rng.normal(size=n)
-        Sig, Sigd = newmark_update(state_n, sdd, hht)
-        trial = SystemState(hht.dt, Sig, Sigd, sdd)
-        stage = stage_state(trial, state_n, hht.alpha)
-        S = assemble_tangent(space, stage, hht, P12)
-        fd = _fd_directional(space, state_n, sdd, d, hht, P12)
+        residual, tangent = step_system(state_n, space, hht, P12)
+        S = tangent(residual(sdd)[0])
+        fd = _fd_directional(residual, sdd, d)
         Sd = S.matvec(d)
         assert np.linalg.norm(fd - Sd) <= 1e-5 * np.linalg.norm(Sd)
 
@@ -309,8 +327,8 @@ def test_graded_assembly_matches_per_cell_loop():
         fp, fpp = strain_derivative(s, 1, P12), strain_derivative(s, 2, P12)
         M_ref[np.ix_(dofs, dofs)] += (shp * (P12.rho * fp * wj)[:, None]).T @ shp
         F_ref[dofs] += shp.T @ (P12.rho * (fp * sdd + fpp * sd**2) * wj)
-    np.testing.assert_allclose(assemble_mass(space, Sigma, P12).to_dense(),
+    np.testing.assert_allclose(_mass(space, Sigma, P12).to_dense(),
                                M_ref, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(
-        assemble_inertial(space, Sigma, Sigma_dot, Sigma_ddot, P12), F_ref,
+        _inertial(space, Sigma, Sigma_dot, Sigma_ddot, P12), F_ref,
         rtol=1e-13, atol=1e-15)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stresswave.calibration import (FitSettings, StressStrainDataset,
-                                    fit_material, generate_synthetic,
-                                    load_dataset, sse_objective, write_fit_csv)
+from stresswave.calibration import (StressStrainDataset, fit_material,
+                                    generate_synthetic, load_dataset,
+                                    sse_objective, write_fit_csv)
 
 
 def test_dataset_validation():
@@ -68,8 +68,7 @@ def test_fit_rejects_bad_init():
 
 def test_fit_budget_exhaustion_flagged():
     data = generate_synthetic(b=4.2, a=2.7, n_points=60)
-    result = fit_material(data, init=(1.0, 1.0),
-                          settings=FitSettings(max_iters=2))
+    result = fit_material(data, init=(1.0, 1.0), max_iters=2)
     assert not result.converged
     # best-so-far still improved on the initial guess
     assert result.sse <= sse_objective(1.0, 1.0, data)

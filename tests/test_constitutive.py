@@ -210,6 +210,10 @@ def test_verify_hyperbolicity_preconditions():
 materials = st.builds(lambda b, a: MaterialParams(rho=1.0, b=b, a=a),
                       st.floats(0.1, 10.0), st.floats(0.5, 3.0))
 stresses = st.floats(-100.0, 100.0)
+# Roundoff allowance of strain(): over these strategies a pair of nearby
+# stresses was seen reversed by at most 2 ulps, and tied or reversed only
+# where the true rise was below 3.2 ulps.
+ROUNDOFF_ULPS = 8
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,7 +221,17 @@ stresses = st.floats(-100.0, 100.0)
 def test_strain_odd_monotone_bounded_property(p, s, ds):
     assert strain(-s, p) == -strain(s, p)
     assert abs(strain(s, p)) < 1.0 / p.b
-    assert strain(s, p) < strain(s + ds, p)
+    # eps' is even and falls with |s|, so eps rises by at least
+    # min(eps'(s), eps'(s + ds)) ds over the step.  Near the limiting
+    # strain that rise can be below an ulp of eps, and then roundoff may
+    # tie the two values or swap them by an ulp or two; strict order is
+    # asserted only where the rise is resolvable.
+    lo, hi = strain(s, p), strain(s + ds, p)
+    ulp = np.spacing(max(abs(lo), abs(hi)))
+    assert lo <= hi + ROUNDOFF_ULPS * ulp
+    rise = min(derivatives(s, p)[0], derivatives(s + ds, p)[0]) * ds
+    if rise > ROUNDOFF_ULPS * ulp:
+        assert lo < hi
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from stresswave.assembly import (assemble_stiffness, stage_points,
+                                 stage_residual, stage_tangent)
 from stresswave.config import parse_config
 from stresswave.constitutive import MaterialParams
 from stresswave.fe_space import build_space
@@ -8,10 +10,26 @@ from stresswave.integrator import (BoundaryDrive, HhtParams,
                                    NewtonDivergedError, NewtonSettings,
                                    SystemState, advance_step,
                                    boundary_acceleration, initial_acceleration,
-                                   newmark_update, run_simulation)
+                                   newmark_update, run_simulation, step_system)
 from stresswave.verification import mms_fields, mms_forcing
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
+
+
+def _inline_stage(space, state_n, sdd, hht, p, load_prev, load_next):
+    """Stage of the trial acceleration sdd, blended explicitly.
+
+    Returns (pts, R, (Sigma, Sigma_dot)): the stage values and residual
+    at S* = (1+alpha) S_{n+1} - alpha S_n (and the same for the rate),
+    with S_{n+1}, Sd_{n+1} the Newmark update of sdd.
+    """
+    a = hht.alpha
+    Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
+    stage = (1 + a) * Sigma - a * state_n.Sigma
+    stage_dot = (1 + a) * Sigma_dot - a * state_n.Sigma_dot
+    pts = stage_points(space, stage, stage_dot, sdd, p)
+    load = (1 + a) * load_next - a * load_prev
+    return pts, stage_residual(space, stage, pts, load, p), (Sigma, Sigma_dot)
 
 
 def _mms_config(overrides=None):
@@ -25,13 +43,12 @@ def _mms_config(overrides=None):
     return parse_config(mapping)
 
 
-def _run_mms(cfg, **kw):
+def _run_mms(cfg):
     p = cfg.material
     return run_simulation(cfg,
                           forcing=lambda x, t: mms_forcing(x, t, p),
                           initial_sigma=lambda x: mms_fields(x, 0.0).sigma,
-                          initial_rate=lambda x: mms_fields(x, 0.0).sigma_t,
-                          **kw)
+                          initial_rate=lambda x: mms_fields(x, 0.0).sigma_t)
 
 
 def test_hht_params_derived():
@@ -143,7 +160,7 @@ def test_advance_step_singular_tangent_diverges(monkeypatch):
     from stresswave import assembly
     space = build_space(1.0, 8, "uniform(1)")
 
-    def zero_tangent(space, pts, hht, p):
+    def zero_tangent(space, pts, c_dot, c, p):
         ab = np.zeros((2 * space.bandwidth + 1, space.n_dofs))
         return assembly.BandedMatrix(space.n_dofs, space.bandwidth, ab)
 
@@ -157,10 +174,9 @@ def test_advance_step_singular_tangent_diverges(monkeypatch):
 
 
 def test_advance_step_matches_public_newton_loop():
-    # Reference: the documented residual / stage / tangent API and a
-    # dense solve, iterated to the same stopping rule as advance_step.
-    from stresswave.assembly import (assemble_residual, assemble_tangent,
-                                     stage_state)
+    # Reference: the stage blended inline from the Newmark update, the
+    # assembly kernels and a dense solve, iterated to the same stopping
+    # rule as advance_step.
     space = build_space(1.0, 12, "center_graded")
     n = space.n_dofs
     p = MaterialParams(rho=1.0, b=5.0, a=1.5)
@@ -178,18 +194,17 @@ def test_advance_step_matches_public_newton_loop():
     sdd = state_n.Sigma_ddot.copy()
     sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
     sdd[-1] = boundary_acceleration(drive.value(t_next), -1, state_n, hht)
+    w = 1 + hht.alpha
+    c_dot, c = w * hht.gamma_nm * hht.dt, w * hht.beta_nm * hht.dt**2
     history = []
     while True:
-        Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
-        trial = SystemState(t_next, Sigma, Sigma_dot, sdd)
-        R = assemble_residual(space, trial, state_n, hht, p, load_next,
-                              load_prev)
+        pts, R, (Sigma, Sigma_dot) = _inline_stage(space, state_n, sdd, hht, p,
+                                                   load_prev, load_next)
         history.append(np.linalg.norm(R[1:-1]))
         threshold = max(newton.tol * history[0], newton.abs_floor)
         if len(history) > 1 and history[-1] <= threshold:
             break
-        S = assemble_tangent(space, stage_state(trial, state_n, hht.alpha),
-                             hht, p).to_dense()
+        S = stage_tangent(space, pts, c_dot, c, p).to_dense()
         sdd = sdd.copy()
         sdd[1:-1] -= np.linalg.solve(S[1:-1, 1:-1], R[1:-1])
 
@@ -199,6 +214,25 @@ def test_advance_step_matches_public_newton_loop():
     for mine, ref in ((got.Sigma, Sigma), (got.Sigma_dot, Sigma_dot),
                       (got.Sigma_ddot, sdd)):
         assert np.linalg.norm(mine - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.05, -1.0 / 3.0])
+def test_step_system_residual_matches_inline_stage(alpha):
+    space = build_space(1.0, 12, "center_graded")
+    n = space.n_dofs
+    p = MaterialParams(rho=1.0, b=5.0, a=1.5)
+    hht = HhtParams(alpha=alpha, dt=1e-2)
+    rng = np.random.default_rng(5)
+    state_n = SystemState(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                          rng.normal(size=n))
+    load_prev, load_next = rng.normal(size=n), rng.normal(size=n)
+    residual, _ = step_system(state_n, space, hht, p, load_prev, load_next)
+    for _ in range(3):
+        sdd = rng.normal(size=n)
+        _, R = residual(sdd)
+        _, R_ref, _ = _inline_stage(space, state_n, sdd, hht, p, load_prev,
+                                    load_next)
+        assert np.linalg.norm(R - R_ref) <= 1e-13 * np.linalg.norm(R_ref)
 
 
 def test_linear_material_single_newton_iteration():
@@ -252,9 +286,8 @@ def test_initial_acceleration_solves_t0_balance():
     Sigma0 = 0.3 * np.sin(np.pi * x)
     Sigma_dot0 = 0.1 * np.sin(2 * np.pi * x)
     sdd0 = initial_acceleration(space, Sigma0, Sigma_dot0, P12)
-    from stresswave.assembly import (assemble_inertial, assemble_stiffness)
-    R = assemble_inertial(space, Sigma0, Sigma_dot0, sdd0, P12) \
-        + assemble_stiffness(space).matvec(Sigma0)
+    R = stage_residual(space, Sigma0, stage_points(
+        space, Sigma0, Sigma_dot0, sdd0, P12), 0.0, P12)
     np.testing.assert_allclose(R[1:-1], 0.0, atol=1e-12)
     # MMS initial data has zero exact acceleration
     f0 = mms_fields(x, 0.0)
@@ -265,8 +298,6 @@ def test_initial_acceleration_solves_t0_balance():
 
 
 def test_initial_acceleration_with_boundary_drive():
-    from stresswave.assembly import (assemble_inertial, assemble_mass,
-                                     assemble_stiffness)
     space = build_space(1.0, 6, "center_graded")
     x = space.dof_coords
     drive = BoundaryDrive(amplitude=0.5, omega=3.0)
@@ -277,9 +308,10 @@ def test_initial_acceleration_with_boundary_drive():
     assert drive.accel(t0) != 0.0
     assert sdd0[-1] == drive.accel(t0)
     assert sdd0[0] == 0.0
-    rhs = -assemble_inertial(space, Sigma0, Sigma_dot0, np.zeros_like(x), P12) \
+    pts = stage_points(space, Sigma0, Sigma_dot0, np.zeros_like(x), P12)
+    rhs = -stage_residual(space, np.zeros_like(x), pts, 0.0, P12) \
         - assemble_stiffness(space).matvec(Sigma0)
-    balance = assemble_mass(space, Sigma0, P12).matvec(sdd0) - rhs
+    balance = stage_tangent(space, pts, 0.0, 0.0, P12).matvec(sdd0) - rhs
     np.testing.assert_allclose(balance[1:-1], 0.0, atol=1e-12)
 
 
@@ -325,7 +357,7 @@ def test_mms_newton_count_and_superlinear_tail():
     cfg = _mms_config({"mesh": {"n_cells": 16},
                        "time": {"dt": 8e-3, "t_final": 0.3},
                        "newton": {"tol": 1e-13}})
-    snaps, report = _run_mms(cfg, record_convergence=True)
+    snaps, report = _run_mms(cfg)
     assert report.max_newton_iters <= 5
     # quadratic decay: r_{k+1} <= C r_k^2 on every pair whose starting
     # residual is resolvable above assembly roundoff

@@ -1,0 +1,16 @@
+"""The README's "Library use" example runs as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_use_runs(capsys):
+    section = README.read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+    iters, c_max = capsys.readouterr().out.split()
+    # Newton takes at least one iteration a step; c = 1/sqrt(rho eps')
+    # is at least the linear-law speed 1 because eps' <= 1
+    assert int(iters) >= 1
+    assert float(c_max) >= 1.0
