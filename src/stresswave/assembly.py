@@ -17,10 +17,10 @@ rate move with the acceleration as dS = c dSdd, dSd = c_dot dSdd.  The
 time scheme that picks the stage, c and c_dot lives in the integrator;
 this module only integrates in space.  Residual and tangent share one
 evaluation of the stage at the points (stage_points, with eps', eps''
-and eps''' fused).
+and eps''' fused); callers interpolate the stage (CellTable.at_points).
 
-Every integral is one vectorized pass over the space's cell table
-(FeSpace.batches), whose padded nodes and points contribute zero.  All
+Every integral is one vectorized pass over the space's pre-weighted cell
+table (FeSpace.batches), whose padded nodes and points add zero.  All
 matrices are stored in LAPACK banded form (half-bandwidth = max cell
 degree); element matrices reach it through the table's precomputed
 scatter index.  The two boundary DoFs always carry prescribed values,
@@ -89,8 +89,7 @@ class BandedMatrix:
 
 def _vector(space: FeSpace, t: CellTable, integrand: np.ndarray) -> np.ndarray:
     """F_I = integral integrand N_I dx from integrand values at the points."""
-    fe = np.einsum("mq,mqi->mi", integrand * t.weights * t.jac[:, None],
-                   t.shape)
+    fe = np.einsum("mq,mqi->mi", integrand, t.wshape)
     return np.bincount(t.dofs.ravel(), weights=fe.ravel(),
                        minlength=space.n_dofs)
 
@@ -104,8 +103,7 @@ def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
 
 def _matrix(space: FeSpace, t: CellTable, coef: np.ndarray) -> BandedMatrix:
     """M_IJ = integral coef N_I N_J dx from coef values at the points."""
-    return _banded(space, t, np.einsum(
-        "mq,mqk->mk", coef * t.weights * t.jac[:, None], t.outer))
+    return _banded(space, t, np.einsum("mq,mqk->mk", coef, t.wouter))
 
 
 def assemble_stiffness(space: FeSpace) -> BandedMatrix:
@@ -128,17 +126,17 @@ def assemble_load_at(space: FeSpace, forcing, t: float) -> np.ndarray:
                    np.asarray(forcing(table.x_q, t), dtype=float))
 
 
-def stage_points(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
-                 Sigma_ddot: np.ndarray, p: MaterialParams) -> tuple:
+def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
+                 sigdd_q: np.ndarray, p: MaterialParams) -> tuple:
     """A stage at the points of space.batches(), shared by residual and tangent.
 
-    Returns (sigma_dot, sigma_ddot, eps', eps'', eps''') at the points,
-    each (n_cells, n_points).  Raises HyperbolicityError where eps' <= 0.
+    Takes stress, rate and acceleration at the points (CellTable.at_points)
+    and returns (sigma_dot, sigma_ddot, eps', eps'', eps''') there, each
+    (n_cells, n_points).  Raises HyperbolicityError where eps' <= 0.
     """
-    t = space.batches()
-    sig_q, sigd_q, sigdd_q = t.at_points(Sigma, Sigma_dot, Sigma_ddot)
     fp, fpp, fppp = derivatives(sig_q, p)
-    if np.any(fp <= 0.0):
+    if (fp <= 0.0).any():
+        t = space.batches()
         bad = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
         i = np.unravel_index(np.argmin(bad), bad.shape)
         if bad[i] <= 0.0:
@@ -155,8 +153,6 @@ def stage_residual(space: FeSpace, Sigma: np.ndarray, pts: tuple, load,
     sigd_q, sigdd_q, fp, fpp, _ = pts
     R = _vector(space, space.batches(), p.rho * (fp * sigdd_q + fpp * sigd_q**2))
     return R + assemble_stiffness(space).matvec(Sigma) - load
-
-
 
 
 def stage_tangent(space: FeSpace, pts: tuple, c_dot: float, c: float,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constitutive import MaterialParams, strain
 
@@ -80,6 +79,8 @@ def fit_material(data: StressStrainDataset, init: tuple = (1.0, 1.0),
     b0, a0 = float(init[0]), float(init[1])
     if b0 < 0 or a0 <= 0:
         raise ValueError(f"initial guess must satisfy b >= 0, a > 0, got {init}")
+
+    from scipy.optimize import least_squares  # slow import, used only here
 
     def residuals(x):
         return data.strains - _model_strain(data.stresses, x[0], x[1])

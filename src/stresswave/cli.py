@@ -220,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="1D FE solver for stress waves in strain-limiting materials")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", metavar="PATH", help="YAML scenario config")
+    def common(sp, scenario=True):
+        if scenario:
+            sp.add_argument("--config", metavar="PATH",
+                            help="YAML scenario config")
+            sp.add_argument("--snapshot-every", type=float, default=None,
+                            metavar="T", help="override snapshot interval")
         sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel runs (sweep only)")
-        sp.add_argument("--snapshot-every", type=float, default=None,
-                        metavar="T", help="override snapshot interval")
         sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("mms-spatial", help="spatial convergence study")
@@ -243,11 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="material parameter grid runs")
     common(sp)
+    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="parallel runs")
     sp.add_argument("--grid", choices=("b", "a", "all"), default="all")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("fit", help="calibrate (b, a) to a dataset")
-    common(sp)
+    common(sp, scenario=False)
     sp.add_argument("dataset", help="two-column (stress, strain) text file")
     sp.add_argument("--init-b", type=float, default=1.0)
     sp.add_argument("--init-a", type=float, default=1.0)
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    common(sp)
+    common(sp, scenario=False)
     sp.add_argument("path", help="output file")
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--a", type=float, required=True)

@@ -16,6 +16,7 @@ reproduced from their own manifests.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,6 +86,9 @@ _DEFAULTS = {
 
 def _coerce(section: str, key: str, value: Any, typ):
     if typ is float:
+        if isinstance(value, str):  # YAML 1.1 reads 1e-3 as a string
+            with contextlib.suppress(ValueError):
+                value = float(value)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
         if not math.isfinite(value):

@@ -104,8 +104,11 @@ def derivatives(sigma, p: MaterialParams):
             d = 1.0 + w
             fp = d ** (-(1.0 + 1.0 / a))
             g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
-            fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0) * np.sign(s)
-            fppp = g * reg ** (a - 2.0) * ((a - 1.0) - (a + 2.0) * w) / d
+            fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
+            fpp *= np.sign(s)
+            fppp = g * reg ** (a - 2.0)
+            fppp *= (a - 1.0) - (a + 2.0) * w
+            fppp /= d
         saturated = np.isinf(w)
         if saturated.any():
             fpp, fppp = np.where(saturated, 0.0, (fpp, fppp))

@@ -85,7 +85,8 @@ class CellTable:
     weights : (n_cells, n_points) reference weights
     shape   : (n_cells, n_points, n_nodes) basis values
     dshape  : (n_cells, n_points, n_nodes) basis derivatives d/d xi
-    outer   : (n_cells, n_points, n_nodes**2) products N_i N_j
+    wshape  : shape times the physical weights, weights * jac
+    wouter  : (n_cells, n_points, n_nodes**2) products N_i N_j * weights * jac
     scatter : flat index into banded storage (see BandedMatrix) of each
               (cell, i, j) entry of an element matrix
     """
@@ -96,13 +97,14 @@ class CellTable:
     weights: np.ndarray
     shape: np.ndarray
     dshape: np.ndarray
-    outer: np.ndarray
+    wshape: np.ndarray
+    wouter: np.ndarray
     scatter: np.ndarray
 
     def at_points(self, *fields: np.ndarray) -> list[np.ndarray]:
         """Each nodal field at the points, shape (n_cells, n_points)."""
-        vals = self.shape @ np.array(fields).T[self.dofs]
-        return [vals[:, :, k] for k in range(len(fields))]
+        return [np.einsum("mqi,mi->mq", self.shape, f[self.dofs])
+                for f in fields]
 
 
 class FeSpace:
@@ -174,6 +176,7 @@ class FeSpace:
         dofs = self.dof_table
         xl, xr = self.cell_edges[:-1], self.cell_edges[1:]
         jac = 0.5 * (xr - xl)
+        wshape = shape * (weights * jac[:, None])[:, :, None]
         table = CellTable(
             dofs=dofs,
             jac=jac,
@@ -181,7 +184,8 @@ class FeSpace:
             weights=weights,
             shape=shape,
             dshape=dshape,
-            outer=(shape[:, :, :, None] * shape[:, :, None, :]).reshape(m, nq, -1),
+            wshape=wshape,
+            wouter=(wshape[..., None] * shape[:, :, None, :]).reshape(m, nq, -1),
             scatter=((bw + dofs[:, :, None] - dofs[:, None, :]) * self.n_dofs
                      + dofs[:, None, :]).ravel())
         self._batch_cache[n_extra] = table

@@ -44,14 +44,15 @@ stage weighting:
 
 with C_nl and K_sig the stage integrals of assembly, that is
 assembly.stage_tangent with c_dot = (1+alpha) gamma dt and c =
-(1+alpha) beta dt^2.  step_system forms the Newmark predictor, the
-stage terms that do not move within a step and the alpha-weighted load
-once per step; each Newton iterate then evaluates its stage at the
-quadrature points once (fused eps', eps'', eps''') for both its
-residual and its tangent.
+(1+alpha) beta dt^2.  step_system forms the alpha-weighted load and
+the stage at Sdd_{n+1} = 0, interpolated to the quadrature points, once
+per step; each Newton iterate then interpolates only its acceleration
+and evaluates its stage at the points once (fused eps', eps'',
+eps''') for both its residual and its tangent.
 """
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -192,20 +193,24 @@ def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
     `load_next` are the assembled load vectors at t_n / t_{n+1}; None
     means no load.
     """
-    alpha, w = hht.alpha, 1.0 + hht.alpha
-    # Stage stress and rate: S* = base + c Sdd, Sd* = base_dot + c_dot Sdd
-    pred, pred_dot = newmark_update(state_n, 0.0, hht)
-    base = w * pred - alpha * state_n.Sigma
-    base_dot = w * pred_dot - alpha * state_n.Sigma_dot
-    c, c_dot = w * hht.beta_nm * hht.dt**2, w * hht.gamma_nm * hht.dt
+    alpha, w, dt = hht.alpha, 1.0 + hht.alpha, hht.dt
+    c, c_dot = w * hht.beta_nm * dt**2, w * hht.gamma_nm * dt
     load = ((0.0 if load_next is None else w * load_next)
             - (0.0 if load_prev is None else alpha * load_prev))
+    # Stage S* = base + c Sdd, Sd* = base_dot + c_dot Sdd of the Newmark
+    # update; base goes to the points once per step
+    S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
+    base = S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd
+    table = space.batches()
+    base_q, base_dot_q = table.at_points(
+        base, Sd + w * dt * (1.0 - hht.gamma_nm) * Sdd)
 
     def residual(sdd):
-        Sigma = base + c * sdd
-        pts = assembly.stage_points(space, Sigma, base_dot + c_dot * sdd,
-                                    sdd, p)
-        return pts, assembly.stage_residual(space, Sigma, pts, load, p)
+        sdd_q, = table.at_points(sdd)
+        pts = assembly.stage_points(space, base_q + c * sdd_q,
+                                    base_dot_q + c_dot * sdd_q, sdd_q, p)
+        return pts, assembly.stage_residual(space, base + c * sdd, pts,
+                                            load, p)
 
     def tangent(pts):
         return assembly.stage_tangent(space, pts, c_dot, c, p)
@@ -232,13 +237,13 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
     residual, tangent = step_system(state_n, space, hht, p, load_prev,
                                     load_next)
     pts, R = residual(sdd)
-    ref_norm = float(np.linalg.norm(R[1:-1]))
+    ref_norm = math.sqrt(R[1:-1] @ R[1:-1])
     threshold = max(newton.tol * ref_norm, newton.abs_floor)
     history = [ref_norm]
     iters = 0
     while True:
         r_norm = history[-1]
-        if not np.isfinite(r_norm):
+        if not math.isfinite(r_norm):
             raise NewtonDivergedError(
                 f"Newton residual is not finite at t={t_next:.6g} "
                 f"after {iters} iterations",
@@ -259,7 +264,7 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                 t=t_next, iters=iters, history=history) from exc
         iters += 1
         pts, R = residual(sdd)
-        history.append(float(np.linalg.norm(R[1:-1])))
+        history.append(math.sqrt(R[1:-1] @ R[1:-1]))
 
     report = NewtonReport(iters=iters, residual_norm=history[-1],
                           history=history)
@@ -285,7 +290,8 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
             else assembly.assemble_load_at(space, forcing, t0))
     # The balance is linear in Sdd0 with matrix M(S0), so one Newton step
     # from zero interior values solves it.
-    pts = assembly.stage_points(space, Sigma0, Sigma_dot0, sdd, p)
+    pts = assembly.stage_points(
+        space, *space.batches().at_points(Sigma0, Sigma_dot0, sdd), p)
     R = assembly.stage_residual(space, Sigma0, pts, load, p)
     M = assembly.stage_tangent(space, pts, 0.0, 0.0, p)
     sdd[1:-1] -= M.interior().solve(R[1:-1])

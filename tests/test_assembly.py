@@ -21,16 +21,22 @@ def _single_cell(h):
     return FeSpace(np.array([0.0, h]), np.array([1]))
 
 
+def _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p):
+    """stage_points of nodal vectors, interpolated to the points first."""
+    return stage_points(
+        space, *space.batches().at_points(Sigma, Sigma_dot, Sigma_ddot), p)
+
+
 def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):
     """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
-    pts = stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
+    pts = _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
     return stage_residual(space, np.zeros_like(Sigma), pts, 0.0, p)
 
 
 def _mass(space, Sigma, p):
     """Mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx."""
     zero = np.zeros_like(Sigma)
-    return stage_tangent(space, stage_points(space, Sigma, zero, zero, p),
+    return stage_tangent(space, _stage_points(space, Sigma, zero, zero, p),
                          0.0, 0.0, p)
 
 

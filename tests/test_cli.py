@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stresswave
 from stresswave.cli import main
 
 SMALL_SIM = """
@@ -69,6 +74,7 @@ def test_config_error_exit_code(tmp_path):
     ("material: {b: 1.0}\noutput: {snapshot_interval: .inf}",
      "output.snapshot_interval"),
     ("material: {b: 1.0, a: 1.5, reg_eta: 0.0}", "material.reg_eta"),
+    ("material: {b: 1.0}\ntime: {dt: 'nan'}", "time.dt"),
 ])
 def test_non_finite_config_number_exit_code(tmp_path, capsys, text, field):
     cfg = _write(tmp_path, "bad.yaml", text + "\n")
@@ -211,6 +217,36 @@ output: {snapshot_interval: 0.05, samples: 32}
     rows = (out1 / "sweep_summary.csv").read_text().strip().splitlines()[1:]
     devs = [float(r.split(",")[3]) for r in rows]
     assert devs == sorted(devs) and devs[0] < devs[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mms-spatial", "--jobs", "2"],
+    ["mms-temporal", "--jobs", "2"],
+    ["simulate", "--jobs", "8"],
+    ["fit", "d.csv", "--config", "/nonexistent.yaml"],
+    ["fit", "d.csv", "--snapshot-every", "0.1"],
+    ["gen-data", "g.csv", "--b", "1", "--a", "1", "--jobs", "8"],
+    ["gen-data", "g.csv", "--b", "1", "--a", "1", "--config",
+     "/nonexistent.yaml"],
+    ["gen-data", "g.csv", "--b", "1", "--a", "1", "--snapshot-every", "nan"],
+], ids=lambda argv: argv[0] + [a for a in argv if a[:2] == "--"][-1])
+def test_unread_flag_exit_code(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about a quarter second of every start-up
+    src = str(Path(stresswave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", "import stresswave.cli, sys; "
+                    "assert 'scipy.optimize' not in sys.modules"],
+                   env=env, check=True, timeout=120)
 
 
 def test_mms_spatial_cli_smoke(tmp_path):

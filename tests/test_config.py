@@ -78,6 +78,19 @@ def test_invalid_numbers_rejected():
             parse_config({"material": {"b": 0.0}, section: kv})
 
 
+def test_yaml_exponent_string_is_a_float():
+    # YAML 1.1 reads 1e-3 (no dot in the mantissa) as the string "1e-3"
+    cfg = parse_config("material: {b: 1e0}\ntime: {dt: 1e-3, t_final: 2E-1}\n")
+    assert cfg.time.dt == 0.001
+    assert cfg.time.t_final == 0.2
+    assert cfg.material.b == 1.0
+    for text in ("nan", "-inf", "1e400"):
+        with pytest.raises(ConfigError, match="time.dt: must be finite"):
+            parse_config({"material": {"b": 0.0}, "time": {"dt": text}})
+    with pytest.raises(ConfigError, match="mesh.n_cells"):
+        parse_config({"material": {"b": 0.0}, "mesh": {"n_cells": "1e2"}})
+
+
 def test_yaml_parse_error():
     with pytest.raises(ConfigError, match="parse error"):
         parse_config("material: [unclosed\n  b: 1")

@@ -124,6 +124,18 @@ def test_cell_table_padding():
         assert np.all(table.x_q[k, p + 2:] == mid)
 
 
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(3)",
+                                    "center_graded"])
+@pytest.mark.parametrize("n_extra", [2, 3])
+def test_cell_table_weighted_tables(policy, n_extra):
+    t = build_space(1.3, 9, policy).batches(n_extra)
+    wj = (t.weights * t.jac[:, None])[:, :, None]
+    outer = (t.shape[:, :, :, None] * t.shape[:, :, None, :]).reshape(
+        t.shape.shape[:2] + (-1,))
+    np.testing.assert_allclose(t.wshape, t.shape * wj, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(t.wouter, outer * wj, rtol=1e-15, atol=0)
+
+
 def test_global_polynomial_reproduction():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0.0, 2.0, size=40)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stresswave.config import parse_config
-from stresswave.constitutive import MaterialParams
+from stresswave.assembly import assemble_load_at
+from stresswave.constitutive import MaterialParams, derivatives
 from stresswave.fe_space import build_space
 from stresswave.verification import (convergence_study,
                                      l2_error, mms_fields, mms_forcing,
@@ -35,6 +36,24 @@ def test_mms_forcing_linear_closed_form():
     t = 0.9
     expected = (np.pi**2 - 1.0) * np.sin(np.pi * x) * np.sin(t)
     np.testing.assert_allclose(mms_forcing(x, t, p), expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(3)",
+                                    "center_graded"])
+@pytest.mark.parametrize("p", [P12, MaterialParams(rho=1.3, b=5.0, a=1.5)])
+def test_mms_forcing_matches_field_expression(policy, p):
+    def full(x, t):
+        # f = rho [eps' sigma_tt + eps'' sigma_t^2] - sigma_xx from all fields
+        f = mms_fields(x, t)
+        fp, fpp, _ = derivatives(f.sigma, p)
+        return p.rho * (fp * f.sigma_tt + fpp * f.sigma_t**2) - f.sigma_xx
+
+    space = build_space(1.0, 24, policy)
+    for t in (0.0, 0.37, 1.9, 4.0):
+        ref = assemble_load_at(space, full, t)
+        got = assemble_load_at(space, lambda x, tt: mms_forcing(x, tt, p), t)
+        np.testing.assert_allclose(got, ref, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_mms_forcing_vanishes_on_boundary():
