@@ -19,13 +19,13 @@ this module only integrates in space.  Residual and tangent share one
 evaluation of the stage at the points (stage_points, with eps', eps''
 and eps''' fused); callers interpolate the stage (CellTable.at_points).
 
-Every integral is one vectorized pass over the space's pre-weighted cell
-table (FeSpace.batches), whose padded nodes and points add zero.  All
-matrices are stored in LAPACK banded form (half-bandwidth = max cell
-degree); element matrices reach it through the table's precomputed
-scatter index.  The two boundary DoFs always carry prescribed values,
-so the integrator solves only the interior block (BandedMatrix.interior)
-by direct banded factorization (LAPACK gtsv, or gbsv above bandwidth 1).
+Every integral is one matrix product (CellTable.integrate) over the
+space's cell table (FeSpace.batches), whose padded nodes and points add
+zero.  All matrices are stored in LAPACK banded form (half-bandwidth = max
+cell degree); element matrices reach it through the table's precomputed
+scatter index.  The two boundary DoFs always carry prescribed values, so
+the integrator solves only the interior block (BandedMatrix.interior) by
+direct banded factorization (LAPACK gtsv, or gbsv above bandwidth 1).
 """
 from __future__ import annotations
 
@@ -89,7 +89,7 @@ class BandedMatrix:
 
 def _vector(space: FeSpace, t: CellTable, integrand: np.ndarray) -> np.ndarray:
     """F_I = integral integrand N_I dx from integrand values at the points."""
-    fe = np.einsum("mq,mqi->mi", integrand, t.wshape)
+    fe = t.integrate(integrand, t.ref)
     return np.bincount(t.dofs.ravel(), weights=fe.ravel(),
                        minlength=space.n_dofs)
 
@@ -103,7 +103,7 @@ def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
 
 def _matrix(space: FeSpace, t: CellTable, coef: np.ndarray) -> BandedMatrix:
     """M_IJ = integral coef N_I N_J dx from coef values at the points."""
-    return _banded(space, t, np.einsum("mq,mqk->mk", coef, t.wouter))
+    return _banded(space, t, t.integrate(coef, t.ref_outer))
 
 
 def assemble_stiffness(space: FeSpace) -> BandedMatrix:
@@ -119,11 +119,15 @@ def assemble_stiffness(space: FeSpace) -> BandedMatrix:
     return K
 
 
-def assemble_load_at(space: FeSpace, forcing, t: float) -> np.ndarray:
-    """L_I(t) = integral forcing(x, t) N_I dx by cellwise quadrature."""
-    table = space.batches()
-    return _vector(space, table,
-                   np.asarray(forcing(table.x_q, t), dtype=float))
+def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
+    """L_I(t) = integral forcing(x, t) N_I dx, one row per time of the 1-D
+    `times`, from one forcing call with t of shape (len(times), 1, 1)."""
+    t, k = space.batches(), len(times)
+    f = forcing(t.x_q, np.asarray(times, dtype=float)[:, None, None])
+    fe = t.integrate(np.broadcast_to(f, (k,) + t.x_q.shape), t.ref)
+    rows = np.arange(k)[:, None] * space.n_dofs + t.dofs.ravel()
+    return np.bincount(rows.ravel(), weights=fe.ravel(),
+                       minlength=k * space.n_dofs).reshape(k, -1)
 
 
 def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,

@@ -151,6 +151,8 @@ def _sweep_member(mapping: dict, b: float, a: float, out_dir: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     base = _config_mapping(args, preset={"material": {"b": 0.0}})
     parse_config(base)  # fail early on bad base config
 
@@ -162,7 +164,7 @@ def cmd_sweep(args) -> int:
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = max(1, args.jobs)
+    jobs = min(args.jobs, len(members))
     if jobs == 1:
         results = [_sweep_member(base, b, a, str(out)) for b, a in members]
     else:

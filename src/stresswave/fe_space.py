@@ -9,8 +9,8 @@ quadratic in the next band (< 0.4) and linear outside, judged at cell
 midpoints.
 
 Assembly sees the space through one cell table per quadrature order
-(`FeSpace.batches`): every cell padded to the same node and point
-count, so each integral is one array operation over all cells.
+(`FeSpace.batches`): cells padded to one node and point count share
+per-degree reference tables, so each integral is one matrix product.
 """
 from __future__ import annotations
 
@@ -79,32 +79,47 @@ class CellTable:
     and repeat the cell's last DoF, and its padded points have zero
     weight and sit at the cell midpoint.  Uniform meshes get no padding.
 
-    dofs    : (n_cells, n_nodes) global DoF of each local node
-    jac     : (n_cells,) half cell width, d x / d xi
-    x_q     : (n_cells, n_points) physical point coordinates
-    weights : (n_cells, n_points) reference weights
-    shape   : (n_cells, n_points, n_nodes) basis values
-    dshape  : (n_cells, n_points, n_nodes) basis derivatives d/d xi
-    wshape  : shape times the physical weights, weights * jac
-    wouter  : (n_cells, n_points, n_nodes**2) products N_i N_j * weights * jac
-    scatter : flat index into banded storage (see BandedMatrix) of each
-              (cell, i, j) entry of an element matrix
+    dofs      : (n_cells, n_nodes) global DoF of each local node
+    jac       : (n_cells,) half cell width, d x / d xi
+    x_q       : (n_cells, n_points) physical point coordinates
+    weights   : (n_cells, n_points) reference weights
+    wj        : (n_cells, n_points) physical weights, weights * jac
+    dshape    : (n_cells, n_points, n_nodes) basis derivatives d/d xi
+    ref       : (n_groups * n_points, n_nodes) basis values, a block per degree
+    ref_t     : ref transposed (contiguous)
+    ref_outer : (n_groups * n_points, n_nodes**2) products N_i N_j
+    pick      : flat index of (cell, point) in its degree block; None if uniform
+    scatter   : flat index into banded storage (see BandedMatrix) of each
+                (cell, i, j) entry of an element matrix
     """
 
     dofs: np.ndarray
     jac: np.ndarray
     x_q: np.ndarray
     weights: np.ndarray
-    shape: np.ndarray
+    wj: np.ndarray
     dshape: np.ndarray
-    wshape: np.ndarray
-    wouter: np.ndarray
+    ref: np.ndarray
+    ref_t: np.ndarray
+    ref_outer: np.ndarray
+    pick: np.ndarray | None
     scatter: np.ndarray
 
     def at_points(self, *fields: np.ndarray) -> list[np.ndarray]:
         """Each nodal field at the points, shape (n_cells, n_points)."""
-        return [np.einsum("mqi,mi->mq", self.shape, f[self.dofs])
-                for f in fields]
+        vals = [f[self.dofs] @ self.ref_t for f in fields]
+        return vals if self.pick is None else [v.ravel()[self.pick] for v in vals]
+
+    def integrate(self, h: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """Per-cell sums over the points of h * wj times the rows of the
+        reference table `ref`, for h of shape (..., n_cells, n_points)."""
+        hw = h * self.wj
+        if self.pick is not None:  # each cell's values in its degree block
+            full = np.zeros(hw.shape[:-1] + (len(ref),))
+            rows = (slice(None),) * (hw.ndim - 2)  # leading axes, if any
+            full.reshape(hw.shape[:-2] + (-1,))[rows + (self.pick,)] = hw
+            hw = full
+        return hw @ ref
 
 
 class FeSpace:
@@ -115,9 +130,8 @@ class FeSpace:
     cell_edges : (n_cells + 1,) cell boundary coordinates
     degrees    : (n_cells,) polynomial degree per cell
     dof_coords : (n_dofs,) global node coordinates, left to right
-    cell_dofs  : list of per-cell global DoF index arrays
-    dof_table  : (n_cells, bandwidth + 1) the same, padded by repeating
-                 each cell's last DoF
+    dof_table  : (n_cells, bandwidth + 1) global DoF of each local node,
+                 padded by repeating each cell's last DoF
     """
 
     def __init__(self, cell_edges: np.ndarray, degrees: np.ndarray):
@@ -141,7 +155,6 @@ class FeSpace:
         self.n_dofs = int(first[-1]) + 1
         self.dof_table = first[:-1, None] + np.minimum(
             np.arange(self.bandwidth + 1), degrees[:, None])
-        self.cell_dofs = [d[:p + 1] for d, p in zip(self.dof_table, degrees)]
         mid = 0.5 * (cell_edges[:-1] + cell_edges[1:])
         half = 0.5 * (cell_edges[1:] - cell_edges[:-1])
         self.dof_coords = np.concatenate([[self.x_left]] + [
@@ -161,31 +174,32 @@ class FeSpace:
             return self._batch_cache[n_extra]
         bw = self.bandwidth
         m, nn, nq = self.n_cells, bw + 1, bw + n_extra
-        xi = np.zeros((m, nq))
-        weights = np.zeros((m, nq))
-        shape = np.zeros((m, nq, nn))
-        dshape = np.zeros((m, nq, nn))
-        for p in set(self.degrees.tolist()):
-            cells = np.flatnonzero(self.degrees == p)
+        degrees, group = np.unique(self.degrees, return_inverse=True)
+        # one padded block per degree: points and weights, N and dN/d xi
+        rules = np.zeros((2, len(degrees), nq))
+        ref = np.zeros((2, len(degrees), nq, nn))
+        for g, p in enumerate(degrees):
             rule = gauss_rule(p + n_extra)
-            shp, dshp = lagrange_basis(_LOCAL_NODES[p], rule.points)
-            xi[cells, :p + n_extra] = rule.points
-            weights[cells, :p + n_extra] = rule.weights
-            shape[cells, :p + n_extra, :p + 1] = shp
-            dshape[cells, :p + n_extra, :p + 1] = dshp
+            rules[:, g, :p + n_extra] = rule.points, rule.weights
+            ref[:, g, :p + n_extra, :p + 1] = lagrange_basis(_LOCAL_NODES[p],
+                                                             rule.points)
+        xi, weights = rules[:, group]
+        dshape, ref = ref[1][group], ref[0].reshape(-1, nn)
         dofs = self.dof_table
         xl, xr = self.cell_edges[:-1], self.cell_edges[1:]
         jac = 0.5 * (xr - xl)
-        wshape = shape * (weights * jac[:, None])[:, :, None]
         table = CellTable(
             dofs=dofs,
             jac=jac,
             x_q=0.5 * (xl + xr)[:, None] + jac[:, None] * xi,
             weights=weights,
-            shape=shape,
+            wj=weights * jac[:, None],
             dshape=dshape,
-            wshape=wshape,
-            wouter=(wshape[..., None] * shape[:, :, None, :]).reshape(m, nq, -1),
+            ref=ref,
+            ref_t=np.ascontiguousarray(ref.T),
+            ref_outer=(ref[:, :, None] * ref[:, None, :]).reshape(len(ref), -1),
+            pick=None if len(degrees) == 1 else
+            ((np.arange(m) * len(degrees) + group) * nq)[:, None] + np.arange(nq),
             scatter=((bw + dofs[:, :, None] - dofs[:, None, :]) * self.n_dofs
                      + dofs[:, None, :]).ravel())
         self._batch_cache[n_extra] = table

@@ -66,6 +66,9 @@ from .fe_space import FeSpace, build_space
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
+# Step times per forcing call; a block is assembled when the loop reaches it.
+LOAD_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class HhtParams:
@@ -275,19 +278,17 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
 def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
                          Sigma_dot0: np.ndarray, p: MaterialParams,
                          drive: BoundaryDrive | None = None,
-                         forcing: Callable | None = None,
+                         load: np.ndarray | float = 0.0,
                          t0: float = 0.0) -> np.ndarray:
     """Acceleration consistent with the semi-discrete balance at t0.
 
     Solves the interior rows of M(S0) Sdd0 = L(t0) - F_vel(S0, Sd0) - K S0
     with the boundary accelerations set to the drive's second time
-    derivative.
+    derivative.  `load` is the assembled L(t0).
     """
     sdd = np.zeros(space.n_dofs)
     if drive is not None:
         sdd[-1] = drive.accel(t0)
-    load = (0.0 if forcing is None
-            else assembly.assemble_load_at(space, forcing, t0))
     # The balance is linear in Sdd0 with matrix M(S0), so one Newton step
     # from zero interior values solves it.
     pts = assembly.stage_points(
@@ -322,6 +323,10 @@ def run_simulation(config: "ScenarioConfig",
     given callables (zero by default).  Snapshots are taken at t=0,
     every output.snapshot_interval and at t_final.  The initial
     acceleration is solved from the t=0 balance.
+
+    `forcing(x, t)` gets the (n_cells, n_points) quadrature points and up
+    to LOAD_BLOCK step times as t of shape (k, 1, 1); its result must
+    broadcast to (k, n_cells, n_points).
     """
     space = build_space(config.mesh.L, config.mesh.n_cells,
                         config.mesh.degree_policy)
@@ -336,34 +341,39 @@ def run_simulation(config: "ScenarioConfig",
         Sigma0 = np.asarray(initial_sigma(space.dof_coords), dtype=float)
     if initial_rate is not None:
         Sigma_dot0 = np.asarray(initial_rate(space.dof_coords), dtype=float)
-    Sigma_ddot0 = initial_acceleration(space, Sigma0, Sigma_dot0, p, drive,
-                                       forcing)
-    state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
 
     t_final = config.time.t_final
     n_steps = int(round(t_final / hht.dt))
     if abs(n_steps * hht.dt - t_final) > 1e-9 * max(t_final, 1.0):
         n_steps = int(np.ceil(t_final / hht.dt))
 
+    times = np.minimum(np.arange(n_steps + 1) * hht.dt, t_final)
+    loads = load_prev = None
+    if forcing is not None:
+        loads = assembly.assemble_load_at(space, forcing, times[:LOAD_BLOCK])
+        load_prev = loads[0]
+    Sigma_ddot0 = initial_acceleration(
+        space, Sigma0, Sigma_dot0, p, drive, 0.0 if load_prev is None else load_prev)
+    state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
     interval = config.output.snapshot_interval
     next_snap = interval if interval else np.inf
 
     snapshots = [state]
     newton_iters = []
     histories = []
-    load_prev = None
-    if forcing is not None:
-        load_prev = assembly.assemble_load_at(space, forcing, 0.0)
 
     t_start = _time.perf_counter()
     for step in range(n_steps):
-        t_target = min((step + 1) * hht.dt, t_final)
+        t_target = float(times[step + 1])
         step_hht = hht
         if abs(t_target - (state.t + hht.dt)) > 1e-12 * max(t_final, 1.0):
             step_hht = HhtParams(alpha=hht.alpha, dt=t_target - state.t)
         load_next = None
         if forcing is not None:
-            load_next = assembly.assemble_load_at(space, forcing, t_target)
+            if (step + 1) % LOAD_BLOCK == 0:
+                loads = assembly.assemble_load_at(
+                    space, forcing, times[step + 1:step + 1 + LOAD_BLOCK])
+            load_next = loads[(step + 1) % LOAD_BLOCK]
         state, report = advance_step(state, space, step_hht, p, newton,
                                      drive, load_prev, load_next)
         state.t = t_target  # avoid accumulated roundoff in t

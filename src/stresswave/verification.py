@@ -47,8 +47,8 @@ def mms_fields(x, t: float) -> MmsFields:
                      sigma_xx=-np.pi**2 * sx * np.sin(t))
 
 
-def mms_forcing(x, t: float, p: MaterialParams):
-    """Source term that makes the manufactured field an exact solution."""
+def mms_forcing(x, t, p: MaterialParams):
+    """Source term making the manufactured field exact (x and t broadcast)."""
     # only sigma and sigma_t: sigma_tt = -sigma and sigma_xx = -pi^2 sigma
     sx = np.sin(np.pi * np.asarray(x, dtype=float))
     sigma, sigma_t = sx * np.sin(t), sx * np.cos(t)

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
 import stresswave
+from stresswave import cli
 from stresswave.cli import main
 
 SMALL_SIM = """
@@ -217,6 +219,54 @@ output: {snapshot_interval: 0.05, samples: 32}
     rows = (out1 / "sweep_summary.csv").read_text().strip().splitlines()[1:]
     devs = [float(r.split(",")[3]) for r in rows]
     assert devs == sorted(devs) and devs[0] < devs[-1]
+
+
+def _recording_pool(monkeypatch):
+    """Replace the process pool with one that runs each member in-process
+    and records the worker count it was asked for."""
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    return workers
+
+
+def test_sweep_workers_capped_at_member_count(tmp_path, monkeypatch):
+    workers = _recording_pool(monkeypatch)
+    cfg = _write(tmp_path, "base.yaml", """
+material: {b: 0.0}
+mesh: {n_cells: 8}
+time: {dt: 5.0e-3, t_final: 0.02}
+output: {snapshot_interval: 0.0, samples: 16}
+""")
+    out = tmp_path / "s"
+    assert main(["sweep", "--grid", "b", "--config", str(cfg), "--jobs", "64",
+                 "--out", str(out), "--quiet"]) == 0
+    assert workers == [4]
+    assert len((out / "sweep_summary.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit_code(tmp_path, monkeypatch, capsys, jobs):
+    workers = _recording_pool(monkeypatch)
+    out = tmp_path / "s"
+    assert main(["sweep", "--jobs", jobs, "--out", str(out), "--quiet"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert workers == [] and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

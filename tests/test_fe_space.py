@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stresswave.assembly import _banded, _matrix, _vector, assemble_stiffness
 from stresswave.fe_space import (FeSpace, build_space, gauss_rule,
                                  lagrange_basis)
 
@@ -82,8 +83,10 @@ def test_dofs_left_to_right_and_shared():
     space = build_space(1.0, 6, "center_graded")
     assert np.all(np.diff(space.dof_coords) > 0)
     for k in range(space.n_cells - 1):
-        assert space.cell_dofs[k][-1] == space.cell_dofs[k + 1][0]
-        assert len(space.cell_dofs[k]) == space.degrees[k] + 1
+        p = space.degrees[k]
+        assert space.dof_table[k, p] == space.dof_table[k + 1, 0]
+        assert np.all(space.dof_table[k, :p + 1]
+                      == space.dof_table[k, 0] + np.arange(p + 1))
 
 
 def test_shape_linear_midpoint():
@@ -108,32 +111,82 @@ def test_shape_partition_of_unity():
 
 def test_cell_table_padding():
     uniform = build_space(1.0, 4, "uniform(2)").batches()
-    assert uniform.shape.shape == (4, 4, 3)
-    assert np.all(uniform.weights > 0.0)
+    assert uniform.ref.shape == (4, 3) and uniform.pick is None
+    assert np.all(uniform.wj > 0.0)
     space = build_space(1.0, 10, "center_graded")
     table = space.batches()
-    assert table.shape.shape == (10, 5, 4)
+    assert table.ref.shape == (15, 4)  # one 5-point block per degree
     for k, p in enumerate(space.degrees):
         # real nodes and points first, then zero-valued padding
-        assert np.all(table.dofs[k, :p + 1] == space.cell_dofs[k])
-        assert np.all(table.dofs[k, p + 1:] == space.cell_dofs[k][-1])
-        assert np.all(table.shape[k, :, p + 1:] == 0.0)
-        assert np.all(table.weights[k, :p + 2] > 0.0)
-        assert np.all(table.weights[k, p + 2:] == 0.0)
+        assert np.all(table.dofs[k, :p + 1] == space.dof_table[k, :p + 1])
+        assert np.all(table.dofs[k, p + 1:] == space.dof_table[k, p])
+        block = np.arange(5 * (p - 1), 5 * p)
+        assert np.all(table.pick[k] == 15 * k + block)
+        assert np.all(table.ref[block, p + 1:] == 0.0)
+        assert np.all(table.wj[k, :p + 2] > 0.0)
+        assert np.all(table.wj[k, p + 2:] == 0.0)
         mid = 0.5 * (space.cell_edges[k] + space.cell_edges[k + 1])
         assert np.all(table.x_q[k, p + 2:] == mid)
 
 
-@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(3)",
-                                    "center_graded"])
+def _padded_shape(space, n_extra):
+    """Per-cell basis values, derivatives and physical weights, padded
+    like CellTable: the reference the BLAS kernels are pinned to."""
+    m, nn, nq = space.n_cells, space.bandwidth + 1, space.bandwidth + n_extra
+    shape, dshape = np.zeros((2, m, nq, nn))
+    wj = np.zeros((m, nq))
+    for k, p in enumerate(space.degrees):
+        rule = gauss_rule(p + n_extra)
+        vals, ders = lagrange_basis(NODES[p], rule.points)
+        shape[k, :p + n_extra, :p + 1] = vals
+        dshape[k, :p + n_extra, :p + 1] = ders
+        jac = 0.5 * (space.cell_edges[k + 1] - space.cell_edges[k])
+        wj[k, :p + n_extra] = rule.weights * jac
+    return shape, dshape, wj
+
+
+def _space(policy):
+    if policy != "graded_edges":
+        return build_space(1.3, 9, policy)
+    # non-uniform cell widths (one jac per cell) and mixed degrees
+    rng = np.random.default_rng(8)
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, 11))])
+    return FeSpace(edges, rng.integers(1, 4, 11))
+
+
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
+                                    "center_graded", "graded_edges"])
 @pytest.mark.parametrize("n_extra", [2, 3])
 def test_cell_table_weighted_tables(policy, n_extra):
-    t = build_space(1.3, 9, policy).batches(n_extra)
-    wj = (t.weights * t.jac[:, None])[:, :, None]
-    outer = (t.shape[:, :, :, None] * t.shape[:, :, None, :]).reshape(
-        t.shape.shape[:2] + (-1,))
-    np.testing.assert_allclose(t.wshape, t.shape * wj, rtol=1e-15, atol=0)
-    np.testing.assert_allclose(t.wouter, outer * wj, rtol=1e-15, atol=0)
+    # at_points, _vector, _matrix and the stiffness equal the per-cell
+    # einsum forms over padded per-cell tables
+    space = _space(policy)
+    t = space.batches(n_extra)
+    shape, dshape, wj = _padded_shape(space, n_extra)
+    np.testing.assert_allclose(t.wj, wj, rtol=1e-15, atol=0)
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=space.n_dofs)
+    h = rng.normal(size=wj.shape)
+    wshape = shape * wj[:, :, None]
+    wouter = (wshape[..., None] * shape[:, :, None, :]).reshape(
+        shape.shape[:2] + (-1,))
+    dofs = space.dof_table
+
+    def close(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref)))
+
+    close(t.at_points(f)[0], np.einsum("mqi,mi->mq", shape, f[dofs]))
+    close(_vector(space, t, h),
+          np.bincount(dofs.ravel(), np.einsum("mq,mqi->mi", h, wshape).ravel(),
+                      minlength=space.n_dofs))
+    close(_matrix(space, t, h).ab,
+          _banded(space, t, np.einsum("mq,mqk->mk", h, wouter)).ab)
+    if n_extra == 2:
+        close(assemble_stiffness(space).ab,
+              _banded(space, t, np.einsum("mq,mqi,mqj->mij",
+                                          wj / t.jac[:, None] ** 2,
+                                          dshape, dshape)).ab)
 
 
 def test_global_polynomial_reproduction():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from stresswave.assembly import (assemble_stiffness, stage_points,
-                                 stage_residual, stage_tangent)
+from stresswave import integrator
+from stresswave.assembly import (assemble_load_at, assemble_stiffness,
+                                 stage_points, stage_residual, stage_tangent)
 from stresswave.config import parse_config
 from stresswave.constitutive import MaterialParams
 from stresswave.fe_space import build_space
@@ -286,6 +287,51 @@ def test_boundary_conditions_exact_at_snapshots():
         assert abs(st.Sigma[-1] - bc) <= 1e-12
 
 
+@pytest.mark.parametrize("t_final, n_steps, forcing", [
+    # two block boundaries and a partial last block
+    ((2 * integrator.LOAD_BLOCK + 5) * 1e-3, 2 * integrator.LOAD_BLOCK + 5,
+     "mms"),
+    # t_final not a multiple of dt: the last step is shortened to t_final
+    (0.0405, 41, "mms"),
+    # a result without the time axis is broadcast over the block
+    (0.04, 40, "static"),
+])
+def test_blocked_loads_equal_single_time_loads(monkeypatch, t_final, n_steps,
+                                               forcing):
+    cfg = _mms_config({"mesh": {"n_cells": 6, "degree_policy": "center_graded"},
+                       "time": {"t_final": t_final}})
+    p = cfg.material
+    if forcing == "mms":
+        def forcing(x, t):
+            return mms_forcing(x, t, p)
+    else:
+        def forcing(x, t):
+            return np.sin(np.pi * x)
+    used = []
+    step = integrator.advance_step
+    init = integrator.initial_acceleration
+
+    def recording_step(*args):
+        used.append((args[-2], args[-1]))
+        return step(*args)
+
+    def recording_init(space, Sigma0, Sigma_dot0, p, drive, load):
+        used.append((None, load))
+        return init(space, Sigma0, Sigma_dot0, p, drive, load)
+
+    monkeypatch.setattr(integrator, "advance_step", recording_step)
+    monkeypatch.setattr(integrator, "initial_acceleration", recording_init)
+    snaps, report = run_simulation(cfg, forcing=forcing)
+    assert report.steps == n_steps and len(used) == n_steps + 1
+    times = [min(i * cfg.time.dt, t_final) for i in range(n_steps + 1)]
+    assert snaps[-1].t == times[-1] == t_final
+    for i, t in enumerate(times):
+        single, = assemble_load_at(report.space, forcing, [t])
+        np.testing.assert_array_equal(used[i][1], single)
+        if i < n_steps:  # the next step starts from the same vector
+            assert used[i + 1][0] is used[i][1]
+
+
 def test_initial_acceleration_solves_t0_balance():
     space = build_space(1.0, 12, "uniform(2)")
     x = space.dof_coords
@@ -298,8 +344,8 @@ def test_initial_acceleration_solves_t0_balance():
     # MMS initial data has zero exact acceleration
     f0 = mms_fields(x, 0.0)
     p = P12
-    sdd_mms = initial_acceleration(space, f0.sigma, f0.sigma_t, p,
-                                   forcing=lambda xx, t: mms_forcing(xx, t, p))
+    load, = assemble_load_at(space, lambda xx, t: mms_forcing(xx, t, p), [0.0])
+    sdd_mms = initial_acceleration(space, f0.sigma, f0.sigma_t, p, load=load)
     np.testing.assert_allclose(sdd_mms, 0.0, atol=1e-10)
 
 

@@ -55,10 +55,11 @@ def test_sample_matches_per_point_loop(policy):
     for i, xp in enumerate(s.x):
         k = int(space.cell_containing(xp)[0])
         xl, xr = space.cell_edges[k], space.cell_edges[k + 1]
-        vals, _ = lagrange_basis(_LOCAL_NODES[int(space.degrees[k])],
+        p = int(space.degrees[k])
+        vals, _ = lagrange_basis(_LOCAL_NODES[p],
                                  [2.0 * (xp - xl) / (xr - xl) - 1.0])
         for j in range(2):
-            ref[j, i] = np.sum(vals[0] * fields[j][space.cell_dofs[k]])
+            ref[j, i] = np.sum(vals[0] * fields[j][space.dof_table[k, :p + 1]])
     np.testing.assert_array_equal(s.sigma, ref[0])
     np.testing.assert_array_equal(s.sigma_dot, ref[1])
 
