@@ -7,7 +7,7 @@ The weak form produces, on nodal vectors (Sigma, Sigma_dot, Sigma_ddot),
 
 A stage is one such set of vectors, and its residual and tangent are
 
-    R       = F_inrt(S, Sd, Sdd) + K S - L
+    R       = F_inrt(S, Sd, Sdd) + (K S - L)
     dR/dSdd = M(S) + c_dot C_nl + c [K + K_sig]
     C_nl    = integral 2 rho eps''(s) s_dot N_I N_J dx
     K_sig   = integral rho (eps''(s) s_ddot + eps'''(s) s_dot^2) N_I N_J dx
@@ -17,7 +17,8 @@ rate move with the acceleration as dS = c dSdd, dSd = c_dot dSdd.  The
 time scheme that picks the stage, c and c_dot lives in the integrator;
 this module only integrates in space.  Residual and tangent share one
 evaluation of the stage at the points (stage_points, with eps', eps''
-and eps''' fused); callers interpolate the stage (CellTable.at_points).
+and eps''' fused); callers interpolate the stage (CellTable.at_points)
+and form its elastic term K S - L (BandedMatrix.matvec, one BLAS gbmv).
 
 Every integral is one matrix product (CellTable.integrate) over the
 space's cell table (FeSpace.batches), whose padded nodes and points add
@@ -30,19 +31,21 @@ direct banded factorization (LAPACK gtsv, or gbsv above bandwidth 1).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .constitutive import HyperbolicityError, MaterialParams, derivatives
 from .fe_space import CellTable, FeSpace
 
 _gtsv, _gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
+_gbmv, = get_blas_funcs(("gbmv",), dtype=np.float64)
 
 
 class BandedMatrix:
     """Square matrix in diagonal-ordered banded storage.
 
     Entry (i, j) with |i - j| <= bandwidth lives at ab[bandwidth + i - j, j],
-    LAPACK's band layout with kl = ku = bandwidth (less gbsv's fill-in rows).
+    LAPACK's band layout with kl = ku = bandwidth (less gbsv's fill-in rows);
+    assembled matrices store ab column-major, as BLAS reads it.
     """
 
     def __init__(self, n: int, bandwidth: int, ab: np.ndarray):
@@ -50,13 +53,14 @@ class BandedMatrix:
         self.bandwidth = bandwidth
         self.ab = ab
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.ab[self.bandwidth] * x
-        for d in range(1, self.bandwidth + 1):
-            # superdiagonal d: entries (i, i+d); subdiagonal d: (i+d, i)
-            y[:-d] += self.ab[self.bandwidth - d, d:] * x[d:]
-            y[d:] += self.ab[self.bandwidth + d, :-d] * x[:-d]
-        return y
+    def matvec(self, x: np.ndarray, scale: float = 1.0,
+               add: np.ndarray | None = None) -> np.ndarray:
+        """scale A x + add (add itself is left intact), one BLAS gbmv."""
+        n, bw = self.n, self.bandwidth
+        if n < 2 * bw + 1:  # below the size the gbmv wrapper accepts
+            return scale * (self.to_dense() @ x) + (0.0 if add is None else add)
+        return _gbmv(n, n, bw, bw, scale, self.ab, x,
+                     beta=0.0 if add is None else 1.0, y=add)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs; np.linalg.LinAlgError if A is singular."""
@@ -64,7 +68,8 @@ class BandedMatrix:
         if bw == 1:
             *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
         else:
-            lab = np.vstack((np.zeros((bw, self.n)), ab))  # fill-in rows
+            lab = np.zeros((3 * bw + 1, self.n), order="F")  # + fill-in rows
+            lab[bw:] = ab
             *_, x, info = _gbsv(bw, bw, lab, rhs, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
@@ -98,7 +103,7 @@ def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
     """Sum of the element matrices `me`, one per cell, in banded storage."""
     n, bw = space.n_dofs, space.bandwidth
     ab = np.bincount(t.scatter, weights=me.ravel(), minlength=(2 * bw + 1) * n)
-    return BandedMatrix(n, bw, ab.reshape(2 * bw + 1, n))
+    return BandedMatrix(n, bw, ab.reshape(n, 2 * bw + 1).T)
 
 
 def _matrix(space: FeSpace, t: CellTable, coef: np.ndarray) -> BandedMatrix:
@@ -111,10 +116,8 @@ def assemble_stiffness(space: FeSpace) -> BandedMatrix:
     cached = space._aux_cache.get("stiffness")
     if cached is not None:
         return cached
-    t = space.batches()
-    K = _banded(space, t, np.einsum("mq,mqi,mqj->mij",
-                                    t.weights / t.jac[:, None],
-                                    t.dshape, t.dshape))
+    t = space.batches()  # dN/dx = dN/d xi / jac
+    K = _banded(space, t, t.integrate(t.jac[:, None] ** -2.0, t.dref_outer))
     space._aux_cache["stiffness"] = K
     return K
 
@@ -139,7 +142,7 @@ def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
     (n_cells, n_points).  Raises HyperbolicityError where eps' <= 0.
     """
     fp, fpp, fppp = derivatives(sig_q, p)
-    if (fp <= 0.0).any():
+    if fp.min() <= 0.0:
         t = space.batches()
         bad = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
         i = np.unravel_index(np.argmin(bad), bad.shape)
@@ -151,12 +154,13 @@ def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
     return sigd_q, sigdd_q, fp, fpp, fppp
 
 
-def stage_residual(space: FeSpace, Sigma: np.ndarray, pts: tuple, load,
+def stage_residual(space: FeSpace, elastic: np.ndarray, pts: tuple,
                    p: MaterialParams) -> np.ndarray:
-    """R = F_inrt(pts) + K Sigma - load, where Sigma is the stage stress."""
+    """R = F_inrt(pts) + elastic, where elastic is K S - L of the stage."""
     sigd_q, sigdd_q, fp, fpp, _ = pts
     R = _vector(space, space.batches(), p.rho * (fp * sigdd_q + fpp * sigd_q**2))
-    return R + assemble_stiffness(space).matvec(Sigma) - load
+    R += elastic
+    return R
 
 
 def stage_tangent(space: FeSpace, pts: tuple, c_dot: float, c: float,

@@ -77,7 +77,7 @@ def fit_material(data: StressStrainDataset, init: tuple = (1.0, 1.0),
     best-so-far result is returned with converged=False.
     """
     b0, a0 = float(init[0]), float(init[1])
-    if b0 < 0 or a0 <= 0:
+    if not (b0 >= 0 and a0 > 0):
         raise ValueError(f"initial guess must satisfy b >= 0, a > 0, got {init}")
 
     from scipy.optimize import least_squares  # slow import, used only here

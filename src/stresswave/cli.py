@@ -189,9 +189,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data = load_dataset(args.dataset)
-    result = fit_material(data, init=(args.init_b, args.init_a),
-                          max_iters=args.max_iters)
+    try:
+        data = load_dataset(args.dataset)
+        result = fit_material(data, init=(args.init_b, args.init_a),
+                              max_iters=args.max_iters)
+    except ValueError as exc:  # a bad data line or initial guess
+        raise ConfigError(str(exc)) from exc
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = write_fit_csv(out / "fit.csv", data.label, result)
@@ -203,6 +206,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    for flag, value, ok, rule in (
+            ("--b", args.b, args.b >= 0, ">= 0"), ("--a", args.a, args.a > 0, "> 0"),
+            ("--n", args.n, args.n >= 3, ">= 3"),
+            ("--sigma-max", args.sigma_max, args.sigma_max > 0, "> 0"),
+            ("--noise", args.noise, args.noise >= 0, ">= 0")):
+        if not (ok and np.isfinite(value)):
+            raise ConfigError(f"{flag} must be finite and {rule}, got {value}")
     data = generate_synthetic(b=args.b, a=args.a, n_points=args.n,
                               sigma_max=args.sigma_max, noise=args.noise,
                               seed=args.seed)

@@ -89,7 +89,8 @@ def derivatives(sigma, p: MaterialParams):
 
     Factors |s|^(a-1) (a < 1) and |s|^(a-2) (a < 2) carry a negative
     exponent and are evaluated with the regularized magnitude
-    sqrt(s^2 + reg_eta^2); every other factor is exact.  Where w
+    sqrt(s^2 + reg_eta^2); every other factor is exact.  For a >= 2 one
+    power serves both: |s|^(a-1) sign(s) = s |s|^(a-2).  Where w
     overflows the law has saturated: eps' underflows to 0 and the
     higher orders are 0.
     """
@@ -104,14 +105,17 @@ def derivatives(sigma, p: MaterialParams):
             d = 1.0 + w
             fp = d ** (-(1.0 + 1.0 / a))
             g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
-            fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
-            fpp *= np.sign(s)
-            fppp = g * reg ** (a - 2.0)
+            r = reg ** (a - 2.0)
+            if a >= 2.0:
+                fpp = g * (s * r)
+            else:
+                fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
+                fpp *= np.sign(s)
+            fppp = g * r
             fppp *= (a - 1.0) - (a + 2.0) * w
             fppp /= d
-        saturated = np.isinf(w)
-        if saturated.any():
-            fpp, fppp = np.where(saturated, 0.0, (fpp, fppp))
+        if not fp.min() > 0.0:  # saturated points (w = inf) have eps' = 0
+            fpp, fppp = np.where(np.isinf(w), 0.0, (fpp, fppp))
         out = (fp, fpp, fppp)
     return tuple(map(float, out)) if s.ndim == 0 else out
 

@@ -84,10 +84,10 @@ class CellTable:
     x_q       : (n_cells, n_points) physical point coordinates
     weights   : (n_cells, n_points) reference weights
     wj        : (n_cells, n_points) physical weights, weights * jac
-    dshape    : (n_cells, n_points, n_nodes) basis derivatives d/d xi
     ref       : (n_groups * n_points, n_nodes) basis values, a block per degree
     ref_t     : ref transposed (contiguous)
     ref_outer : (n_groups * n_points, n_nodes**2) products N_i N_j
+    dref_outer: (n_groups * n_points, n_nodes**2) products dN_i/d xi dN_j/d xi
     pick      : flat index of (cell, point) in its degree block; None if uniform
     scatter   : flat index into banded storage (see BandedMatrix) of each
                 (cell, i, j) entry of an element matrix
@@ -98,16 +98,16 @@ class CellTable:
     x_q: np.ndarray
     weights: np.ndarray
     wj: np.ndarray
-    dshape: np.ndarray
     ref: np.ndarray
     ref_t: np.ndarray
     ref_outer: np.ndarray
+    dref_outer: np.ndarray
     pick: np.ndarray | None
     scatter: np.ndarray
 
     def at_points(self, *fields: np.ndarray) -> list[np.ndarray]:
         """Each nodal field at the points, shape (n_cells, n_points)."""
-        vals = [f[self.dofs] @ self.ref_t for f in fields]
+        vals = [f[self.dofs].dot(self.ref_t) for f in fields]
         return vals if self.pick is None else [v.ravel()[self.pick] for v in vals]
 
     def integrate(self, h: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -119,7 +119,8 @@ class CellTable:
             rows = (slice(None),) * (hw.ndim - 2)  # leading axes, if any
             full.reshape(hw.shape[:-2] + (-1,))[rows + (self.pick,)] = hw
             hw = full
-        return hw @ ref
+        # ndarray.dot costs less than @ in 2-D but loops per entry in 3-D
+        return hw.dot(ref) if hw.ndim == 2 else hw @ ref
 
 
 class FeSpace:
@@ -184,7 +185,7 @@ class FeSpace:
             ref[:, g, :p + n_extra, :p + 1] = lagrange_basis(_LOCAL_NODES[p],
                                                              rule.points)
         xi, weights = rules[:, group]
-        dshape, ref = ref[1][group], ref[0].reshape(-1, nn)
+        ref, dref = ref.reshape(2, -1, nn)
         dofs = self.dof_table
         xl, xr = self.cell_edges[:-1], self.cell_edges[1:]
         jac = 0.5 * (xr - xl)
@@ -194,14 +195,14 @@ class FeSpace:
             x_q=0.5 * (xl + xr)[:, None] + jac[:, None] * xi,
             weights=weights,
             wj=weights * jac[:, None],
-            dshape=dshape,
             ref=ref,
             ref_t=np.ascontiguousarray(ref.T),
             ref_outer=(ref[:, :, None] * ref[:, None, :]).reshape(len(ref), -1),
+            dref_outer=(dref[:, :, None] * dref[:, None, :]).reshape(len(ref), -1),
             pick=None if len(degrees) == 1 else
             ((np.arange(m) * len(degrees) + group) * nq)[:, None] + np.arange(nq),
-            scatter=((bw + dofs[:, :, None] - dofs[:, None, :]) * self.n_dofs
-                     + dofs[:, None, :]).ravel())
+            scatter=(dofs[:, None, :] * (2 * bw + 1) + bw
+                     + dofs[:, :, None] - dofs[:, None, :]).ravel())
         self._batch_cache[n_extra] = table
         return table
 

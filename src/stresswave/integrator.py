@@ -44,11 +44,12 @@ stage weighting:
 
 with C_nl and K_sig the stage integrals of assembly, that is
 assembly.stage_tangent with c_dot = (1+alpha) gamma dt and c =
-(1+alpha) beta dt^2.  step_system forms the alpha-weighted load and
-the stage at Sdd_{n+1} = 0, interpolated to the quadrature points, once
-per step; each Newton iterate then interpolates only its acceleration
-and evaluates its stage at the points once (fused eps', eps'',
-eps''') for both its residual and its tangent.
+(1+alpha) beta dt^2.  step_system forms the stage at Sdd_{n+1} = 0
+once per step: interpolated to the quadrature points, and its elastic
+term K S* - L with the alpha-weighted load.  Each Newton iterate then
+interpolates only its acceleration, adds c K Sdd_{n+1} to that elastic
+term in one BLAS call, and evaluates its stage at the points once
+(fused eps', eps'', eps''') for both its residual and its tangent.
 """
 from __future__ import annotations
 
@@ -197,23 +198,26 @@ def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
     means no load.
     """
     alpha, w, dt = hht.alpha, 1.0 + hht.alpha, hht.dt
-    c, c_dot = w * hht.beta_nm * dt**2, w * hht.gamma_nm * dt
+    beta, gamma = hht.beta_nm, hht.gamma_nm
+    c, c_dot = w * beta * dt**2, w * gamma * dt
     load = ((0.0 if load_next is None else w * load_next)
             - (0.0 if load_prev is None else alpha * load_prev))
     # Stage S* = base + c Sdd, Sd* = base_dot + c_dot Sdd of the Newmark
-    # update; base goes to the points once per step
+    # update; base goes to the points, and K base - L is formed, once
     S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
-    base = S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd
+    base = S + w * dt * Sd + w * dt**2 * (0.5 - beta) * Sdd
     table = space.batches()
     base_q, base_dot_q = table.at_points(
-        base, Sd + w * dt * (1.0 - hht.gamma_nm) * Sdd)
+        base, Sd + w * dt * (1.0 - gamma) * Sdd)
+    K = assembly.assemble_stiffness(space)
+    rest = K.matvec(base) - load
 
     def residual(sdd):
         sdd_q, = table.at_points(sdd)
         pts = assembly.stage_points(space, base_q + c * sdd_q,
                                     base_dot_q + c_dot * sdd_q, sdd_q, p)
-        return pts, assembly.stage_residual(space, base + c * sdd, pts,
-                                            load, p)
+        return pts, assembly.stage_residual(space, K.matvec(sdd, c, rest),
+                                            pts, p)
 
     def tangent(pts):
         return assembly.stage_tangent(space, pts, c_dot, c, p)
@@ -293,7 +297,8 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     # from zero interior values solves it.
     pts = assembly.stage_points(
         space, *space.batches().at_points(Sigma0, Sigma_dot0, sdd), p)
-    R = assembly.stage_residual(space, Sigma0, pts, load, p)
+    R = assembly.stage_residual(
+        space, assembly.assemble_stiffness(space).matvec(Sigma0) - load, pts, p)
     M = assembly.stage_tangent(space, pts, 0.0, 0.0, p)
     sdd[1:-1] -= M.interior().solve(R[1:-1])
     return sdd

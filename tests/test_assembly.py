@@ -30,7 +30,7 @@ def _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p):
 def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):
     """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
     pts = _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
-    return stage_residual(space, np.zeros_like(Sigma), pts, 0.0, p)
+    return stage_residual(space, np.zeros_like(Sigma), pts, p)
 
 
 def _mass(space, Sigma, p):

@@ -313,3 +313,26 @@ time: {alpha: -0.05, t_final: 0.01}
     assert len(lines) == 5
     dofs = [int(ln.split(",")[1]) for ln in lines[1:]]
     assert dofs == [17, 33, 65, 129]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["fit", "bad.csv"], "'foo,bar'"),
+    (["fit", "good.csv", "--init-b", "-1"], "-1.0"),
+    (["gen-data", "g.csv", "--b", "-1", "--a", "1"], "--b"),
+    (["gen-data", "g.csv", "--b", "nan", "--a", "1"], "nan"),
+    (["gen-data", "g.csv", "--b", "1", "--a", "0"], "--a"),
+    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--n", "2"], "--n"),
+    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--sigma-max", "0"],
+     "--sigma-max"),
+    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--noise", "-1"], "--noise"),
+], ids=["fit-data-line", "fit-init-b", "b-negative", "b-nan", "a-zero",
+        "n-two", "sigma-max-zero", "noise-negative"])
+def test_bad_fit_and_gen_data_input_exit_code(tmp_path, monkeypatch, capsys,
+                                              argv, named):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text("stress,strain\n1,2\nfoo,bar\n")
+    Path("good.csv").write_text("stress,strain\n0,0\n1,0.5\n2,0.7\n3,0.8\n")
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err and "Traceback" not in err
+    assert not Path("g.csv").exists()

@@ -275,3 +275,38 @@ def test_derivatives_saturated_are_zero_without_warning(s, sign, a):
         out = derivatives(np.array([sign * s, -sign * s]), p)
     for d in out:
         np.testing.assert_array_equal(d, 0.0)
+
+
+def _two_power_derivatives(s, p):
+    """The closed form of derivatives for a >= 2 with separate powers
+    |s|^(a-1) (times sign(s)) and |s|^(a-2)."""
+    a, mag = p.a, np.abs(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (p.b * mag) ** a
+        d = 1.0 + w
+        fp = d ** (-(1.0 + 1.0 / a))
+        g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
+        fpp = g * mag ** (a - 1.0) * np.sign(s)
+        fppp = g * mag ** (a - 2.0) * ((a - 1.0) - (a + 2.0) * w) / d
+    saturated = np.isinf(w)
+    return fp, np.where(saturated, 0.0, fpp), np.where(saturated, 0.0, fppp)
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 2.5, 5.0, 10.0])
+@pytest.mark.parametrize("b", [0.7, 5.0])
+def test_one_power_matches_two_power_form(a, b):
+    # one power |s|^(a-2) serves both eps'' and eps''': equal to the
+    # two-power form for a = 2 and 3 (== counts -0 and +0 as equal),
+    # within 4 ulps otherwise
+    p = MaterialParams(rho=1.0, b=b, a=a)
+    ordinary = np.concatenate([np.linspace(-4.0, 4.0, 81),
+                               np.geomspace(1e-30, 1e3, 34)])
+    sigma = np.concatenate([[0.0, -0.0, 1e-300, -1e-300], ordinary, -ordinary,
+                            np.array([1e200, 3e250, 1e300]) / b, [-1e300]])
+    got, ref = derivatives(sigma, p), _two_power_derivatives(sigma, p)
+    for k in range(3):
+        assert np.all(np.isfinite(got[k]))
+        if a in (2.0, 3.0):
+            assert np.all(got[k] == ref[k])
+        else:
+            np.testing.assert_array_max_ulp(got[k], ref[k], maxulp=4)
