@@ -38,7 +38,7 @@ class StressStrainDataset:
         if self.stresses.shape != self.strains.shape or self.stresses.ndim != 1:
             raise ValueError("stresses and strains must be 1D arrays of equal length")
         if len(self.stresses) < 3:
-            raise ValueError("dataset needs at least 3 points")
+            raise ValueError(f"dataset needs at least 3 points, got {len(self.stresses)}")
         if not np.all(np.isfinite(self.stresses)) or not np.all(np.isfinite(self.strains)):
             raise ValueError("dataset contains non-finite values")
         if np.all(self.stresses == self.stresses[0]):
@@ -113,6 +113,10 @@ def generate_synthetic(b: float, a: float, n_points: int = 50,
     `noise` is the additive Gaussian standard deviation relative to the
     largest strain magnitude (e.g. 0.01 for 1% noise).
     """
+    if not 0 < sigma_max < np.inf:
+        raise ValueError(f"sigma_max must be finite and > 0, got {sigma_max}")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     sigmas = np.linspace(0.0, sigma_max, n_points)
     strains = _model_strain(sigmas, b, a)
     if noise > 0.0:

@@ -25,7 +25,7 @@ from .calibration import (fit_material, generate_synthetic, load_dataset,
                           write_fit_csv)
 from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
-from .constitutive import HyperbolicityError
+from .constitutive import HyperbolicityError, MaterialParams
 from .integrator import NewtonDivergedError, run_simulation
 from .postprocess import (reconstruct, sample_solution, snapshot_filename,
                           write_snapshot)
@@ -191,10 +191,11 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     try:
         data = load_dataset(args.dataset)
-        result = fit_material(data, init=(args.init_b, args.init_a),
-                              max_iters=args.max_iters)
+        MaterialParams(rho=1.0, b=args.init_b, a=args.init_a)  # checks the guess
     except ValueError as exc:  # a bad data line or initial guess
         raise ConfigError(str(exc)) from exc
+    result = fit_material(data, init=(args.init_b, args.init_a),
+                          max_iters=args.max_iters)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = write_fit_csv(out / "fit.csv", data.label, result)
@@ -206,16 +207,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    for flag, value, ok, rule in (
-            ("--b", args.b, args.b >= 0, ">= 0"), ("--a", args.a, args.a > 0, "> 0"),
-            ("--n", args.n, args.n >= 3, ">= 3"),
-            ("--sigma-max", args.sigma_max, args.sigma_max > 0, "> 0"),
-            ("--noise", args.noise, args.noise >= 0, ">= 0")):
-        if not (ok and np.isfinite(value)):
-            raise ConfigError(f"{flag} must be finite and {rule}, got {value}")
-    data = generate_synthetic(b=args.b, a=args.a, n_points=args.n,
-                              sigma_max=args.sigma_max, noise=args.noise,
-                              seed=args.seed)
+    try:
+        data = generate_synthetic(b=args.b, a=args.a, n_points=args.n,
+                                  sigma_max=args.sigma_max, noise=args.noise,
+                                  seed=args.seed)
+    except ValueError as exc:  # a parameter out of range
+        raise ConfigError(str(exc)) from exc
     path = Path(args.path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

@@ -50,7 +50,7 @@ class MaterialParams:
     def __post_init__(self):
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.b < 0:
+        if not self.b >= 0:
             raise ValueError(f"b must be non-negative, got {self.b}")
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
@@ -114,7 +114,7 @@ def derivatives(sigma, p: MaterialParams):
             fppp = g * r
             fppp *= (a - 1.0) - (a + 2.0) * w
             fppp /= d
-        if not fp.min() > 0.0:  # saturated points (w = inf) have eps' = 0
+        if not fp.min(initial=np.inf) > 0.0:  # saturated: w = inf, eps' = 0
             fpp, fppp = np.where(np.isinf(w), 0.0, (fpp, fppp))
         out = (fp, fpp, fppp)
     return tuple(map(float, out)) if s.ndim == 0 else out

@@ -198,17 +198,16 @@ def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
     means no load.
     """
     alpha, w, dt = hht.alpha, 1.0 + hht.alpha, hht.dt
-    beta, gamma = hht.beta_nm, hht.gamma_nm
-    c, c_dot = w * beta * dt**2, w * gamma * dt
+    c, c_dot = w * hht.beta_nm * dt**2, w * hht.gamma_nm * dt
     load = ((0.0 if load_next is None else w * load_next)
             - (0.0 if load_prev is None else alpha * load_prev))
     # Stage S* = base + c Sdd, Sd* = base_dot + c_dot Sdd of the Newmark
     # update; base goes to the points, and K base - L is formed, once
     S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
-    base = S + w * dt * Sd + w * dt**2 * (0.5 - beta) * Sdd
+    base = S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd
     table = space.batches()
     base_q, base_dot_q = table.at_points(
-        base, Sd + w * dt * (1.0 - gamma) * Sdd)
+        base, Sd + w * dt * (1.0 - hht.gamma_nm) * Sdd)
     K = assembly.assemble_stiffness(space)
     rest = K.matvec(base) - load
 

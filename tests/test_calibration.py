@@ -15,6 +15,17 @@ def test_dataset_validation():
         StressStrainDataset(stresses=[0.0, 1.0, np.inf], strains=[0.0, 0.1, 0.2])
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(sigma_max=0.0), "sigma_max"), (dict(sigma_max=np.nan), "sigma_max"),
+    (dict(sigma_max=np.inf), "sigma_max"), (dict(noise=-0.01), "noise"),
+    (dict(noise=np.nan), "noise"), (dict(b=-1.0), "b must"),
+    (dict(b=np.nan), "b must"), (dict(a=0.0), "a must"),
+    (dict(n_points=2), "got 2")])
+def test_generate_synthetic_rejects_bad_parameters(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        generate_synthetic(**{"b": 1.0, "a": 1.5, **kwargs})
+
+
 def test_sse_self_consistency():
     data = generate_synthetic(b=2.0, a=1.5, n_points=25)
     assert sse_objective(2.0, 1.5, data) == pytest.approx(0.0, abs=1e-28)

@@ -318,13 +318,13 @@ time: {alpha: -0.05, t_final: 0.01}
 @pytest.mark.parametrize("argv, named", [
     (["fit", "bad.csv"], "'foo,bar'"),
     (["fit", "good.csv", "--init-b", "-1"], "-1.0"),
-    (["gen-data", "g.csv", "--b", "-1", "--a", "1"], "--b"),
+    (["gen-data", "g.csv", "--b", "-1", "--a", "1"], "b must"),
     (["gen-data", "g.csv", "--b", "nan", "--a", "1"], "nan"),
-    (["gen-data", "g.csv", "--b", "1", "--a", "0"], "--a"),
-    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--n", "2"], "--n"),
+    (["gen-data", "g.csv", "--b", "1", "--a", "0"], "a must"),
+    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--n", "2"], "got 2"),
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--sigma-max", "0"],
-     "--sigma-max"),
-    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--noise", "-1"], "--noise"),
+     "sigma_max"),
+    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--noise", "-1"], "noise"),
 ], ids=["fit-data-line", "fit-init-b", "b-negative", "b-nan", "a-zero",
         "n-two", "sigma-max-zero", "noise-negative"])
 def test_bad_fit_and_gen_data_input_exit_code(tmp_path, monkeypatch, capsys,

@@ -23,6 +23,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MaterialParams(rho=1.0, b=-1.0, a=2.0)
     with pytest.raises(ValueError):
+        MaterialParams(rho=1.0, b=np.nan, a=2.0)
+    with pytest.raises(ValueError):
         MaterialParams(rho=1.0, b=1.0, a=0.0)
     with pytest.raises(ValueError):
         MaterialParams(rho=1.0, b=1.0, a=2.0, reg_eta=-1.0)
@@ -310,3 +312,13 @@ def test_one_power_matches_two_power_form(a, b):
             assert np.all(got[k] == ref[k])
         else:
             np.testing.assert_array_max_ulp(got[k], ref[k], maxulp=4)
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0])
+@pytest.mark.parametrize("b", [0.0, 2.0])
+def test_derivatives_of_empty_input_are_empty(a, b):
+    p, none = MaterialParams(rho=1.0, b=b, a=a), np.empty(0)
+    for d in derivatives(none, p):
+        assert d.shape == (0,)
+    assert strain_derivative(none, 2, p).shape == (0,)
+    assert wave_speed(none, p).shape == (0,)
