@@ -6,7 +6,7 @@ from .calibration import (FitResult, StressStrainDataset, fit_material,
 from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .constitutive import (HyperbolicityError, HyperbolicityReport,
                            MaterialParams, derivatives, strain,
-                           strain_derivative, verify_hyperbolicity, wave_speed)
+                           verify_hyperbolicity, wave_speed)
 from .fe_space import FeSpace, QuadratureRule, build_space, gauss_rule
 from .integrator import (BoundaryDrive, HhtParams, NewtonDivergedError,
                          NewtonReport, NewtonSettings, RunReport, SystemState,

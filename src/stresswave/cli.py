@@ -26,7 +26,7 @@ from .calibration import (fit_material, generate_synthetic, load_dataset,
 from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
 from .constitutive import HyperbolicityError, MaterialParams
-from .integrator import NewtonDivergedError, run_simulation
+from .integrator import NewtonDivergedError, run_simulation, snapshot_schedule
 from .postprocess import (reconstruct, sample_solution, snapshot_filename,
                           write_snapshot)
 from .verification import convergence_study
@@ -47,6 +47,13 @@ SWEEP_A_GRID = ((1.0, 1.5), (1.0, 3.0), (1.0, 5.0), (1.0, 10.0))
 
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     """Run one scenario, write snapshots + manifest, return run metrics."""
+    schedule = snapshot_schedule(config.time.dt, config.time.t_final,
+                                 config.output.snapshot_interval)
+    names = {snapshot_filename(t) for _, t in schedule}
+    if len(names) < len(schedule):
+        raise ConfigError(
+            f"output.snapshot_interval: {len(schedule)} snapshots map to "
+            f"{len(names)} file names, which carry t to 6 decimals")
     snapshots, report = run_simulation(config)
     space = report.space
     m = config.output.samples
@@ -55,11 +62,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     c0 = 1.0 / np.sqrt(config.material.rho)
 
     max_c_dev = 0.0
-    names = {snapshot_filename(state.t) for state in snapshots}
-    if len(names) < len(snapshots):
-        raise ConfigError(
-            f"output.snapshot_interval: {len(snapshots)} snapshots map to "
-            f"{len(names)} file names, which carry t to 6 decimals")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "spacetime.csv").unlink(missing_ok=True)
     for state in snapshots:

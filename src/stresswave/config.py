@@ -148,6 +148,8 @@ def _validated(merged: dict) -> ScenarioConfig:
         raise ConfigError(f"time.dt: must be positive, got {t['dt']}")
     if t["t_final"] <= 0:
         raise ConfigError(f"time.t_final: must be positive, got {t['t_final']}")
+    if not t["t_final"] / t["dt"] <= 2.0**53:  # (k + 1) dt hits every step time
+        raise ConfigError(f"time.dt: t_final / dt is {t['t_final'] / t['dt']:g}, over 2**53")
     try:
         HhtParams(alpha=t["alpha"], dt=t["dt"])
     except ValueError as exc:

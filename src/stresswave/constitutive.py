@@ -120,19 +120,12 @@ def derivatives(sigma, p: MaterialParams):
     return tuple(map(float, out)) if s.ndim == 0 else out
 
 
-def strain_derivative(sigma, order: int, p: MaterialParams):
-    """d^order(eps)/d(sigma)^order for order in {1, 2, 3} (see derivatives)."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    return derivatives(sigma, p)[order - 1]
-
-
 def wave_speed(sigma, p: MaterialParams, fp=None):
     """Local wave speed c(sigma) = sqrt(1 / (rho * eps'(sigma))).
 
     `fp` is eps'(sigma) when the caller has it already.
     """
-    fp = np.asarray(strain_derivative(sigma, 1, p) if fp is None else fp,
+    fp = np.asarray(derivatives(sigma, p)[0] if fp is None else fp,
                     dtype=float)
     if np.any(fp <= 0.0):
         idx = int(np.argmin(fp))
@@ -161,7 +154,7 @@ def verify_hyperbolicity(sigma_min: float, sigma_max: float, n_samples: int,
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     grid = np.linspace(sigma_min, sigma_max, n_samples)
-    vals = np.asarray(strain_derivative(grid, 1, p), dtype=float)
+    vals = np.asarray(derivatives(grid, p)[0], dtype=float)
     i = int(np.argmin(vals))
     return HyperbolicityReport(min_derivative=float(vals[i]),
                                worst_sigma=float(grid[i]),

@@ -164,7 +164,8 @@ class FeSpace:
         self._aux_cache: dict = {}
 
     def cell_containing(self, x) -> np.ndarray:
-        """Cell index for each point (boundary points resolve leftward)."""
+        """Cell index for each point: an interior edge x_k lies in cell k,
+        on its right, and x = L (no cell on its right) in the last cell."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = np.searchsorted(self.cell_edges, x, side="right") - 1
         return np.clip(idx, 0, self.n_cells - 1)
@@ -206,27 +207,32 @@ class FeSpace:
         self._batch_cache[n_extra] = table
         return table
 
-    def eval_field(self, values: np.ndarray, x) -> np.ndarray:
-        """Evaluate the FE field with nodal `values` at physical points.
-
-        `values` (k, n_dofs) stacks k fields, evaluated to (k, n_points).
-        """
+    def evaluator(self, x):
+        """f(values): fields with nodal `values` (k, n_dofs) at points x, as
+        (k, n_points).  The cells and basis values of x are found once here;
+        each point sums its cell's p + 1 nodal terms in node order."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        values = np.asarray(values, dtype=float)
         cells = self.cell_containing(x)
         degrees = self.degrees[cells]
-        out = np.empty(values.shape[:-1] + x.shape)
+        groups = []  # per degree: point indices, (p + 1, k) DoFs and basis;
+        # the sum over the node axis then adds whole rows in node order
         for p in set(degrees.tolist()):
-            mask = degrees == p
-            ks = cells[mask]
+            idx = np.flatnonzero(degrees == p)
+            ks = cells[idx]
             xl = self.cell_edges[ks]
             xr = self.cell_edges[ks + 1]
             # exact -1/+1 when x coincides with a cell edge
-            xi = 2.0 * (x[mask] - xl) / (xr - xl) - 1.0
+            xi = 2.0 * (x[idx] - xl) / (xr - xl) - 1.0
             shp, _ = lagrange_basis(_LOCAL_NODES[p], xi)
-            nod = values[..., self.dof_table[ks, :p + 1]]
-            out[..., mask] = np.sum(shp * nod, axis=-1)
-        return out
+            groups.append((idx, self.dof_table[ks, :p + 1].T.copy(), shp.T.copy()))
+
+        def at_points(values: np.ndarray) -> np.ndarray:
+            values = np.asarray(values, dtype=float)
+            out = np.empty(values.shape[:-1] + x.shape)
+            for idx, dofs, shape in groups:
+                out[..., idx] = np.sum(shape * values.take(dofs, axis=-1), axis=-2)
+            return out
+        return at_points
 
 
 def _degrees_center_graded(midpoints: np.ndarray, L: float) -> np.ndarray:

@@ -303,6 +303,22 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     return sdd
 
 
+def snapshot_schedule(dt: float, t_final: float, interval: float) -> list:
+    """(step, t) of each state a run keeps, step k ending at min(k dt,
+    t_final): t=0, the first step within dt/2 of each next multiple of
+    `interval` (none if 0) and the last step, whose number ends the list."""
+    n_steps = round(t_final / dt)
+    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, 1.0):
+        n_steps = math.ceil(t_final / dt)
+    kept, next_snap = [(0, 0.0)], interval
+    for step in range(1, n_steps if interval else 0):
+        t = min(step * dt, t_final)
+        if t >= next_snap - 0.5 * dt:
+            kept.append((step, t))
+            next_snap = (math.floor((t + 0.5 * dt) / interval) + 1.0) * interval
+    return kept + [(n_steps, min(n_steps * dt, t_final))]
+
+
 @dataclass
 class RunReport:
     """Aggregate statistics of one simulation."""
@@ -325,8 +341,8 @@ def run_simulation(config: "ScenarioConfig",
 
     Initial stress / stress-rate profiles are nodal interpolants of the
     given callables (zero by default).  Snapshots are taken at t=0,
-    every output.snapshot_interval and at t_final.  The initial
-    acceleration is solved from the t=0 balance.
+    every output.snapshot_interval and at t_final (snapshot_schedule).
+    The initial acceleration is solved from the t=0 balance.
 
     `forcing(x, t)` gets the (n_cells, n_points) quadrature points and up
     to LOAD_BLOCK step times as t of shape (k, 1, 1); its result must
@@ -346,21 +362,21 @@ def run_simulation(config: "ScenarioConfig",
     if initial_rate is not None:
         Sigma_dot0 = np.asarray(initial_rate(space.dof_coords), dtype=float)
 
-    t_final = config.time.t_final
-    n_steps = int(round(t_final / hht.dt))
-    if abs(n_steps * hht.dt - t_final) > 1e-9 * max(t_final, 1.0):
-        n_steps = int(np.ceil(t_final / hht.dt))
+    t_final, dt = config.time.t_final, hht.dt
+    schedule = snapshot_schedule(dt, t_final, config.output.snapshot_interval)
+    n_steps = schedule[-1][0]
+    keep = {step for step, _ in schedule[1:-1]}
 
-    times = np.minimum(np.arange(n_steps + 1) * hht.dt, t_final)
+    def block(lo):  # the end times of steps lo.. that one load block holds
+        return np.minimum(np.arange(lo, min(lo + LOAD_BLOCK, n_steps + 1)) * dt, t_final)
+
     loads = load_prev = None
     if forcing is not None:
-        loads = assembly.assemble_load_at(space, forcing, times[:LOAD_BLOCK])
+        loads = assembly.assemble_load_at(space, forcing, block(0))
         load_prev = loads[0]
     Sigma_ddot0 = initial_acceleration(
         space, Sigma0, Sigma_dot0, p, drive, 0.0 if load_prev is None else load_prev)
     state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
-    interval = config.output.snapshot_interval
-    next_snap = interval if interval else np.inf
 
     snapshots = [state]
     newton_iters = []
@@ -368,15 +384,14 @@ def run_simulation(config: "ScenarioConfig",
 
     t_start = _time.perf_counter()
     for step in range(n_steps):
-        t_target = float(times[step + 1])
+        t_target = min((step + 1) * dt, t_final)
         step_hht = hht
-        if abs(t_target - (state.t + hht.dt)) > 1e-12 * max(t_final, 1.0):
+        if abs(t_target - (state.t + dt)) > 1e-12 * max(t_final, 1.0):
             step_hht = HhtParams(alpha=hht.alpha, dt=t_target - state.t)
         load_next = None
         if forcing is not None:
             if (step + 1) % LOAD_BLOCK == 0:
-                loads = assembly.assemble_load_at(
-                    space, forcing, times[step + 1:step + 1 + LOAD_BLOCK])
+                loads = assembly.assemble_load_at(space, forcing, block(step + 1))
             load_next = loads[(step + 1) % LOAD_BLOCK]
         state, report = advance_step(state, space, step_hht, p, newton,
                                      drive, load_prev, load_next)
@@ -384,10 +399,8 @@ def run_simulation(config: "ScenarioConfig",
         newton_iters.append(report.iters)
         histories.append(report.history)
         load_prev = load_next
-        if state.t >= next_snap - 0.5 * hht.dt and step < n_steps - 1:
+        if step + 1 in keep:
             snapshots.append(state)
-            next_snap = (np.floor((state.t + 0.5 * hht.dt) / interval) + 1.0) \
-                * interval
     snapshots.append(state)
 
     run_report = RunReport(steps=n_steps,

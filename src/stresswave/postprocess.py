@@ -13,16 +13,19 @@ integration of the strain and strain rate, anchored at u(0) = v(0) = 0:
 Output is CSV with a header row, rows ended by \r\n and every float as
 "%.17g", which reads back to the same float: snapshot_t<t to 6
 decimals>.csv holds x,sigma,u,v,eps,c and spacetime.csv stacks every
-snapshot's rows, each prefixed by t.
+snapshot's rows, each prefixed by t.  What depends only on the sample
+points is done once per run: their cells and basis values are cached per
+space, and the x column is formatted once per x.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .constitutive import MaterialParams, strain, strain_derivative, wave_speed
+from .constitutive import MaterialParams, derivatives, strain, wave_speed
 from .fe_space import FeSpace
 
 
@@ -50,11 +53,15 @@ class SnapshotRecord:
 
 def sample_solution(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
                     M: int) -> Samples:
-    """Evaluate the FE fields at M+1 uniformly spaced points."""
+    """Evaluate the FE fields at M+1 uniformly spaced points (cached per space and M)."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    x = np.linspace(space.x_left, space.x_right, M + 1)
-    sigma, sigma_dot = space.eval_field(np.array([Sigma, Sigma_dot]), x)
+    if ("samples", M) not in space._aux_cache:
+        x = np.linspace(space.x_left, space.x_right, M + 1)
+        x.flags.writeable = False
+        space._aux_cache["samples", M] = x, space.evaluator(x)
+    x, at_x = space._aux_cache["samples", M]
+    sigma, sigma_dot = at_x(np.array([Sigma, Sigma_dot]))
     return Samples(x=x, sigma=sigma, sigma_dot=sigma_dot)
 
 
@@ -64,7 +71,7 @@ def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=0.0):
         raise ValueError("sample spacing must be uniform")
     eps = np.asarray(strain(samples.sigma, p))
-    fp = np.asarray(strain_derivative(samples.sigma, 1, p))
+    fp = np.asarray(derivatives(samples.sigma, p)[0])
     c = np.asarray(wave_speed(samples.sigma, p, fp))
     eps_dot = fp * samples.sigma_dot
 
@@ -81,21 +88,28 @@ def snapshot_filename(t: float) -> str:
     return f"snapshot_t{t:.6f}.csv"
 
 
+@lru_cache(maxsize=1)  # a run writes every snapshot at the same x
+def _row_template(x: bytes) -> str:
+    """Rows with x (float64 bytes) formatted, five %.17g slots each."""
+    xs = np.frombuffer(x).tolist()
+    return ("%.17g,%%.17g,%%.17g,%%.17g,%%.17g,%%.17g\r\n" * len(xs)) % tuple(xs)
+
+
 def write_snapshot(record: SnapshotRecord, t: float, directory) -> Path:
     """Write one snapshot CSV into `directory` and append it to spacetime.csv."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    cols = np.column_stack([record.x, record.sigma, record.u, record.v,
-                            record.eps, record.c])
-    rows = ("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n" * len(cols)) \
+    cols = np.column_stack([record.sigma, record.u, record.v, record.eps,
+                            record.c])
+    rows = _row_template(np.asarray(record.x, dtype=float).tobytes()) \
         % tuple(cols.ravel().tolist())
     path = directory / snapshot_filename(t)
     with open(path, "w", newline="") as fh:
         fh.write("x,sigma,u,v,eps,c\r\n" + rows)
     spacetime = directory / "spacetime.csv"
     header = "" if spacetime.exists() else "t,x,sigma,u,v,eps,c\r\n"
-    prefix = f"{t:.17g},"  # starts every row: one replace over the row ends
-    block = (prefix + rows).replace("\r\n", "\r\n" + prefix)[:-len(prefix)]
+    prefix = f"{t:.17g},"  # starts every row (split + join beats replace)
+    block = prefix + ("\r\n" + prefix).join(rows.split("\r\n")[:-1]) + "\r\n"
     with open(spacetime, "a", newline="") as fh:
         fh.write(header + block)
     return path

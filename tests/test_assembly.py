@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from stresswave.assembly import (BandedMatrix, assemble_load_at,
                                  assemble_stiffness, stage_points,
                                  stage_residual, stage_tangent)
-from stresswave.constitutive import (HyperbolicityError, MaterialParams,
-                                     strain_derivative)
+from stresswave.constitutive import HyperbolicityError, MaterialParams
 from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
 from stresswave.integrator import (HhtParams, SystemState, newmark_update,
                                    step_system)
 from stresswave.verification import mms_fields, mms_forcing
+
+from derivative_helpers import strain_derivative
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)

@@ -107,8 +107,15 @@ def test_snapshot_every_overrides_config(tmp_path):
     assert manifest["config"]["output"]["snapshot_interval"] == 0.05
 
 
-def test_colliding_snapshot_names_exit_code(tmp_path, capsys):
-    # 51 snapshots 1e-7 apart, but file names carry t to 6 decimals
+def test_colliding_snapshot_names_exit_code(tmp_path, monkeypatch, capsys):
+    # 51 snapshots 1e-7 apart, but file names carry t to 6 decimals; the
+    # names are checked before the first step
+    from stresswave import integrator
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a doomed run took a step")
+
+    monkeypatch.setattr(integrator, "advance_step", no_step)
     cfg = _write(tmp_path, "run.yaml", """
 material: {b: 0.0}
 mesh: {n_cells: 8}
@@ -120,6 +127,24 @@ output: {snapshot_interval: 1.0e-7, samples: 16}
                  "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(
         "config error: output.snapshot_interval: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("time", ["{t_final: 1.0e300}",
+                                  "{t_final: 1.0e300, dt: 1.0e-300}"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_step_count_out_of_range_exit_code(tmp_path, monkeypatch, capsys,
+                                           command, time):
+    # t_final / dt above 2**53 (or infinite): the run is never started
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    cfg = _write(tmp_path, "run.yaml", f"material: {{b: 1.0}}\ntime: {time}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: time.dt: ")
     assert not out.exists()
 
 

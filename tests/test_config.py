@@ -78,6 +78,16 @@ def test_invalid_numbers_rejected():
             parse_config({"material": {"b": 0.0}, section: kv})
 
 
+def test_step_count_limit():
+    # (k + 1) dt lands on every step time only up to 2**53 steps
+    parse_config({"material": {"b": 0.0},
+                  "time": {"dt": 1.0, "t_final": 2.0**53}})
+    for t in ({"dt": 1.0, "t_final": 2.0**54},
+              {"dt": 1.0e-300, "t_final": 1.0e300}):
+        with pytest.raises(ConfigError, match=r"^time\.dt: "):
+            parse_config({"material": {"b": 0.0}, "time": t})
+
+
 def test_yaml_exponent_string_is_a_float():
     # YAML 1.1 reads 1e-3 (no dot in the mantissa) as the string "1e-3"
     cfg = parse_config("material: {b: 1e0}\ntime: {dt: 1e-3, t_final: 2E-1}\n")

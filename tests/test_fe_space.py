@@ -198,8 +198,20 @@ def test_global_polynomial_reproduction():
         coeffs = rng.uniform(-1, 1, size=deg + 1)
         poly = np.polynomial.Polynomial(coeffs)
         nodal = poly(space.dof_coords)
-        np.testing.assert_allclose(space.eval_field(nodal, pts), poly(pts),
+        np.testing.assert_allclose(space.evaluator(pts)(nodal), poly(pts),
                                    atol=1e-13)
+
+
+@pytest.mark.parametrize("policy", ["uniform(1)", "center_graded"])
+def test_cell_containing_edges(policy):
+    # x = 0 is in the first cell, an interior edge x_k in cell k (on its
+    # right) and x = L, which has no cell on its right, in the last cell
+    space = build_space(2.0, 8, policy)
+    edges = space.cell_edges
+    np.testing.assert_array_equal(space.cell_containing(edges),
+                                  [0, 1, 2, 3, 4, 5, 6, 7, 7])
+    inside = 0.5 * (edges[:-1] + edges[1:])
+    np.testing.assert_array_equal(space.cell_containing(inside), np.arange(8))
 
 
 def test_fe_space_direct_construction_validates():

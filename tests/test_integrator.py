@@ -380,6 +380,42 @@ def test_run_simulation_snapshot_schedule():
     assert report.space.n_dofs == len(snaps[0].Sigma) == 9
 
 
+def _step_loop_schedule(dt, t_final, interval):
+    """(step, t) of the kept states, decided step by step as the solver
+    loop decided them before the schedule was a function of its own."""
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, 1.0):
+        n_steps = int(np.ceil(t_final / dt))
+    times = np.minimum(np.arange(n_steps + 1) * dt, t_final)
+    kept, next_snap = [(0, 0.0)], interval if interval else np.inf
+    for step in range(n_steps):
+        t = float(times[step + 1])
+        if t >= next_snap - 0.5 * dt and step < n_steps - 1:
+            kept.append((step + 1, t))
+            next_snap = (np.floor((t + 0.5 * dt) / interval) + 1.0) * interval
+    return kept + [(n_steps, float(times[-1]))]
+
+
+@pytest.mark.parametrize("dt, t_final, interval", [
+    (1e-2, 0.5, 0.1), (1e-3, 1.0, 0.01), (3e-3, 0.01, 0.0),
+    (3e-3, 0.01, 4e-3), (1e-7, 5e-6, 1e-7), (0.3, 1.0, 0.25),
+    (1e-3, 0.0405, 0.007), (2e-3, 0.1, 0.05), (1e-5, 0.02, 0.0),
+])
+def test_snapshot_schedule_matches_step_loop(dt, t_final, interval):
+    assert integrator.snapshot_schedule(dt, t_final, interval) == \
+        _step_loop_schedule(dt, t_final, interval)
+
+
+def test_run_simulation_keeps_scheduled_states():
+    cfg = parse_config({"material": {"b": 0.0}, "mesh": {"n_cells": 4},
+                        "time": {"dt": 3e-3, "t_final": 0.0405},
+                        "output": {"snapshot_interval": 0.007}})
+    snaps, report = run_simulation(cfg)
+    schedule = integrator.snapshot_schedule(3e-3, 0.0405, 0.007)
+    assert [s.t for s in snaps] == [t for _, t in schedule]
+    assert report.steps == schedule[-1][0] == 14
+
+
 def test_run_simulation_short_final_step():
     # t_final not an integer multiple of dt: last step is shortened
     cfg = parse_config({"material": {"b": 0.0},

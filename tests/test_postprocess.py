@@ -1,11 +1,15 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from stresswave.cli import main
+from stresswave.config import parse_config
 from stresswave.constitutive import MaterialParams, strain, wave_speed
 from stresswave.fe_space import _LOCAL_NODES, build_space, lagrange_basis
+from stresswave.integrator import run_simulation
 from stresswave.postprocess import (Samples, SnapshotRecord, reconstruct,
                                     sample_solution, snapshot_filename,
                                     write_snapshot)
@@ -44,6 +48,20 @@ def test_sample_at_cell_boundary_is_nodal_value():
     np.testing.assert_array_equal(s.sigma, nodal)
 
 
+def _per_point(space, fields, x):
+    """The fields at x, one point at a time from its cell's nodes."""
+    ref = np.empty((len(fields), len(x)))
+    for i, xp in enumerate(x):
+        k = int(space.cell_containing(xp)[0])
+        xl, xr = space.cell_edges[k], space.cell_edges[k + 1]
+        p = int(space.degrees[k])
+        vals, _ = lagrange_basis(_LOCAL_NODES[p],
+                                 [2.0 * (xp - xl) / (xr - xl) - 1.0])
+        for j, field in enumerate(fields):
+            ref[j, i] = np.sum(vals[0] * field[space.dof_table[k, :p + 1]])
+    return ref
+
+
 @pytest.mark.parametrize("policy", ["center_graded", "uniform(2)", "uniform(3)"])
 def test_sample_matches_per_point_loop(policy):
     # 60 samples on 10 cells: every 6th point is a cell edge, both ends included
@@ -51,17 +69,27 @@ def test_sample_matches_per_point_loop(policy):
     rng = np.random.default_rng(5)
     fields = rng.normal(size=(2, space.n_dofs))
     s = sample_solution(space, fields[0], fields[1], 60)
-    ref = np.empty((2, len(s.x)))
-    for i, xp in enumerate(s.x):
-        k = int(space.cell_containing(xp)[0])
-        xl, xr = space.cell_edges[k], space.cell_edges[k + 1]
-        p = int(space.degrees[k])
-        vals, _ = lagrange_basis(_LOCAL_NODES[p],
-                                 [2.0 * (xp - xl) / (xr - xl) - 1.0])
-        for j in range(2):
-            ref[j, i] = np.sum(vals[0] * fields[j][space.dof_table[k, :p + 1]])
+    ref = _per_point(space, fields, s.x)
     np.testing.assert_array_equal(s.sigma, ref[0])
     np.testing.assert_array_equal(s.sigma_dot, ref[1])
+
+
+def test_sample_cache_keyed_by_space_and_count():
+    # the points and their table are cached per space and M: a second M,
+    # a return to the first and a second space each get their own
+    rng = np.random.default_rng(8)
+    spaces = [build_space(2.0, 10, "center_graded"),
+              build_space(1.0, 7, "uniform(3)")]
+    for space, M in [(spaces[0], 60), (spaces[0], 17), (spaces[0], 60),
+                     (spaces[1], 60), (spaces[1], 17), (spaces[0], 17)]:
+        fields = rng.normal(size=(2, space.n_dofs))
+        s = sample_solution(space, fields[0], fields[1], M)
+        x = np.linspace(space.x_left, space.x_right, M + 1)
+        np.testing.assert_array_equal(s.x, x)
+        ref = _per_point(space, fields, x)
+        np.testing.assert_array_equal(s.sigma, ref[0])
+        np.testing.assert_array_equal(s.sigma_dot, ref[1])
+    assert not s.x.flags.writeable  # shared by every call with this M
 
 
 def test_sample_rejects_bad_m():
@@ -176,6 +204,55 @@ def _csv_reference(record, t, directory):
             writer.writerow(["t", "x", "sigma", "u", "v", "eps", "c"])
         for row in rows:
             writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+
+
+def test_write_snapshot_new_x_gets_new_text(tmp_path):
+    # the x column is formatted once per x: a changed x (even one that
+    # differs only in the sign of a zero) is formatted afresh
+    rng = np.random.default_rng(4)
+    xs = [np.linspace(0.0, 1.0, 9), np.linspace(-0.0, 2.0, 9),
+          np.linspace(0.0, 1.0, 12), np.linspace(0.0, 1.0, 9)]
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    ref.mkdir()
+    for i, x in enumerate(xs):
+        f = rng.normal(size=(5, len(x)))
+        rec = SnapshotRecord(x=x, sigma=f[0], sigma_dot=f[0], u=f[1], v=f[2],
+                             eps=f[3], c=f[4])
+        write_snapshot(rec, 0.5 * i, new)
+        _csv_reference(rec, 0.5 * i, ref)
+    for path in ref.iterdir():
+        assert (new / path.name).read_bytes() == path.read_bytes()
+
+
+def test_simulate_outputs_match_uncached_reference(tmp_path):
+    # every file of a run equals one written without the cached point
+    # table and row text: a per-point sampling loop, reconstruct and the
+    # csv.writer reference
+    mapping = {"material": {"b": 5.0, "a": 1.5},
+               "drive": {"A": 0.3, "omega": 40.0},
+               "mesh": {"n_cells": 16, "degree_policy": "center_graded"},
+               "time": {"dt": 1.0e-3, "t_final": 0.05},
+               "output": {"snapshot_interval": 0.01, "samples": 100}}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(mapping))
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    config = parse_config(mapping)
+    snapshots, report = run_simulation(config)
+    ref.mkdir()
+    x = np.linspace(0.0, config.mesh.L, config.output.samples + 1)
+    for state in snapshots:
+        sigma, sigma_dot = _per_point(report.space,
+                                      [state.Sigma, state.Sigma_dot], x)
+        rec = reconstruct(Samples(x=x, sigma=sigma, sigma_dot=sigma_dot),
+                          config.material)
+        _csv_reference(rec, state.t, ref)
+    names = sorted(p.name for p in ref.iterdir())
+    assert len(names) == 7  # six snapshots and spacetime.csv
+    assert names == sorted(p.name for p in out.glob("*.csv"))
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 def test_write_snapshot_matches_csv_writer_bytes(tmp_path):
