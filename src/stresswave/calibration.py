@@ -129,21 +129,29 @@ def generate_synthetic(b: float, a: float, n_points: int = 50,
 
 
 def load_dataset(path, label: str | None = None) -> StressStrainDataset:
-    """Read two-column (stress, strain) delimited text; header optional."""
+    """Read two-column (stress, strain) delimited text.
+
+    The first line may be a header if its first token is not a number;
+    any other line that does not hold two numbers is an error.
+    """
     path = Path(path)
-    rows = []
+    rows, first = [], True
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
+            header_allowed, first = first, False
             try:
                 rows.append((float(parts[0]), float(parts[1])))
             except (ValueError, IndexError):
-                if rows:
-                    raise ValueError(f"unparseable data line in {path}: {line!r}")
-                # header line, skip
+                try:
+                    float(parts[0])  # a number: a data line short of a column
+                except ValueError:
+                    if header_allowed:
+                        continue
+                raise ValueError(f"unparseable data line in {path}: {line!r}") from None
     if not rows:
         raise ValueError(f"no data rows found in {path}")
     arr = np.array(rows)

@@ -49,11 +49,15 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     """Run one scenario, write snapshots + manifest, return run metrics."""
     schedule = snapshot_schedule(config.time.dt, config.time.t_final,
                                  config.output.snapshot_interval)
-    names = {snapshot_filename(t) for _, t in schedule}
-    if len(names) < len(schedule):
+    names = [snapshot_filename(t) for _, t in schedule]
+    if len(set(names)) < len(names):
+        final = ""
+        if names.count(names[-1]) > 1:
+            final = (f"; time.t_final {schedule[-1][1]:g} shares the name "
+                     f"{names[-1]} with an earlier snapshot")
         raise ConfigError(
-            f"output.snapshot_interval: {len(schedule)} snapshots map to "
-            f"{len(names)} file names, which carry t to 6 decimals")
+            f"output.snapshot_interval: {len(names)} snapshots map to "
+            f"{len(set(names))} file names, which carry t to 6 decimals{final}")
     snapshots, report = run_simulation(config)
     space = report.space
     m = config.output.samples
@@ -74,9 +78,9 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     metrics = {
         "b": config.material.b,
         "a": config.material.a,
-        "steps": report.steps,
-        "total_newton_iters": report.total_newton_iters,
-        "max_newton_iters": report.max_newton_iters,
+        "steps": len(report.newton_iters),
+        "total_newton_iters": sum(report.newton_iters),
+        "max_newton_iters": max(report.newton_iters),
         "max_abs_c_minus_1": max_c_dev,
         "final_max_stress_gradient": float(np.max(np.abs(grad))),
         "wall_time": report.wall_time,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -36,51 +36,48 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MeshConfig:
-    L: float = 1.0
-    n_cells: int = 128
-    degree_policy: str = "uniform(1)"
+    L: float
+    n_cells: int
+    degree_policy: str
 
 
 @dataclass(frozen=True)
 class TimeConfig:
-    dt: float = 1.0e-3
-    t_final: float = 1.0
-    alpha: float = -0.05
+    dt: float
+    t_final: float
+    alpha: float
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    snapshot_interval: float = 0.05
-    samples: int = 256
-    directory: str = "out"
+    snapshot_interval: float
+    samples: int
+    directory: str
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     material: MaterialParams
-    mesh: MeshConfig = field(default_factory=MeshConfig)
-    time: TimeConfig = field(default_factory=TimeConfig)
-    drive: BoundaryDrive = field(default_factory=BoundaryDrive)
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    mesh: MeshConfig
+    time: TimeConfig
+    drive: BoundaryDrive
+    newton: NewtonSettings
+    output: OutputConfig
 
 
-_SCHEMA = {
-    "material": {"rho": float, "b": float, "a": float, "reg_eta": float},
-    "mesh": {"L": float, "n_cells": int, "degree_policy": str},
-    "time": {"dt": float, "t_final": float, "alpha": float},
-    "drive": {"A": float, "omega": float},
-    "newton": {"tol": float, "k_max": int},
-    "output": {"snapshot_interval": float, "samples": int, "directory": str},
-}
-
-_DEFAULTS = {
-    "material": {"rho": 1.0, "a": 1.5, "reg_eta": 1.0e-8},
-    "mesh": {"L": 1.0, "n_cells": 128, "degree_policy": "uniform(1)"},
-    "time": {"dt": 1.0e-3, "t_final": 1.0, "alpha": -0.05},
-    "drive": {"A": 0.02, "omega": 2.0 * math.pi},
-    "newton": {"tol": 1.0e-10, "k_max": 20},
-    "output": {"snapshot_interval": 0.05, "samples": 256, "directory": "out"},
+# section -> key -> (type, default), the one place a default is written;
+# material.b has none and must be given
+_KEYS = {
+    "material": {"rho": (float, 1.0), "b": (float, None),
+                 "a": (float, 1.5), "reg_eta": (float, MaterialParams.reg_eta)},
+    "mesh": {"L": (float, 1.0), "n_cells": (int, 128),
+             "degree_policy": (str, "uniform(1)")},
+    "time": {"dt": (float, 1.0e-3), "t_final": (float, 1.0),
+             "alpha": (float, -0.05)},
+    "drive": {"A": (float, 0.02), "omega": (float, 2.0 * math.pi)},
+    "newton": {"tol": (float, 1.0e-10), "k_max": (int, 20)},
+    "output": {"snapshot_interval": (float, 0.05), "samples": (int, 256),
+               "directory": (str, "out")},
 }
 
 
@@ -104,11 +101,11 @@ def _coerce(section: str, key: str, value: Any, typ):
 
 
 def _merged_sections(mapping: Mapping) -> dict:
-    unknown = set(mapping) - set(_SCHEMA)
+    unknown = set(mapping) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
     merged: dict = {}
-    for section, keys in _SCHEMA.items():
+    for section, keys in _KEYS.items():
         given = mapping.get(section, {})
         if given is None:
             given = {}
@@ -117,11 +114,11 @@ def _merged_sections(mapping: Mapping) -> dict:
         bad = set(given) - set(keys)
         if bad:
             raise ConfigError(f"unknown key(s) in section {section!r}: {sorted(bad)}")
-        values = dict(_DEFAULTS[section])
+        values = {key: default for key, (_, default) in keys.items()}
         for key, value in given.items():
-            values[key] = _coerce(section, key, value, keys[key])
+            values[key] = _coerce(section, key, value, keys[key][0])
         merged[section] = values
-    if "b" not in merged["material"]:
+    if merged["material"]["b"] is None:
         raise ConfigError("material.b is required")
     return merged
 

@@ -136,26 +136,3 @@ def wave_speed(sigma, p: MaterialParams, fp=None):
             sigma=bad)
     return _as_result(sigma, 1.0 / np.sqrt(p.rho * fp))
 
-
-@dataclass(frozen=True)
-class HyperbolicityReport:
-    """Grid check of eps' > 0 over a stress interval."""
-
-    min_derivative: float
-    worst_sigma: float
-    passed: bool
-
-
-def verify_hyperbolicity(sigma_min: float, sigma_max: float, n_samples: int,
-                         p: MaterialParams) -> HyperbolicityReport:
-    """Sample the tangent compliance on a uniform grid and report its minimum."""
-    if not sigma_min < sigma_max:
-        raise ValueError("sigma_min must be < sigma_max")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    grid = np.linspace(sigma_min, sigma_max, n_samples)
-    vals = np.asarray(derivatives(grid, p)[0], dtype=float)
-    i = int(np.argmin(vals))
-    return HyperbolicityReport(min_derivative=float(vals[i]),
-                               worst_sigma=float(grid[i]),
-                               passed=bool(vals[i] > 0.0))

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -69,6 +69,8 @@ if TYPE_CHECKING:
 
 # Step times per forcing call; a block is assembled when the loop reaches it.
 LOAD_BLOCK = 32
+# Absolute Newton threshold, for steps whose first residual vanishes.
+NEWTON_ABS_FLOOR = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -107,23 +109,18 @@ class SystemState:
         if len(self.Sigma_dot) != n or len(self.Sigma_ddot) != n:
             raise ValueError("state vectors must share one length")
 
-    @classmethod
-    def zeros(cls, n_dofs: int, t: float = 0.0) -> "SystemState":
-        return cls(t, np.zeros(n_dofs), np.zeros(n_dofs), np.zeros(n_dofs))
-
 
 @dataclass(frozen=True)
 class NewtonSettings:
     """Convergence control for the per-step Newton iteration.
 
     The residual norm (Euclidean, unconstrained DoFs) must drop below
-    tol relative to the first iterate of the step, with abs_floor as an
-    absolute escape for vanishing first residuals.
+    tol relative to the first iterate of the step, with NEWTON_ABS_FLOOR
+    as an absolute escape for vanishing first residuals.
     """
 
-    tol: float = 1.0e-10
-    k_max: int = 20
-    abs_floor: float = 1.0e-12
+    tol: float
+    k_max: int
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -136,8 +133,8 @@ class NewtonSettings:
 class BoundaryDrive:
     """Oscillatory stress Dirichlet data: 0 at x=0, A sin(omega t) at x=L."""
 
-    amplitude: float = 0.02
-    omega: float = 2.0 * np.pi
+    amplitude: float
+    omega: float
 
     def value(self, t: float) -> float:
         return self.amplitude * np.sin(self.omega * t)
@@ -150,8 +147,7 @@ class BoundaryDrive:
 @dataclass
 class NewtonReport:
     iters: int
-    residual_norm: float
-    history: list = field(default_factory=list)
+    history: list
 
 
 class NewtonDivergedError(RuntimeError):
@@ -244,7 +240,7 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                                     load_next)
     pts, R = residual(sdd)
     ref_norm = math.sqrt(R[1:-1] @ R[1:-1])
-    threshold = max(newton.tol * ref_norm, newton.abs_floor)
+    threshold = max(newton.tol * ref_norm, NEWTON_ABS_FLOOR)
     history = [ref_norm]
     iters = 0
     while True:
@@ -272,8 +268,7 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
         pts, R = residual(sdd)
         history.append(math.sqrt(R[1:-1] @ R[1:-1]))
 
-    report = NewtonReport(iters=iters, residual_norm=history[-1],
-                          history=history)
+    report = NewtonReport(iters=iters, history=history)
     Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
     return SystemState(t_next, Sigma, Sigma_dot, sdd), report
 
@@ -306,8 +301,9 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
 def snapshot_schedule(dt: float, t_final: float, interval: float) -> list:
     """(step, t) of each state a run keeps, step k ending at min(k dt,
     t_final): t=0, the first step within dt/2 of each next multiple of
-    `interval` (none if 0) and the last step, whose number ends the list."""
-    n_steps = round(t_final / dt)
+    `interval` (none if 0) and the last step, whose number ends the list.
+    A run takes at least one step, so a t_final below dt/2 is reached."""
+    n_steps = max(round(t_final / dt), 1)
     if abs(n_steps * dt - t_final) > 1e-9 * max(t_final, 1.0):
         n_steps = math.ceil(t_final / dt)
     kept, next_snap = [(0, 0.0)], interval
@@ -321,11 +317,8 @@ def snapshot_schedule(dt: float, t_final: float, interval: float) -> list:
 
 @dataclass
 class RunReport:
-    """Aggregate statistics of one simulation."""
+    """Aggregate statistics of one simulation: one Newton count per step."""
 
-    steps: int
-    total_newton_iters: int
-    max_newton_iters: int
     newton_iters: list
     wall_time: float
     space: FeSpace
@@ -403,10 +396,7 @@ def run_simulation(config: "ScenarioConfig",
             snapshots.append(state)
     snapshots.append(state)
 
-    run_report = RunReport(steps=n_steps,
-                           total_newton_iters=int(np.sum(newton_iters)),
-                           max_newton_iters=int(np.max(newton_iters)) if newton_iters else 0,
-                           newton_iters=newton_iters,
+    run_report = RunReport(newton_iters=newton_iters,
                            wall_time=_time.perf_counter() - t_start,
                            space=space,
                            residual_histories=histories)

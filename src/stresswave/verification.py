@@ -102,9 +102,9 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def observed_rate(e_coarse: float, e_fine: float, ratio: float = 2.0) -> float:
-    """log(e_coarse / e_fine) / log(ratio) for one refinement pair."""
-    return float(np.log(e_coarse / e_fine) / np.log(ratio))
+def observed_rate(e_coarse: float, e_fine: float) -> float:
+    """log2(e_coarse / e_fine) for one halving of h or dt."""
+    return float(np.log(e_coarse / e_fine) / np.log(2.0))
 
 
 def _mms_run_error(config) -> tuple[float, int]:
@@ -143,33 +143,20 @@ def convergence_study(kind: str, base_config,
     if kind not in ("spatial", "temporal"):
         raise ValueError(f"kind must be 'spatial' or 'temporal', got {kind!r}")
 
-    rows = []
-    prev_err = None
     if kind == "spatial":
-        cells = SPATIAL_CELLS if cells is None else cells
-        for n in cells:
-            cfg = dataclasses.replace(
-                base_config,
-                mesh=dataclasses.replace(base_config.mesh, n_cells=n,
-                                         degree_policy="uniform(1)"),
-                time=dataclasses.replace(base_config.time, dt=SPATIAL_DT),
-            )
-            err, ndofs = _mms_run_error(cfg)
-            rate = None if prev_err is None else observed_rate(prev_err, err)
-            rows.append(ConvergenceRow(f"{n} cells", ndofs, err, rate))
-            prev_err = err
+        ladder = [(f"{n} cells", n, "uniform(1)", SPATIAL_DT)
+                  for n in (SPATIAL_CELLS if cells is None else cells)]
     else:
-        dts = TEMPORAL_DTS if dts is None else dts
-        for dt in dts:
-            cfg = dataclasses.replace(
-                base_config,
-                mesh=dataclasses.replace(base_config.mesh,
-                                         n_cells=TEMPORAL_MESH_CELLS,
-                                         degree_policy="uniform(3)"),
-                time=dataclasses.replace(base_config.time, dt=dt),
-            )
-            err, _ = _mms_run_error(cfg)
-            rate = None if prev_err is None else observed_rate(prev_err, err)
-            rows.append(ConvergenceRow(f"dt={dt:g}", None, err, rate))
-            prev_err = err
+        ladder = [(f"dt={dt:g}", TEMPORAL_MESH_CELLS, "uniform(3)", dt)
+                  for dt in (TEMPORAL_DTS if dts is None else dts)]
+    rows = []
+    for label, n, policy, dt in ladder:
+        err, ndofs = _mms_run_error(dataclasses.replace(
+            base_config,
+            mesh=dataclasses.replace(base_config.mesh, n_cells=n,
+                                     degree_policy=policy),
+            time=dataclasses.replace(base_config.time, dt=dt)))
+        rate = observed_rate(rows[-1].l2_error, err) if rows else None
+        rows.append(ConvergenceRow(label, ndofs if kind == "spatial" else None,
+                                   err, rate))
     return ConvergenceTable(kind=kind, rows=tuple(rows))

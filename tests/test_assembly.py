@@ -13,6 +13,7 @@ from stresswave.integrator import (HhtParams, SystemState, newmark_update,
 from stresswave.verification import mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
+from state_helpers import zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)
@@ -196,7 +197,7 @@ def test_residual_zero_states():
     space = build_space(1.0, 4, "uniform(1)")
     n = space.n_dofs
     hht = HhtParams(alpha=-0.05, dt=1e-2)
-    residual, _ = step_system(SystemState.zeros(n), space, hht, P12)
+    residual, _ = step_system(zero_state(n), space, hht, P12)
     _, R = residual(np.zeros(n))
     np.testing.assert_array_equal(R, np.zeros(n))
 

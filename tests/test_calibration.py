@@ -112,6 +112,22 @@ def test_dataset_whitespace_and_comments(tmp_path):
     assert len(data.stresses) == 3 and data.label == "x"
 
 
+@pytest.mark.parametrize("text, rows", [
+    ("1.0\n2.0 0.5\n3.0 0.7\n4.0 0.8\n", None),
+    ("2.0 0.5\n1.0\n3.0 0.7\n4.0 0.8\n", None),
+    ("stress,strain\nsigma,eps\n2.0,0.5\n3.0,0.7\n4.0,0.8\n", None),
+    ("# units: MPa\n\nstress\n2.0 0.5\n3.0 0.7\n4.0 0.8\n", 3),
+])
+def test_dataset_header_only_on_a_non_numeric_first_line(tmp_path, text, rows):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    if rows is None:
+        with pytest.raises(ValueError, match="unparseable data line"):
+            load_dataset(path)
+    else:
+        assert len(load_dataset(path).stresses) == rows
+
+
 def test_fit_csv_row(tmp_path):
     data = generate_synthetic(b=1.0, a=1.5, n_points=20)
     result = fit_material(data, init=(1.0, 1.0))

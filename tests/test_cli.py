@@ -130,6 +130,23 @@ output: {snapshot_interval: 1.0e-7, samples: 16}
     assert not out.exists()
 
 
+def test_final_time_sharing_a_file_name_is_named(tmp_path, capsys):
+    # a run shorter than half a step still takes its one step, to t_final,
+    # whose file name is that of t=0
+    cfg = _write(tmp_path, "run.yaml", """
+material: {b: 0.0}
+mesh: {n_cells: 8}
+time: {dt: 1.0e-3, t_final: 1.0e-10}
+""")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output.snapshot_interval: 2 snapshots")
+    assert "time.t_final 1e-10 shares the name snapshot_t0.000000.csv" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("time", ["{t_final: 1.0e300}",
                                   "{t_final: 1.0e300, dt: 1.0e-300}"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -342,6 +359,7 @@ time: {alpha: -0.05, t_final: 0.01}
 
 @pytest.mark.parametrize("argv, named", [
     (["fit", "bad.csv"], "'foo,bar'"),
+    (["fit", "one.csv"], "'1.0'"),
     (["fit", "good.csv", "--init-b", "-1"], "-1.0"),
     (["gen-data", "g.csv", "--b", "-1", "--a", "1"], "b must"),
     (["gen-data", "g.csv", "--b", "nan", "--a", "1"], "nan"),
@@ -350,12 +368,13 @@ time: {alpha: -0.05, t_final: 0.01}
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--sigma-max", "0"],
      "sigma_max"),
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--noise", "-1"], "noise"),
-], ids=["fit-data-line", "fit-init-b", "b-negative", "b-nan", "a-zero",
+], ids=["fit-data-line", "fit-one-column-first-line", "fit-init-b", "b-negative", "b-nan", "a-zero",
         "n-two", "sigma-max-zero", "noise-negative"])
 def test_bad_fit_and_gen_data_input_exit_code(tmp_path, monkeypatch, capsys,
                                               argv, named):
     monkeypatch.chdir(tmp_path)
     Path("bad.csv").write_text("stress,strain\n1,2\nfoo,bar\n")
+    Path("one.csv").write_text("1.0\n2.0 0.5\n3.0 0.7\n4.0 0.8\n")
     Path("good.csv").write_text("stress,strain\n0,0\n1,0.5\n2,0.7\n3,0.8\n")
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err

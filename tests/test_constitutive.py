@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stresswave.constitutive import (HyperbolicityError, MaterialParams,
-                                     derivatives, strain,
-                                     verify_hyperbolicity, wave_speed)
+                                     derivatives, strain, wave_speed)
 
 from derivative_helpers import strain_derivative
 
@@ -172,35 +171,6 @@ def test_wave_speed_hyperbolicity_failure():
     p = MaterialParams(rho=1.0, b=1e200, a=2.0)
     with pytest.raises(HyperbolicityError):
         wave_speed(1e200, p)
-
-
-def test_verify_hyperbolicity_pass_and_location():
-    rep = verify_hyperbolicity(-10.0, 10.0, 1001, P12)
-    assert rep.passed
-    assert abs(rep.worst_sigma) == pytest.approx(10.0)
-    assert rep.min_derivative == pytest.approx(strain_derivative(10.0, 1, P12))
-
-
-def test_verify_hyperbolicity_linear():
-    p = MaterialParams(rho=1.0, b=0.0, a=1.5)
-    rep = verify_hyperbolicity(-100.0, 100.0, 11, p)
-    assert rep.passed and rep.min_derivative == 1.0
-
-
-def test_verify_hyperbolicity_injected_failure():
-    # saturating law: (b sigma)^a overflows and eps' underflows to 0
-    p = MaterialParams(rho=1.0, b=1e200, a=2.0)
-    rep = verify_hyperbolicity(0.0, 1e200, 101, p)
-    assert not rep.passed
-    assert rep.min_derivative == 0.0
-    assert rep.worst_sigma > 0.0
-
-
-def test_verify_hyperbolicity_preconditions():
-    with pytest.raises(ValueError):
-        verify_hyperbolicity(1.0, 1.0, 10, P12)
-    with pytest.raises(ValueError):
-        verify_hyperbolicity(0.0, 1.0, 1, P12)
 
 
 # b|sigma| <= 1e3 keeps the gap to the limiting strain 1/b far above

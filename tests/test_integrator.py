@@ -14,7 +14,10 @@ from stresswave.integrator import (BoundaryDrive, HhtParams,
                                    newmark_update, run_simulation, step_system)
 from stresswave.verification import mms_fields, mms_forcing
 
+from state_helpers import zero_state
+
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
+NEWTON = NewtonSettings(tol=1.0e-10, k_max=20)
 
 
 def _inline_stage(space, state_n, sdd, hht, p, load_prev, load_next):
@@ -78,14 +81,14 @@ def test_hht_params_validation():
 
 def test_newton_settings_validation():
     with pytest.raises(ValueError):
-        NewtonSettings(tol=0.0)
+        NewtonSettings(tol=0.0, k_max=20)
     with pytest.raises(ValueError):
-        NewtonSettings(k_max=0)
+        NewtonSettings(tol=1.0e-10, k_max=0)
 
 
 def test_newmark_zero():
     hht = HhtParams(alpha=-0.1, dt=0.2)
-    state = SystemState.zeros(4)
+    state = zero_state(4)
     s, sd = newmark_update(state, np.zeros(4), hht)
     np.testing.assert_array_equal(s, 0.0)
     np.testing.assert_array_equal(sd, 0.0)
@@ -117,7 +120,7 @@ def test_newmark_scalar_spot_value():
 
 def test_boundary_acceleration_zero_cases():
     hht = HhtParams(alpha=-0.05, dt=0.01)
-    state = SystemState.zeros(5)
+    state = zero_state(5)
     assert boundary_acceleration(0.0, 0, state, hht) == 0.0
     # bc equal to the free Newmark prediction needs no correction
     rng = np.random.default_rng(1)
@@ -144,8 +147,8 @@ def test_boundary_acceleration_roundtrip():
 def test_advance_step_zero_data_one_iteration():
     space = build_space(1.0, 8, "uniform(1)")
     hht = HhtParams(alpha=-0.05, dt=1e-3)
-    state, report = advance_step(SystemState.zeros(space.n_dofs), space, hht,
-                                 P12, NewtonSettings())
+    state, report = advance_step(zero_state(space.n_dofs), space, hht,
+                                 P12, NEWTON)
     assert report.iters == 1
     np.testing.assert_array_equal(state.Sigma, 0.0)
     np.testing.assert_array_equal(state.Sigma_dot, 0.0)
@@ -157,8 +160,8 @@ def test_advance_step_nan_load_diverges_at_once():
     space = build_space(1.0, 8, "uniform(1)")
     nan = np.full(space.n_dofs, np.nan)
     with pytest.raises(NewtonDivergedError) as err:
-        advance_step(SystemState.zeros(space.n_dofs), space,
-                     HhtParams(alpha=-0.05, dt=1e-3), P12, NewtonSettings(),
+        advance_step(zero_state(space.n_dofs), space,
+                     HhtParams(alpha=-0.05, dt=1e-3), P12, NEWTON,
                      load_prev=np.zeros(space.n_dofs), load_next=nan)
     assert err.value.iters == 0
     assert err.value.t == pytest.approx(1e-3)
@@ -174,9 +177,9 @@ def test_advance_step_singular_tangent_diverges(monkeypatch):
 
     monkeypatch.setattr(assembly, "stage_tangent", zero_tangent)
     with pytest.raises(NewtonDivergedError, match="singular") as err:
-        advance_step(SystemState.zeros(space.n_dofs), space,
-                     HhtParams(alpha=-0.05, dt=1e-3), P12, NewtonSettings(),
-                     BoundaryDrive())
+        advance_step(zero_state(space.n_dofs), space,
+                     HhtParams(alpha=-0.05, dt=1e-3), P12, NEWTON,
+                     BoundaryDrive(amplitude=0.02, omega=2.0 * np.pi))
     assert err.value.iters == 0
     assert err.value.t == pytest.approx(1e-3)
 
@@ -189,7 +192,7 @@ def test_advance_step_matches_public_newton_loop():
     n = space.n_dofs
     p = MaterialParams(rho=1.0, b=5.0, a=1.5)
     hht = HhtParams(alpha=-0.05, dt=1e-2)
-    newton = NewtonSettings()
+    newton = NEWTON
     drive = BoundaryDrive(amplitude=0.3, omega=3.0)
     rng = np.random.default_rng(11)
     state_n = SystemState(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
@@ -209,7 +212,7 @@ def test_advance_step_matches_public_newton_loop():
         pts, R, (Sigma, Sigma_dot) = _inline_stage(space, state_n, sdd, hht, p,
                                                    load_prev, load_next)
         history.append(np.linalg.norm(R[1:-1]))
-        threshold = max(newton.tol * history[0], newton.abs_floor)
+        threshold = max(newton.tol * history[0], integrator.NEWTON_ABS_FLOOR)
         if len(history) > 1 and history[-1] <= threshold:
             break
         S = stage_tangent(space, pts, c_dot, c, p).to_dense()
@@ -249,7 +252,7 @@ def test_linear_material_single_newton_iteration():
                         "time": {"dt": 2e-3, "t_final": 0.1},
                         "output": {"snapshot_interval": 0.0}})
     snaps, report = run_simulation(cfg)
-    assert report.steps == 50
+    assert len(report.newton_iters) == 50
     assert set(report.newton_iters) == {1}
     assert np.max(np.abs(snaps[-1].Sigma)) > 0.0  # drive actually did something
 
@@ -323,7 +326,7 @@ def test_blocked_loads_equal_single_time_loads(monkeypatch, t_final, n_steps,
     monkeypatch.setattr(integrator, "advance_step", recording_step)
     monkeypatch.setattr(integrator, "initial_acceleration", recording_init)
     snaps, report = run_simulation(cfg, forcing=forcing)
-    assert report.steps == n_steps and len(used) == n_steps + 1
+    assert len(report.newton_iters) == n_steps and len(used) == n_steps + 1
     times = [min(i * cfg.time.dt, t_final) for i in range(n_steps + 1)]
     assert snaps[-1].t == times[-1] == t_final
     for i, t in enumerate(times):
@@ -376,7 +379,7 @@ def test_run_simulation_snapshot_schedule():
     snaps, report = run_simulation(cfg)
     times = [st.t for st in snaps]
     np.testing.assert_allclose(times, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], atol=1e-12)
-    assert report.steps == 50
+    assert len(report.newton_iters) == 50
     assert report.space.n_dofs == len(snaps[0].Sigma) == 9
 
 
@@ -406,6 +409,17 @@ def test_snapshot_schedule_matches_step_loop(dt, t_final, interval):
         _step_loop_schedule(dt, t_final, interval)
 
 
+def test_run_below_half_a_step_takes_one_step_to_t_final():
+    assert integrator.snapshot_schedule(1e-3, 1e-10, 0.05) == \
+        [(0, 0.0), (1, 1e-10)]
+    cfg = parse_config({"material": {"b": 1.0}, "mesh": {"n_cells": 4},
+                        "time": {"dt": 1e-3, "t_final": 1e-10}})
+    snaps, report = run_simulation(cfg)
+    assert report.newton_iters == [1] and [s.t for s in snaps] == [0.0, 1e-10]
+    bc = cfg.drive.amplitude * np.sin(cfg.drive.omega * 1e-10)
+    assert snaps[-1].Sigma[-1] == pytest.approx(bc, rel=1e-12)
+
+
 def test_run_simulation_keeps_scheduled_states():
     cfg = parse_config({"material": {"b": 0.0}, "mesh": {"n_cells": 4},
                         "time": {"dt": 3e-3, "t_final": 0.0405},
@@ -413,7 +427,7 @@ def test_run_simulation_keeps_scheduled_states():
     snaps, report = run_simulation(cfg)
     schedule = integrator.snapshot_schedule(3e-3, 0.0405, 0.007)
     assert [s.t for s in snaps] == [t for _, t in schedule]
-    assert report.steps == schedule[-1][0] == 14
+    assert len(report.newton_iters) == schedule[-1][0] == 14
 
 
 def test_run_simulation_short_final_step():
@@ -423,7 +437,7 @@ def test_run_simulation_short_final_step():
                         "time": {"dt": 3e-3, "t_final": 0.01},
                         "output": {"snapshot_interval": 0.0}})
     snaps, report = run_simulation(cfg)
-    assert report.steps == 4
+    assert len(report.newton_iters) == 4
     assert snaps[-1].t == pytest.approx(0.01, abs=1e-15)
     bc = cfg.drive.amplitude * np.sin(cfg.drive.omega * snaps[-1].t)
     assert abs(snaps[-1].Sigma[-1] - bc) <= 1e-12
@@ -447,7 +461,7 @@ def test_run_simulation_steps_through_module_advance_step(monkeypatch):
 
     monkeypatch.setattr(integrator, "advance_step", counting_step)
     _, report = run_simulation(cfg)
-    assert len(seen) == report.steps == 21
+    assert len(seen) == len(report.newton_iters) == 21
     assert seen == report.newton_iters and max(seen) >= 2
 
 
@@ -469,7 +483,7 @@ def test_mms_newton_count_and_superlinear_tail():
                        "time": {"dt": 8e-3, "t_final": 0.3},
                        "newton": {"tol": 1e-13}})
     snaps, report = _run_mms(cfg)
-    assert report.max_newton_iters <= 5
+    assert max(report.newton_iters) <= 5
     # quadratic decay: r_{k+1} <= C r_k^2 on every pair whose starting
     # residual is resolvable above assembly roundoff
     qs = []

@@ -1,6 +1,9 @@
-"""The README's "Library use" example runs as written."""
+"""The README's "Library use" example runs as written, and the package
+exports exactly the names the README documents."""
 import re
 from pathlib import Path
+
+import stresswave
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,15 @@ def test_readme_library_use_runs(capsys):
     # is at least the linear-law speed 1 because eps' <= 1
     assert int(iters) >= 1
     assert float(c_max) >= 1.0
+
+
+def test_every_exported_name_is_in_the_readme():
+    text = README.read_text()
+    assert [n for n in stresswave.__all__ if f"`{n}`" not in text] == []
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from stresswave import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(stresswave.__all__)
