@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .constitutive import HyperbolicityError, MaterialParams, derivatives
+from .constitutive import HyperbolicityError, MaterialParams, _derivatives
 from .fe_space import CellTable, FeSpace
 
 _gtsv, _gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
@@ -141,8 +141,8 @@ def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
     and returns (sigma_dot, sigma_ddot, eps', eps'', eps''') there, each
     (n_cells, n_points).  Raises HyperbolicityError where eps' <= 0.
     """
-    fp, fpp, fppp = derivatives(sig_q, p)
-    if fp.min() <= 0.0:
+    fp, fpp, fppp, fp_min = _derivatives(sig_q, p)
+    if fp_min <= 0.0:
         t = space.batches()
         bad = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
         i = np.unravel_index(np.argmin(bad), bad.shape)

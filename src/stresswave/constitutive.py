@@ -66,16 +66,28 @@ def _as_result(sigma, out: np.ndarray):
 
 
 def strain(sigma, p: MaterialParams):
-    """Evaluate eps(sigma).  Odd in sigma; |result| < 1/b for b > 0."""
-    s = np.asarray(sigma, dtype=float)
+    """Evaluate eps(sigma).  Odd in sigma; |result| < 1/b for b > 0.
+
+    Monotone in exact arithmetic but not quite in float64: near the
+    limiting strain (b|sigma| in the hundreds) eps(sigma + dsigma) can be
+    1-2 ulps below eps(sigma) for dsigma around 1e-6 to 1e-3, so a caller
+    that relies on strict order of eps (a bisection inverse, a monotone
+    interpolation of fitted data) must allow for it.
+    """
+    return _as_result(sigma, _strain(np.asarray(sigma, dtype=float), p)[0])
+
+
+def _strain(s: np.ndarray, p: MaterialParams):
+    """eps(s) and D = 1 + w from one evaluation of w = (b|s|)^a (D = 1 for
+    b = 0); eps'(s) = D^-(1+1/a) follows from D as in derivatives."""
     if p.b == 0.0:
-        return _as_result(sigma, s + 0.0)
+        return s + 0.0, np.ones_like(s)
     with np.errstate(over="ignore"):
         w = (p.b * np.abs(s)) ** p.a
-        out = s * (1.0 + w) ** (-1.0 / p.a)
+        d = 1.0 + w
+        out = s * d ** (-1.0 / p.a)
     # (b|s|)^a overflowed: the law has saturated at the limiting strain
-    out = np.where(np.isinf(w), np.sign(s) / p.b, out)
-    return _as_result(sigma, out)
+    return np.where(np.isinf(w), np.sign(s) / p.b, out), d
 
 
 def derivatives(sigma, p: MaterialParams):
@@ -95,29 +107,35 @@ def derivatives(sigma, p: MaterialParams):
     higher orders are 0.
     """
     s = np.asarray(sigma, dtype=float)
+    out = _derivatives(s, p)[:3]
+    return tuple(map(float, out)) if s.ndim == 0 else out
+
+
+def _derivatives(s: np.ndarray, p: MaterialParams):
+    """derivatives of the array s plus the min(eps') its saturation guard
+    took (1.0 for b = 0), so that a caller checking eps' > 0 reduces once."""
     a, mag = p.a, np.abs(s)
     if p.b == 0.0:
-        out = (np.ones_like(s), np.zeros_like(s), np.zeros_like(s))
-    else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            reg = mag if a >= 2.0 else np.sqrt(s * s + p.reg_eta**2)
-            w = (p.b * mag) ** a
-            d = 1.0 + w
-            fp = d ** (-(1.0 + 1.0 / a))
-            g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
-            r = reg ** (a - 2.0)
-            if a >= 2.0:
-                fpp = g * (s * r)
-            else:
-                fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
-                fpp *= np.sign(s)
-            fppp = g * r
-            fppp *= (a - 1.0) - (a + 2.0) * w
-            fppp /= d
-        if not fp.min(initial=np.inf) > 0.0:  # saturated: w = inf, eps' = 0
-            fpp, fppp = np.where(np.isinf(w), 0.0, (fpp, fppp))
-        out = (fp, fpp, fppp)
-    return tuple(map(float, out)) if s.ndim == 0 else out
+        return np.ones_like(s), np.zeros_like(s), np.zeros_like(s), 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reg = mag if a >= 2.0 else np.sqrt(s * s + p.reg_eta**2)
+        w = (p.b * mag) ** a
+        d = 1.0 + w
+        fp = d ** (-(1.0 + 1.0 / a))
+        g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
+        r = reg ** (a - 2.0)
+        if a >= 2.0:
+            fpp = g * (s * r)
+        else:
+            fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
+            fpp *= np.sign(s)
+        fppp = g * r
+        fppp *= (a - 1.0) - (a + 2.0) * w
+        fppp /= d
+    fp_min = fp.min(initial=np.inf)
+    if not fp_min > 0.0:  # saturated: w = inf, eps' = 0
+        fpp, fppp = np.where(np.isinf(w), 0.0, (fpp, fppp))
+    return fp, fpp, fppp, fp_min
 
 
 def wave_speed(sigma, p: MaterialParams, fp=None):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from stresswave.cli import main
@@ -10,9 +12,9 @@ from stresswave.config import parse_config
 from stresswave.constitutive import MaterialParams, strain, wave_speed
 from stresswave.fe_space import _LOCAL_NODES, build_space, lagrange_basis
 from stresswave.integrator import run_simulation
-from stresswave.postprocess import (Samples, SnapshotRecord, reconstruct,
-                                    sample_solution, snapshot_filename,
-                                    write_snapshot)
+from stresswave.postprocess import (Samples, SnapshotRecord, _format_g17,
+                                    reconstruct, sample_solution,
+                                    snapshot_filename, write_snapshot)
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)
@@ -256,12 +258,13 @@ def test_simulate_outputs_match_uncached_reference(tmp_path):
 
 
 def test_write_snapshot_matches_csv_writer_bytes(tmp_path):
+    # 2,049 rows, as a 2,048-sample run writes, over 50 decades
     rng = np.random.default_rng(3)
     special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.0]
-    fields = rng.normal(size=(5, 20))
+    fields = rng.normal(size=(5, 2049)) * 10.0**rng.integers(-25, 25, (5, 2049))
     fields[:, :len(special)] = special
     fields[2] = np.roll(fields[2], 5)
-    records = [SnapshotRecord(x=np.linspace(0.0, 1.0, 20), sigma=f[0],
+    records = [SnapshotRecord(x=np.linspace(0.0, 1.0, 2049), sigma=f[0],
                               sigma_dot=f[1], u=f[2], v=f[3], eps=f[4],
                               c=f[0] * 1e-7)
                for f in (fields, fields[::-1] * 3.7)]
@@ -274,3 +277,78 @@ def test_write_snapshot_matches_csv_writer_bytes(tmp_path):
     for name in [snapshot_filename(t) for t in times] + ["spacetime.csv"]:
         assert (new / name).read_bytes() == (ref / name).read_bytes()
     assert (new / "spacetime.csv").read_bytes().count(b"t,x") == 1
+
+
+def _assert_g17(values):
+    """_format_g17 gives '%.17g' % v for every v in values."""
+    values = np.asarray(values, dtype=float).ravel()
+    text = _format_g17(values)
+    lines = np.column_stack([text, np.full(len(values), 10, np.uint8)])
+    got = lines.tobytes().translate(None, b"\0")
+    want = (b"%.17g\n" * len(values)) % tuple(values.tolist())
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(b"\n"),
+                                            want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(bad)} values differ from %.17g, first {bad[:3]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), min_size=1, max_size=40))
+def test_format_g17_matches_percent_property(values):
+    _assert_g17(values)
+
+
+def test_format_g17_special_values():
+    values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+              2.2250738585072014e-308, 1.7976931348623157e308, 1e-280,
+              1e280, 0.1, 1 / 3, -2 / 3, 1.5, 100.0, 12345678901234567.0]
+    _assert_g17(values)
+    text = _format_g17(np.array([-np.nan, -0.0, 131073 / 131072]))
+    assert [r.tobytes().strip(b"\0").replace(b"\0", b"") for r in text] == \
+        [b"nan", b"-0", b"1.0000076293945312"]
+
+
+def test_format_g17_random_bit_patterns():
+    # 10^6 float64 bit patterns, every exponent, sign, nan payload and
+    # subnormal; formatted in blocks of 10^5 to keep memory small
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        _assert_g17(rng.integers(0, 2**64, size=10**5, dtype=np.uint64)
+                    .view(np.float64))
+
+
+def test_format_g17_exact_ties():
+    # q / 2**17 with q odd above 2**17 lies exactly halfway between two
+    # 17-digit decimals (131073/131072 = 1.00000762939453125), which %
+    # rounds to even; one ulp either side is no tie
+    ties = np.arange(2**17 + 1, 2**18, 2) / 2**17
+    _assert_g17(np.concatenate([ties, np.nextafter(ties, 0.0),
+                                np.nextafter(ties, 4.0), -ties]))
+
+
+def test_format_g17_powers_of_ten_two_ulps_either_side():
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [p]
+    for toward in (0.0, np.inf):
+        q = p
+        for _ in range(2):
+            q = np.nextafter(q, toward)
+            near.append(q)
+    _assert_g17(np.concatenate(near))
+
+
+@pytest.mark.parametrize("value, text", [
+    (1e-5, "1.0000000000000001e-05"), (9.9999999999999991e-06, "9.9999999999999991e-06"),
+    (1e-4, "0.0001"), (9.9999999999999991e-05, "9.9999999999999991e-05"),
+    (0.00010000000000000002, "0.00010000000000000002"),
+    (1e16, "10000000000000000"), (9999999999999998.0, "9999999999999998"),
+    (1e17, "1e+17"), (99999999999999984.0, "99999999999999984"),
+    (1.0000000000000002e17, "1.0000000000000002e+17"), (-1e100, "-1e+100"),
+])
+def test_format_g17_notation_switches(value, text):
+    # %g is fixed for -4 <= E < 17 and scientific outside
+    assert "%.17g" % value == text
+    _assert_g17([value, -value])
+    row = _format_g17(np.array([value]))[0]
+    assert row.tobytes().replace(b"\0", b"").decode() == text
