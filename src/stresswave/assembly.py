@@ -27,17 +27,49 @@ cell degree); element matrices reach it through the table's precomputed
 scatter index.  The two boundary DoFs always carry prescribed values, so
 the integrator solves only the interior block (BandedMatrix.interior) by
 direct banded factorization (LAPACK gtsv, or gbsv above bandwidth 1).
+
+The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
+scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
+the scipy.linalg package import would also run scipy's array-API layer,
+which loads numpy.f2py, numpy.testing, numpy.random and numpy.ma, about
+a quarter second and 20 MB of every start-up.  They are the objects that
+scipy.linalg.get_lapack_funcs and get_blas_funcs return.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+import scipy
 
 from .constitutive import HyperbolicityError, MaterialParams, _derivatives
 from .fe_space import CellTable, FeSpace
 
-_gtsv, _gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
-_gbmv, = get_blas_funcs(("gbmv",), dtype=np.float64)
+
+def _scipy_linalg_extension(name: str):
+    """The compiled module scipy.linalg.<name>, loaded and registered in
+    sys.modules without running the scipy.linalg package; the module
+    already there if scipy.linalg (or this function) loaded it first."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(full, [path])
+    if spec is None:
+        raise ImportError(f"no extension module {name} in {path}",
+                          name=full, path=path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[full] = module
+    return module
+
+
+_flapack = _scipy_linalg_extension("_flapack")
+_gtsv, _gbsv = _flapack.dgtsv, _flapack.dgbsv
+_gbmv = _scipy_linalg_extension("_fblas").dgbmv
 
 
 class BandedMatrix:

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
 from .constitutive import MaterialParams
 from .fe_space import build_space
 from .integrator import BoundaryDrive, HhtParams, NewtonSettings
@@ -189,6 +187,7 @@ def parse_config(source) -> ScenarioConfig:
             # exponent literals like 1e-08 as strings
             mapping = json.loads(source)
         except json.JSONDecodeError:
+            import yaml  # 15-20 ms to import: only text that is not JSON pays it
             try:
                 mapping = yaml.safe_load(source)
             except yaml.YAMLError as exc:

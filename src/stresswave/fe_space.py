@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 # Local node coordinates on [-1, 1].  Gauss-Lobatto for p >= 2 (better
 # conditioned than equispaced; coincides for p <= 2).
@@ -40,7 +41,7 @@ def gauss_rule(n_points: int) -> QuadratureRule:
     """Gauss-Legendre rule, exact for polynomials of degree <= 2n - 1."""
     if not 1 <= n_points <= 10:
         raise ValueError(f"n_points must be in [1, 10], got {n_points}")
-    x, w = np.polynomial.legendre.leggauss(n_points)
+    x, w = leggauss(n_points)
     return QuadratureRule(points=x, weights=w)
 
 
@@ -142,7 +143,7 @@ class FeSpace:
             raise ValueError("need one more edge than cells")
         if np.any(np.diff(cell_edges) <= 0):
             raise ValueError("cell edges must be strictly increasing")
-        if not set(np.unique(degrees)) <= {1, 2, 3}:
+        if not set(degrees.tolist()) <= {1, 2, 3}:
             raise ValueError("cell degrees must be 1, 2 or 3")
 
         self.cell_edges = cell_edges

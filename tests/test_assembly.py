@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresswave.assembly import (BandedMatrix, assemble_load_at,
-                                 assemble_stiffness, stage_points,
-                                 stage_residual, stage_tangent)
+from stresswave.assembly import (BandedMatrix, _scipy_linalg_extension,
+                                 assemble_load_at, assemble_stiffness,
+                                 stage_points, stage_residual, stage_tangent)
 from stresswave.constitutive import HyperbolicityError, MaterialParams
 from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
 from stresswave.integrator import (HhtParams, SystemState, newmark_update,
@@ -89,6 +89,11 @@ def test_banded_solve_matches_dense():
     rhs = rng.normal(size=space.n_dofs)
     x = A.solve(rhs)
     np.testing.assert_allclose(A.to_dense() @ x, rhs, atol=1e-12)
+
+
+def test_missing_scipy_linalg_extension_names_its_directory():
+    with pytest.raises(ImportError, match=r"_nonexistent in .*scipy.linalg"):
+        _scipy_linalg_extension("_nonexistent")
 
 
 @pytest.mark.parametrize("bw", [1, 3])

@@ -331,14 +331,80 @@ def test_unread_flag_exit_code(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about a quarter second of every start-up
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports this stresswave."""
     src = str(Path(stresswave.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", "import stresswave.cli, sys; "
-                    "assert 'scipy.optimize' not in sys.modules"],
-                   env=env, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          timeout=120, capture_output=True, text=True).stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about a quarter second of every start-up, the
+    # scipy.linalg package import (which loads numpy.f2py and
+    # numpy.testing) about as much, and yaml 15-20 ms
+    _fresh_python("import stresswave.cli, sys; "
+                  "assert 'scipy.optimize' not in sys.modules; "
+                  "loaded = {'scipy.linalg', 'numpy.f2py', 'numpy.testing', "
+                  "'yaml'} & set(sys.modules); assert not loaded, loaded")
+
+
+def test_runs_import_nothing(tmp_path):
+    # an import inside a run would be timed as part of the run
+    cfg = _write(tmp_path, "run.json", json.dumps({
+        "material": {"b": 1.0},
+        "mesh": {"n_cells": 16, "degree_policy": "center_graded"},
+        "time": {"dt": 1e-3, "t_final": 0.01},
+        "output": {"snapshot_interval": 0.005, "samples": 33}}))
+    out = _fresh_python(f"""
+import sys
+from stresswave import cli, config, verification
+def run(argv):
+    assert cli.main(argv + ["--config", {str(cfg)!r}, "--quiet"]) == 0
+before = set(sys.modules)
+run(["simulate", "--out", {str(tmp_path / "sim")!r}])
+run(["sweep", "--grid", "b", "--jobs", "1", "--out", {str(tmp_path / "sw")!r}])
+verification.convergence_study("spatial", config.parse_config(
+    {{**cli.MMS_BASE_MAPPING, "time": {{"alpha": -0.05, "t_final": 0.002}}}}),
+    cells=[4])
+print(sorted(set(sys.modules) - before))
+""")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("order", [("stresswave.assembly", "scipy.linalg"),
+                                   ("scipy.linalg", "stresswave.assembly")],
+                         ids=["stresswave-first", "scipy-linalg-first"])
+def test_solver_routines_are_scipy_linalg_routines(order):
+    # assembly loads scipy.linalg's LAPACK and BLAS modules itself; in
+    # either import order both must hold the very same routine objects
+    _fresh_python(f"""
+import importlib
+for name in {order!r}:
+    importlib.import_module(name)
+import numpy as np
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
+from stresswave import assembly
+gtsv, gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
+gbmv, = get_blas_funcs(("gbmv",), dtype=np.float64)
+assert gtsv is assembly._gtsv and gbsv is assembly._gbsv
+assert gbmv is assembly._gbmv
+""")
+
+
+def test_fit_after_simulation_matches_fresh_fit():
+    # scipy.optimize imports scipy.linalg, which then finds the LAPACK and
+    # BLAS modules that a run registered
+    fit = ("from stresswave.calibration import fit_material, "
+           "generate_synthetic\n"
+           "r = fit_material(generate_synthetic(2.0, 1.5, noise=0.01, seed=3))\n"
+           "print(repr((r.b, r.a, r.sse, r.converged)))\n")
+    run = ("from stresswave.config import parse_config\n"
+           "from stresswave.integrator import run_simulation\n"
+           "run_simulation(parse_config({'material': {'b': 1.0}, "
+           "'mesh': {'n_cells': 8}, 'time': {'t_final': 0.01}}))\n")
+    assert _fresh_python(run + fit) == _fresh_python(fit)
 
 
 def test_mms_spatial_cli_smoke(tmp_path):
