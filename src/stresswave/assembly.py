@@ -21,7 +21,7 @@ and eps''' fused); callers interpolate the stage (CellTable.at_points)
 and form its elastic term K S - L (BandedMatrix.matvec, one BLAS gbmv).
 
 Every integral is one matrix product (CellTable.integrate) over the
-space's cell table (FeSpace.batches), whose padded nodes and points add
+space's cell table (FeSpace.table), whose padded nodes and points add
 zero.  All matrices are stored in LAPACK banded form (half-bandwidth = max
 cell degree); element matrices reach it through the table's precomputed
 scatter index.  The two boundary DoFs always carry prescribed values, so
@@ -41,6 +41,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 import scipy
@@ -143,21 +144,17 @@ def _matrix(space: FeSpace, t: CellTable, coef: np.ndarray) -> BandedMatrix:
     return _banded(space, t, t.integrate(coef, t.ref_outer))
 
 
+@lru_cache(maxsize=1)  # a run assembles with one space
 def assemble_stiffness(space: FeSpace) -> BandedMatrix:
     """Constant stiffness K_IJ = integral N_I' N_J' dx (cached per space)."""
-    cached = space._aux_cache.get("stiffness")
-    if cached is not None:
-        return cached
-    t = space.batches()  # dN/dx = dN/d xi / jac
-    K = _banded(space, t, t.integrate(t.jac[:, None] ** -2.0, t.dref_outer))
-    space._aux_cache["stiffness"] = K
-    return K
+    t = space.table  # dN/dx = dN/d xi / jac
+    return _banded(space, t, t.integrate(t.jac[:, None] ** -2.0, t.dref_outer))
 
 
 def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
     """L_I(t) = integral forcing(x, t) N_I dx, one row per time of the 1-D
     `times`, from one forcing call with t of shape (len(times), 1, 1)."""
-    t, k = space.batches(), len(times)
+    t, k = space.table, len(times)
     f = forcing(t.x_q, np.asarray(times, dtype=float)[:, None, None])
     fe = t.integrate(np.broadcast_to(f, (k,) + t.x_q.shape), t.ref)
     rows = np.arange(k)[:, None] * space.n_dofs + t.dofs.ravel()
@@ -167,7 +164,7 @@ def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
 
 def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
                  sigdd_q: np.ndarray, p: MaterialParams) -> tuple:
-    """A stage at the points of space.batches(), shared by residual and tangent.
+    """A stage at the points of space.table, shared by residual and tangent.
 
     Takes stress, rate and acceleration at the points (CellTable.at_points)
     and returns (sigma_dot, sigma_ddot, eps', eps'', eps''') there, each
@@ -175,7 +172,7 @@ def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
     """
     fp, fpp, fppp, fp_min = _derivatives(sig_q, p)
     if fp_min <= 0.0:
-        t = space.batches()
+        t = space.table
         bad = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
         i = np.unravel_index(np.argmin(bad), bad.shape)
         if bad[i] <= 0.0:
@@ -190,7 +187,7 @@ def stage_residual(space: FeSpace, elastic: np.ndarray, pts: tuple,
                    p: MaterialParams) -> np.ndarray:
     """R = F_inrt(pts) + elastic, where elastic is K S - L of the stage."""
     sigd_q, sigdd_q, fp, fpp, _ = pts
-    R = _vector(space, space.batches(), p.rho * (fp * sigdd_q + fpp * sigd_q**2))
+    R = _vector(space, space.table, p.rho * (fp * sigdd_q + fpp * sigd_q**2))
     R += elastic
     return R
 
@@ -201,7 +198,7 @@ def stage_tangent(space: FeSpace, pts: tuple, c_dot: float, c: float,
     dSd = c_dot dSdd; c = c_dot = 0 gives the mass matrix M(S)."""
     sigd_q, sigdd_q, fp, fpp, fppp = pts
     # M + c_dot C_nl + c (K + K_sig), fused in one pass
-    S = _matrix(space, space.batches(), p.rho * (
+    S = _matrix(space, space.table, p.rho * (
         fp + c_dot * 2.0 * fpp * sigd_q
         + c * (fpp * sigdd_q + fppp * sigd_q**2)))
     S.ab += c * assemble_stiffness(space).ab

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .constitutive import MaterialParams
-from .fe_space import build_space
+from .fe_space import uniform_mesh
 from .integrator import BoundaryDrive, HhtParams, NewtonSettings
 
 
@@ -134,7 +134,7 @@ def _validated(merged: dict) -> ScenarioConfig:
 
     mesh = MeshConfig(**merged["mesh"])
     try:
-        build_space(mesh.L, mesh.n_cells, mesh.degree_policy)
+        uniform_mesh(mesh.L, mesh.n_cells, mesh.degree_policy)
     except ValueError as exc:
         raise ConfigError(f"mesh: {exc}") from exc
 

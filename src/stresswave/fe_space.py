@@ -8,9 +8,10 @@ cubic cells in the middle band of the domain (|x/L - 1/2| < 0.2),
 quadratic in the next band (< 0.4) and linear outside, judged at cell
 midpoints.
 
-Assembly sees the space through one cell table per quadrature order
-(`FeSpace.batches`): cells padded to one node and point count share
-per-degree reference tables, so each integral is one matrix product.
+Assembly sees the space through its cell table (`FeSpace.table`, built
+with the space at a degree+2 rule): cells padded to one node and point
+count share per-degree reference tables, so each integral is one matrix
+product.  `cell_table` builds the table at another rule.
 """
 from __future__ import annotations
 
@@ -125,15 +126,18 @@ class CellTable:
 
 
 class FeSpace:
-    """Immutable mesh + DoF map for 1D C0 Lagrange elements.
+    """Mesh + DoF map for 1D C0 Lagrange elements, complete when built;
+    nothing writes to a space afterwards.  Spaces hash by identity, which
+    the per-space caches of assembly and postprocess rely on.
 
     Attributes
     ----------
-    cell_edges : (n_cells + 1,) cell boundary coordinates
+    cell_edges : (n_cells + 1,) finite, strictly increasing cell boundaries
     degrees    : (n_cells,) polynomial degree per cell
     dof_coords : (n_dofs,) global node coordinates, left to right
     dof_table  : (n_cells, bandwidth + 1) global DoF of each local node,
                  padded by repeating each cell's last DoF
+    table      : CellTable at the (degree + 2)-point rule, which assembly uses
     """
 
     def __init__(self, cell_edges: np.ndarray, degrees: np.ndarray):
@@ -141,8 +145,9 @@ class FeSpace:
         degrees = np.asarray(degrees, dtype=int)
         if len(cell_edges) != len(degrees) + 1:
             raise ValueError("need one more edge than cells")
-        if np.any(np.diff(cell_edges) <= 0):
-            raise ValueError("cell edges must be strictly increasing")
+        if not (np.all(np.isfinite(cell_edges))
+                and np.all(np.diff(cell_edges) > 0)):
+            raise ValueError("cell edges must be finite and strictly increasing")
         if not set(degrees.tolist()) <= {1, 2, 3}:
             raise ValueError("cell degrees must be 1, 2 or 3")
 
@@ -161,8 +166,7 @@ class FeSpace:
         half = 0.5 * (cell_edges[1:] - cell_edges[:-1])
         self.dof_coords = np.concatenate([[self.x_left]] + [
             m + h * _LOCAL_NODES[p][1:] for m, h, p in zip(mid, half, degrees)])
-        self._batch_cache: dict[int, CellTable] = {}
-        self._aux_cache: dict = {}
+        self.table = cell_table(self, 2)
 
     def cell_containing(self, x) -> np.ndarray:
         """Cell index for each point: an interior edge x_k lies in cell k,
@@ -170,43 +174,6 @@ class FeSpace:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = np.searchsorted(self.cell_edges, x, side="right") - 1
         return np.clip(idx, 0, self.n_cells - 1)
-
-    def batches(self, n_extra: int = 2) -> CellTable:
-        """Cell table at a (degree + n_extra)-point rule per cell (cached)."""
-        if n_extra in self._batch_cache:
-            return self._batch_cache[n_extra]
-        bw = self.bandwidth
-        m, nn, nq = self.n_cells, bw + 1, bw + n_extra
-        degrees, group = np.unique(self.degrees, return_inverse=True)
-        # one padded block per degree: points and weights, N and dN/d xi
-        rules = np.zeros((2, len(degrees), nq))
-        ref = np.zeros((2, len(degrees), nq, nn))
-        for g, p in enumerate(degrees):
-            rule = gauss_rule(p + n_extra)
-            rules[:, g, :p + n_extra] = rule.points, rule.weights
-            ref[:, g, :p + n_extra, :p + 1] = lagrange_basis(_LOCAL_NODES[p],
-                                                             rule.points)
-        xi, weights = rules[:, group]
-        ref, dref = ref.reshape(2, -1, nn)
-        dofs = self.dof_table
-        xl, xr = self.cell_edges[:-1], self.cell_edges[1:]
-        jac = 0.5 * (xr - xl)
-        table = CellTable(
-            dofs=dofs,
-            jac=jac,
-            x_q=0.5 * (xl + xr)[:, None] + jac[:, None] * xi,
-            weights=weights,
-            wj=weights * jac[:, None],
-            ref=ref,
-            ref_t=np.ascontiguousarray(ref.T),
-            ref_outer=(ref[:, :, None] * ref[:, None, :]).reshape(len(ref), -1),
-            dref_outer=(dref[:, :, None] * dref[:, None, :]).reshape(len(ref), -1),
-            pick=None if len(degrees) == 1 else
-            ((np.arange(m) * len(degrees) + group) * nq)[:, None] + np.arange(nq),
-            scatter=(dofs[:, None, :] * (2 * bw + 1) + bw
-                     + dofs[:, :, None] - dofs[:, None, :]).ravel())
-        self._batch_cache[n_extra] = table
-        return table
 
     def evaluator(self, x):
         """f(values): fields with nodal `values` (k, n_dofs) at points x, as
@@ -236,22 +203,49 @@ class FeSpace:
         return at_points
 
 
-def _degrees_center_graded(midpoints: np.ndarray, L: float) -> np.ndarray:
-    t = np.abs(midpoints / L - 0.5)
-    deg = np.ones(len(midpoints), dtype=int)
-    deg[t < 0.4] = 2
-    deg[t < 0.2] = 3
-    return deg
+def cell_table(space: FeSpace, n_extra: int) -> CellTable:
+    """Cell table of `space` at a (degree + n_extra)-point rule per cell."""
+    bw = space.bandwidth
+    m, nn, nq = space.n_cells, bw + 1, bw + n_extra
+    degrees, group = np.unique(space.degrees, return_inverse=True)
+    # one padded block per degree: points and weights, N and dN/d xi
+    rules = np.zeros((2, len(degrees), nq))
+    ref = np.zeros((2, len(degrees), nq, nn))
+    for g, p in enumerate(degrees):
+        rule = gauss_rule(p + n_extra)
+        rules[:, g, :p + n_extra] = rule.points, rule.weights
+        ref[:, g, :p + n_extra, :p + 1] = lagrange_basis(_LOCAL_NODES[p],
+                                                         rule.points)
+    xi, weights = rules[:, group]
+    ref, dref = ref.reshape(2, -1, nn)
+    dofs = space.dof_table
+    xl, xr = space.cell_edges[:-1], space.cell_edges[1:]
+    jac = 0.5 * (xr - xl)
+    return CellTable(
+        dofs=dofs,
+        jac=jac,
+        x_q=0.5 * (xl + xr)[:, None] + jac[:, None] * xi,
+        weights=weights,
+        wj=weights * jac[:, None],
+        ref=ref,
+        ref_t=np.ascontiguousarray(ref.T),
+        ref_outer=(ref[:, :, None] * ref[:, None, :]).reshape(len(ref), -1),
+        dref_outer=(dref[:, :, None] * dref[:, None, :]).reshape(len(ref), -1),
+        pick=None if len(degrees) == 1 else
+        ((np.arange(m) * len(degrees) + group) * nq)[:, None] + np.arange(nq),
+        scatter=(dofs[:, None, :] * (2 * bw + 1) + bw
+                 + dofs[:, :, None] - dofs[:, None, :]).ravel())
 
 
-def build_space(L: float, n_cells: int, policy: str = "uniform(1)") -> FeSpace:
-    """Build the space on [0, L] with the given degree policy.
+def uniform_mesh(L: float, n_cells: int,
+                 policy: str = "uniform(1)") -> tuple[np.ndarray, np.ndarray]:
+    """Cell edges and degrees of the uniform mesh of [0, L] with n_cells.
 
     `policy` is either "uniform(p)" with p in {1, 2, 3} or
-    "center_graded".
+    "center_graded", which is judged at cell midpoints.
     """
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not 0 < L < np.inf:  # nan and inf too
+        raise ValueError(f"L must be {'finite' if L > 0 else 'positive'}, got {L}")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
     edges = np.linspace(0.0, L, n_cells + 1)
@@ -260,10 +254,16 @@ def build_space(L: float, n_cells: int, policy: str = "uniform(1)") -> FeSpace:
         p = int(m.group(1))
         if p not in (1, 2, 3):
             raise ValueError(f"uniform degree must be 1, 2 or 3, got {p}")
-        degrees = np.full(n_cells, p, dtype=int)
-    elif policy.strip() == "center_graded":
-        midpoints = 0.5 * (edges[:-1] + edges[1:])
-        degrees = _degrees_center_graded(midpoints, L)
-    else:
+        return edges, np.full(n_cells, p, dtype=int)
+    if policy.strip() != "center_graded":
         raise ValueError(f"unknown degree policy {policy!r}")
-    return FeSpace(edges, degrees)
+    t = np.abs(0.5 * (edges[:-1] + edges[1:]) / L - 0.5)
+    degrees = np.ones(n_cells, dtype=int)
+    degrees[t < 0.4] = 2
+    degrees[t < 0.2] = 3
+    return edges, degrees
+
+
+def build_space(L: float, n_cells: int, policy: str = "uniform(1)") -> FeSpace:
+    """The space of uniform_mesh(L, n_cells, policy)."""
+    return FeSpace(*uniform_mesh(L, n_cells, policy))

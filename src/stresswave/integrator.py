@@ -201,7 +201,7 @@ def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
     # update; base goes to the points, and K base - L is formed, once
     S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
     base = S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd
-    table = space.batches()
+    table = space.table
     base_q, base_dot_q = table.at_points(
         base, Sd + w * dt * (1.0 - hht.gamma_nm) * Sdd)
     K = assembly.assemble_stiffness(space)
@@ -290,7 +290,7 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     # The balance is linear in Sdd0 with matrix M(S0), so one Newton step
     # from zero interior values solves it.
     pts = assembly.stage_points(
-        space, *space.batches().at_points(Sigma0, Sigma_dot0, sdd), p)
+        space, *space.table.at_points(Sigma0, Sigma_dot0, sdd), p)
     R = assembly.stage_residual(
         space, assembly.assemble_stiffness(space).matvec(Sigma0) - load, pts, p)
     M = assembly.stage_tangent(space, pts, 0.0, 0.0, p)

@@ -19,7 +19,8 @@ snapshot's rows, each prefixed by t.  The text is exactly Python's
 '%.17g' % v, made for a whole column at once without a dtoa call per
 float (_format_g17): the 17 digits come from an exact two-product with a
 double-double power of ten and the %g layout from byte tables, into a
-zero-padded byte matrix whose zero bytes are deleted on writing.  A
+zero-padded byte matrix whose zero bytes are deleted once per snapshot;
+the spacetime.csv rows are that text with t put before each row.  A
 value this path cannot settle exactly (nan, inf, |v| outside [1e-280,
 1e280], or a fraction within 1e-7 of a rounding tie) is formatted by
 Python's own %, one element at a time.  The tables are built with
@@ -61,16 +62,20 @@ class SnapshotRecord:
     c: np.ndarray
 
 
+@lru_cache(maxsize=1)  # a run samples every snapshot on one space at one M
+def _sample_points(space: FeSpace, M: int) -> tuple:
+    """The M+1 uniformly spaced points (read-only) and their evaluator."""
+    x = np.linspace(space.x_left, space.x_right, M + 1)
+    x.flags.writeable = False
+    return x, space.evaluator(x)
+
+
 def sample_solution(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
                     M: int) -> Samples:
     """Evaluate the FE fields at M+1 uniformly spaced points (cached per space and M)."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if ("samples", M) not in space._aux_cache:
-        x = np.linspace(space.x_left, space.x_right, M + 1)
-        x.flags.writeable = False
-        space._aux_cache["samples", M] = x, space.evaluator(x)
-    x, at_x = space._aux_cache["samples", M]
+    x, at_x = _sample_points(space, M)
     sigma, sigma_dot = at_x(np.array([Sigma, Sigma_dot]))
     return Samples(x=x, sigma=sigma, sigma_dot=sigma_dot)
 
@@ -222,24 +227,18 @@ def write_snapshot(record: SnapshotRecord, t: float, directory) -> Path:
     fields = [_x_text(np.asarray(record.x, dtype=float).tobytes())]
     fields += [_format_g17(v) for v in (record.sigma, record.u, record.v,
                                         record.eps, record.c)]
-    t_field = np.frombuffer(b"%.17g," % t, np.uint8)
-    at = len(t_field)
-    rows = np.empty((len(fields[0]), at + sum(f.shape[1] + 1 for f in fields)
-                     + 1), np.uint8)
-    rows[:, :at] = t_field
-    for f in fields:
-        rows[:, at:at + f.shape[1]] = f
-        rows[:, at + f.shape[1]] = ord(",")
-        at += f.shape[1] + 1
-    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    comma = np.full((len(fields[0]), 1), ord(","), np.uint8)
+    rows = np.hstack([a for f in fields for a in (f, comma)] + [comma])
+    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # the two trailing commas
+    body = rows.tobytes().translate(None, b"\0")
     path = directory / snapshot_filename(t)
     with open(path, "wb") as fh:
         fh.write(b"x,sigma,u,v,eps,c\r\n")
-        fh.write(rows[:, len(t_field):].tobytes().translate(None, b"\0"))
-    spacetime = directory / "spacetime.csv"
-    new = not spacetime.exists()
-    with open(spacetime, "ab") as fh:
-        if new:
+        fh.write(body)
+    t_text = b"%.17g," % t  # each spacetime row starts with it
+    with open(directory / "spacetime.csv", "ab") as fh:
+        if fh.tell() == 0:
             fh.write(b"t,x,sigma,u,v,eps,c\r\n")
-        fh.write(rows.tobytes().translate(None, b"\0"))
+        fh.write(t_text)
+        fh.write(memoryview(body.replace(b"\n", b"\n" + t_text))[:-len(t_text)])
     return path

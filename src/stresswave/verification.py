@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .constitutive import MaterialParams, derivatives
-from .fe_space import FeSpace
+from .fe_space import FeSpace, cell_table
 from .integrator import run_simulation
 
 SPATIAL_CELLS = (16, 32, 64, 128)
@@ -58,7 +58,7 @@ def mms_forcing(x, t, p: MaterialParams):
 
 def l2_error(space: FeSpace, Sigma: np.ndarray, t: float) -> float:
     """L2 norm of (sigma_h - sigma_exact) at time t, degree+3 quadrature."""
-    table = space.batches(n_extra=3)
+    table = cell_table(space, 3)
     sig_q, = table.at_points(Sigma)
     diff = sig_q - mms_fields(table.x_q, t).sigma
     return float(np.sqrt(np.sum(diff**2 * table.weights * table.jac[:, None])))

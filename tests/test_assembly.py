@@ -26,7 +26,7 @@ def _single_cell(h):
 def _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p):
     """stage_points of nodal vectors, interpolated to the points first."""
     return stage_points(
-        space, *space.batches().at_points(Sigma, Sigma_dot, Sigma_ddot), p)
+        space, *space.table.at_points(Sigma, Sigma_dot, Sigma_ddot), p)
 
 
 def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):

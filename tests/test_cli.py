@@ -70,6 +70,7 @@ def test_config_error_exit_code(tmp_path):
     ("material: {b: .nan}", "material.b"),
     ("material: {b: 1.0, reg_eta: .inf}", "material.reg_eta"),
     ("material: {b: 1.0}\nmesh: {L: .nan}", "mesh.L"),
+    ("material: {b: 1.0}\nmesh: {L: .inf}", "mesh.L"),
     ("material: {b: 1.0}\ntime: {t_final: .inf}", "time.t_final"),
     ("material: {b: 1.0}\ndrive: {A: .nan}", "drive.A"),
     ("material: {b: 1.0}\ndrive: {omega: .nan}", "drive.omega"),

@@ -1,9 +1,17 @@
+import json
+import pickle
+
 import numpy as np
 import pytest
 
+from stresswave import cli
 from stresswave.assembly import _banded, _matrix, _vector, assemble_stiffness
-from stresswave.fe_space import (FeSpace, build_space, gauss_rule,
+from stresswave.config import load_config, parse_config
+from stresswave.fe_space import (FeSpace, build_space, cell_table, gauss_rule,
                                  lagrange_basis)
+from stresswave.integrator import run_simulation
+from stresswave.postprocess import sample_solution
+from stresswave.verification import convergence_study, l2_error
 
 # local nodes of degrees 1-3 on [-1, 1] (Gauss-Lobatto for p = 3)
 NODES = {1: [-1.0, 1.0], 2: [-1.0, 0.0, 1.0],
@@ -68,6 +76,69 @@ def test_build_space_rejects_bad_input():
         build_space(1.0, 4, "uniform(4)")
     with pytest.raises(ValueError):
         build_space(1.0, 4, "chebyshev")
+    for L in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            build_space(L, 4)
+
+
+def test_fe_space_rejects_non_finite_edges():
+    for edges in ([0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")]):
+        with pytest.raises(ValueError):
+            FeSpace(edges, [1, 1])
+
+
+def _state(space):
+    """Attribute names, their object ids and their pickled contents."""
+    return {k: id(v) for k, v in vars(space).items()}, pickle.dumps(vars(space))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every FeSpace constructed, with its state right after __init__."""
+    spaces = []
+    init = FeSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        spaces.append((self, _state(self)))
+
+    monkeypatch.setattr(FeSpace, "__init__", counted)
+    return spaces
+
+
+SMALL_RUN = {"material": {"b": 1.0}, "mesh": {"n_cells": 8},
+             "time": {"dt": 1.0e-3, "t_final": 0.004},
+             "output": {"snapshot_interval": 0.002, "samples": 16}}
+
+
+def test_space_built_once_per_run(built, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(SMALL_RUN))
+    parse_config(SMALL_RUN)
+    load_config(cfg)
+    assert len(built) == 0  # configs check the mesh rule, not a space
+    out = str(tmp_path / "o")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", out,
+                     "--quiet"]) == 0
+    assert len(built) == 1
+    assert cli.main(["sweep", "--grid", "b", "--jobs", "1", "--config",
+                     str(cfg), "--out", out, "--quiet"]) == 0
+    assert len(built) == 1 + 4
+    convergence_study("spatial", parse_config(
+        {**SMALL_RUN, "drive": {"A": 0.0}, "time": {"t_final": 1.0e-4}}),
+        cells=(8,))
+    assert len(built) == 1 + 4 + 1  # l2_error's table needs no second space
+
+
+def test_nothing_writes_to_a_built_space(built):
+    snapshots, report = run_simulation(parse_config(SMALL_RUN))
+    space = report.space
+    sample_solution(space, snapshots[-1].Sigma, snapshots[-1].Sigma_dot, 16)
+    assemble_stiffness(space)
+    l2_error(space, snapshots[-1].Sigma, snapshots[-1].t)
+    [(first, state)] = built
+    assert first is space
+    assert _state(space) == state
 
 
 def test_dof_count_invariant():
@@ -110,11 +181,11 @@ def test_shape_partition_of_unity():
 
 
 def test_cell_table_padding():
-    uniform = build_space(1.0, 4, "uniform(2)").batches()
+    uniform = build_space(1.0, 4, "uniform(2)").table
     assert uniform.ref.shape == (4, 3) and uniform.pick is None
     assert np.all(uniform.wj > 0.0)
     space = build_space(1.0, 10, "center_graded")
-    table = space.batches()
+    table = space.table
     assert table.ref.shape == (15, 4)  # one 5-point block per degree
     for k, p in enumerate(space.degrees):
         # real nodes and points first, then zero-valued padding
@@ -161,7 +232,7 @@ def test_cell_table_weighted_tables(policy, n_extra):
     # at_points, _vector, _matrix and the stiffness equal the per-cell
     # einsum forms over padded per-cell tables
     space = _space(policy)
-    t = space.batches(n_extra)
+    t = cell_table(space, n_extra)
     shape, dshape, wj = _padded_shape(space, n_extra)
     np.testing.assert_allclose(t.wj, wj, rtol=1e-15, atol=0)
     rng = np.random.default_rng(4)

@@ -40,7 +40,7 @@ def _inline_stage(space, state_n, sdd, hht, p, load_prev, load_next):
 def _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p):
     """stage_points of nodal vectors, interpolated to the points first."""
     return stage_points(
-        space, *space.batches().at_points(Sigma, Sigma_dot, Sigma_ddot), p)
+        space, *space.table.at_points(Sigma, Sigma_dot, Sigma_ddot), p)
 
 
 def _mms_config(overrides=None):
