@@ -172,14 +172,13 @@ def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
     """
     fp, fpp, fppp, fp_min = _derivatives(sig_q, p)
     if fp_min <= 0.0:
+        # padded points interpolate to 0, where eps' = 1: argmin is real
         t = space.table
-        bad = np.where(t.weights > 0.0, fp, np.inf)  # skip padded points
-        i = np.unravel_index(np.argmin(bad), bad.shape)
-        if bad[i] <= 0.0:
-            raise HyperbolicityError(
-                f"tangent compliance {bad[i]:.3e} <= 0 at quadrature point "
-                f"x={t.x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
-                sigma=float(sig_q[i]), x=float(t.x_q[i]))
+        i = np.unravel_index(np.argmin(fp), fp.shape)
+        raise HyperbolicityError(
+            f"tangent compliance {fp[i]:.3e} <= 0 at quadrature point "
+            f"x={t.x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
+            sigma=float(sig_q[i]), x=float(t.x_q[i]))
     return sigd_q, sigdd_q, fp, fpp, fppp
 
 

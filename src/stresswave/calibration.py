@@ -77,8 +77,10 @@ def fit_material(data: StressStrainDataset, init: tuple = (1.0, 1.0),
     best-so-far result is returned with converged=False.
     """
     b0, a0 = float(init[0]), float(init[1])
-    if not (b0 >= 0 and a0 > 0):
-        raise ValueError(f"initial guess must satisfy b >= 0, a > 0, got {init}")
+    if not (0 <= b0 < np.inf and 0 < a0 < np.inf):
+        raise ValueError(f"initial guess must be finite, b >= 0, a > 0: {init}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
     from scipy.optimize import least_squares  # slow import, used only here
 

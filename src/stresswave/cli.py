@@ -25,7 +25,7 @@ from .calibration import (fit_material, generate_synthetic, load_dataset,
                           write_fit_csv)
 from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
-from .constitutive import HyperbolicityError, MaterialParams
+from .constitutive import HyperbolicityError, wave_speed
 from .integrator import NewtonDivergedError, run_simulation, snapshot_schedule
 from .postprocess import (reconstruct, sample_solution, snapshot_filename,
                           write_snapshot)
@@ -61,9 +61,9 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     snapshots, report = run_simulation(config)
     space = report.space
     m = config.output.samples
-    # deviation is measured from the linear-law speed (identical to
-    # |c - 1| in the rho = 1 sweep presets)
-    c0 = 1.0 / np.sqrt(config.material.rho)
+    # deviation is measured from the speed at zero stress, the linear-law
+    # speed (identical to |c - 1| in the rho = 1 sweep presets)
+    c0 = wave_speed(0.0, config.material)
 
     max_c_dev = 0.0
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -100,7 +100,7 @@ def _config_mapping(args, preset: dict | None = None) -> dict:
         mapping = preset
     else:
         raise ConfigError("--config PATH is required for this subcommand")
-    if args.snapshot_every is not None:
+    if getattr(args, "snapshot_every", None) is not None:
         mapping.setdefault("output", {})["snapshot_interval"] = args.snapshot_every
     return mapping
 
@@ -197,11 +197,10 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     try:
         data = load_dataset(args.dataset)
-        MaterialParams(rho=1.0, b=args.init_b, a=args.init_a)  # checks the guess
-    except ValueError as exc:  # a bad data line or initial guess
+        result = fit_material(data, init=(args.init_b, args.init_a),
+                              max_iters=args.max_iters)
+    except ValueError as exc:  # a bad data line, initial guess or budget
         raise ConfigError(str(exc)) from exc
-    result = fit_material(data, init=(args.init_b, args.init_a),
-                          max_iters=args.max_iters)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = write_fit_csv(out / "fit.csv", data.label, result)
@@ -239,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         if scenario:
             sp.add_argument("--config", metavar="PATH",
                             help="YAML scenario config")
-            sp.add_argument("--snapshot-every", type=float, default=None,
-                            metavar="T", help="override snapshot interval")
         sp.add_argument("--out", metavar="DIR", help="output directory")
         sp.add_argument("--quiet", action="store_true")
 
@@ -254,10 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="single boundary-driven run")
     common(sp)
+    sp.add_argument("--snapshot-every", type=float, metavar="T",
+                    help="override snapshot interval")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="material parameter grid runs")
     common(sp)
+    sp.add_argument("--snapshot-every", type=float, metavar="T",
+                    help="override snapshot interval")
     sp.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="parallel runs")
     sp.add_argument("--grid", choices=("b", "a", "all"), default="all")

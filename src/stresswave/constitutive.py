@@ -78,8 +78,8 @@ def strain(sigma, p: MaterialParams):
 
 
 def _strain(s: np.ndarray, p: MaterialParams):
-    """eps(s) and D = 1 + w from one evaluation of w = (b|s|)^a (D = 1 for
-    b = 0); eps'(s) = D^-(1+1/a) follows from D as in derivatives."""
+    """eps(s) and eps'(s) = D^-(1+1/a) as in derivatives, from one
+    evaluation of w = (b|s|)^a and D = 1 + w (eps' = 1 for b = 0)."""
     if p.b == 0.0:
         return s + 0.0, np.ones_like(s)
     with np.errstate(over="ignore"):
@@ -87,7 +87,8 @@ def _strain(s: np.ndarray, p: MaterialParams):
         d = 1.0 + w
         out = s * d ** (-1.0 / p.a)
     # (b|s|)^a overflowed: the law has saturated at the limiting strain
-    return np.where(np.isinf(w), np.sign(s) / p.b, out), d
+    return (np.where(np.isinf(w), np.sign(s) / p.b, out),
+            d ** (-(1.0 + 1.0 / p.a)))
 
 
 def derivatives(sigma, p: MaterialParams):

@@ -12,7 +12,8 @@ dissipation parameter alpha in [-1/3, 0].  Stress Dirichlet data at the
 two boundary nodes is enforced exactly: before Newton starts, each
 boundary acceleration is set to the value whose Newmark update hits the
 prescribed stress, and every Newton update then solves only the interior
-rows and columns of the tangent.
+rows and columns of the tangent.  The drive is asked only for its stress
+value; at t = 0 both boundary accelerations are 0.
 
 The time-discrete residual weights the elastic and load terms with
 alpha:
@@ -44,9 +45,10 @@ stage weighting:
 
 with C_nl and K_sig the stage integrals of assembly, that is
 assembly.stage_tangent with c_dot = (1+alpha) gamma dt and c =
-(1+alpha) beta dt^2.  step_system forms the stage at Sdd_{n+1} = 0
-once per step: interpolated to the quadrature points, and its elastic
-term K S* - L with the alpha-weighted load.  Each Newton iterate then
+(1+alpha) beta dt^2; at c = c_dot = 0 the same stage is the t = 0
+balance, with the mass matrix M(S0) as tangent, that initial_acceleration
+solves.  A stage's part at Sdd_{n+1} = 0 goes to the quadrature points,
+and its elastic term K S* - L is formed, once.  Each Newton iterate then
 interpolates only its acceleration, adds c K Sdd_{n+1} to that elastic
 term in one BLAS call, and evaluates its stage at the points once
 (fused eps', eps'', eps''') for both its residual and its tangent.
@@ -139,10 +141,6 @@ class BoundaryDrive:
     def value(self, t: float) -> float:
         return self.amplitude * np.sin(self.omega * t)
 
-    def accel(self, t: float) -> float:
-        """Second time derivative of the drive (for consistent t=0 data)."""
-        return -self.amplitude * self.omega**2 * np.sin(self.omega * t)
-
 
 @dataclass
 class NewtonReport:
@@ -182,28 +180,13 @@ def boundary_acceleration(bc_value_next: float, node: int,
     return (bc_value_next - free) / (beta * dt**2)
 
 
-def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
-                p: MaterialParams, load_prev: np.ndarray | None = None,
-                load_next: np.ndarray | None = None) -> tuple:
-    """Residual and tangent of one step as functions of Sdd_{n+1}.
-
-    Returns (residual, tangent): residual(sdd) evaluates the stage of
-    the acceleration vector sdd once and returns (pts, R); tangent(pts)
-    is the BandedMatrix dR/dSdd at those stage values.  `load_prev` /
-    `load_next` are the assembled load vectors at t_n / t_{n+1}; None
-    means no load.
-    """
-    alpha, w, dt = hht.alpha, 1.0 + hht.alpha, hht.dt
-    c, c_dot = w * hht.beta_nm * dt**2, w * hht.gamma_nm * dt
-    load = ((0.0 if load_next is None else w * load_next)
-            - (0.0 if load_prev is None else alpha * load_prev))
-    # Stage S* = base + c Sdd, Sd* = base_dot + c_dot Sdd of the Newmark
-    # update; base goes to the points, and K base - L is formed, once
-    S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
-    base = S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd
+def _stage(space: FeSpace, p: MaterialParams, base: np.ndarray,
+           base_dot: np.ndarray, c: float, c_dot: float, load) -> tuple:
+    """Residual and tangent of the stage S = base + c Sdd, Sd = base_dot +
+    c_dot Sdd as functions of Sdd; base goes to the points, and its
+    elastic term K base - load is formed, once."""
     table = space.table
-    base_q, base_dot_q = table.at_points(
-        base, Sd + w * dt * (1.0 - hht.gamma_nm) * Sdd)
+    base_q, base_dot_q = table.at_points(base, base_dot)
     K = assembly.assemble_stiffness(space)
     rest = K.matvec(base) - load
 
@@ -218,6 +201,27 @@ def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
         return assembly.stage_tangent(space, pts, c_dot, c, p)
 
     return residual, tangent
+
+
+def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
+                p: MaterialParams, load_prev: np.ndarray | None = None,
+                load_next: np.ndarray | None = None) -> tuple:
+    """Residual and tangent of one step as functions of Sdd_{n+1}.
+
+    Returns (residual, tangent): residual(sdd) evaluates the stage of
+    the acceleration vector sdd once and returns (pts, R); tangent(pts)
+    is the BandedMatrix dR/dSdd at those stage values.  `load_prev` /
+    `load_next` are the assembled load vectors at t_n / t_{n+1}; None
+    means no load.
+    """
+    alpha, w, dt = hht.alpha, 1.0 + hht.alpha, hht.dt
+    load = ((0.0 if load_next is None else w * load_next)
+            - (0.0 if load_prev is None else alpha * load_prev))
+    S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
+    return _stage(space, p,
+                  S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd,
+                  Sd + w * dt * (1.0 - hht.gamma_nm) * Sdd,
+                  w * hht.beta_nm * dt**2, w * hht.gamma_nm * dt, load)
 
 
 def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
@@ -275,26 +279,19 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
 
 def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
                          Sigma_dot0: np.ndarray, p: MaterialParams,
-                         drive: BoundaryDrive | None = None,
-                         load: np.ndarray | float = 0.0,
-                         t0: float = 0.0) -> np.ndarray:
-    """Acceleration consistent with the semi-discrete balance at t0.
+                         load: np.ndarray | float = 0.0) -> np.ndarray:
+    """Acceleration consistent with the semi-discrete balance at t = 0.
 
-    Solves the interior rows of M(S0) Sdd0 = L(t0) - F_vel(S0, Sd0) - K S0
-    with the boundary accelerations set to the drive's second time
-    derivative.  `load` is the assembled L(t0).
+    Solves the interior rows of M(S0) Sdd0 = L(0) - F_vel(S0, Sd0) - K S0,
+    the stage of step_system at c = c_dot = 0, with both boundary
+    accelerations 0.  `load` is the assembled L(0).
     """
     sdd = np.zeros(space.n_dofs)
-    if drive is not None:
-        sdd[-1] = drive.accel(t0)
     # The balance is linear in Sdd0 with matrix M(S0), so one Newton step
     # from zero interior values solves it.
-    pts = assembly.stage_points(
-        space, *space.table.at_points(Sigma0, Sigma_dot0, sdd), p)
-    R = assembly.stage_residual(
-        space, assembly.assemble_stiffness(space).matvec(Sigma0) - load, pts, p)
-    M = assembly.stage_tangent(space, pts, 0.0, 0.0, p)
-    sdd[1:-1] -= M.interior().solve(R[1:-1])
+    residual, mass = _stage(space, p, Sigma0, Sigma_dot0, 0.0, 0.0, load)
+    pts, R = residual(sdd)
+    sdd[1:-1] -= mass(pts).interior().solve(R[1:-1])
     return sdd
 
 
@@ -368,7 +365,7 @@ def run_simulation(config: "ScenarioConfig",
         loads = assembly.assemble_load_at(space, forcing, block(0))
         load_prev = loads[0]
     Sigma_ddot0 = initial_acceleration(
-        space, Sigma0, Sigma_dot0, p, drive, 0.0 if load_prev is None else load_prev)
+        space, Sigma0, Sigma_dot0, p, 0.0 if load_prev is None else load_prev)
     state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
 
     snapshots = [state]

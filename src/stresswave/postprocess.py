@@ -85,8 +85,7 @@ def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
     dx = np.diff(samples.x)
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=0.0):
         raise ValueError("sample spacing must be uniform")
-    eps, d = _strain(np.asarray(samples.sigma, dtype=float), p)
-    fp = d ** (-(1.0 + 1.0 / p.a))  # eps', from the same w as derivatives
+    eps, fp = _strain(np.asarray(samples.sigma, dtype=float), p)
     c = np.asarray(wave_speed(samples.sigma, p, fp))
     eps_dot = fp * samples.sigma_dot
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stresswave.assembly import (BandedMatrix, _scipy_linalg_extension,
                                  assemble_load_at, assemble_stiffness,
-                                 stage_points, stage_residual, stage_tangent)
+                                 stage_residual, stage_tangent)
 from stresswave.constitutive import HyperbolicityError, MaterialParams
 from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
 from stresswave.integrator import (HhtParams, SystemState, newmark_update,
@@ -13,6 +13,7 @@ from stresswave.integrator import (HhtParams, SystemState, newmark_update,
 from stresswave.verification import mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
+from stage_helpers import nodal_stage_points
 from state_helpers import zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
@@ -23,23 +24,17 @@ def _single_cell(h):
     return FeSpace(np.array([0.0, h]), np.array([1]))
 
 
-def _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p):
-    """stage_points of nodal vectors, interpolated to the points first."""
-    return stage_points(
-        space, *space.table.at_points(Sigma, Sigma_dot, Sigma_ddot), p)
-
-
 def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):
     """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
-    pts = _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
+    pts = nodal_stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
     return stage_residual(space, np.zeros_like(Sigma), pts, p)
 
 
 def _mass(space, Sigma, p):
     """Mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx."""
     zero = np.zeros_like(Sigma)
-    return stage_tangent(space, _stage_points(space, Sigma, zero, zero, p),
-                         0.0, 0.0, p)
+    pts = nodal_stage_points(space, Sigma, zero, zero, p)
+    return stage_tangent(space, pts, 0.0, 0.0, p)
 
 
 def _random_state(rng, n, t=0.0):
@@ -166,6 +161,19 @@ def test_inertial_hyperbolicity_error_carries_location():
     with pytest.raises(HyperbolicityError) as err:
         _inertial(space, np.full(n, 1e200), np.zeros(n), np.ones(n), p)
     assert err.value.x is not None
+
+
+def test_hyperbolicity_error_location_skips_padded_points():
+    # the first cell of a graded mesh has degree 1 and padded points
+    space = build_space(1.0, 16, "center_graded")
+    t, n = space.table, space.n_dofs
+    assert space.degrees[0] == 1 and np.any(t.weights[0] == 0.0)
+    Sigma = np.zeros(n)
+    Sigma[0] = 1e200  # saturates the first cell only
+    p = MaterialParams(rho=1.0, b=1e200, a=2.0)
+    with pytest.raises(HyperbolicityError) as err:
+        _inertial(space, Sigma, np.zeros(n), np.ones(n), p)
+    assert err.value.x in t.x_q[0][t.weights[0] > 0.0]
 
 
 def test_load_zero_forcing():

@@ -75,6 +75,10 @@ def test_fit_rejects_bad_init():
         fit_material(data, init=(-1.0, 1.0))
     with pytest.raises(ValueError):
         fit_material(data, init=(1.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        fit_material(data, init=(np.inf, 1.0))
+    with pytest.raises(ValueError, match="max_iters"):
+        fit_material(data, max_iters=0)
 
 
 def test_fit_budget_exhaustion_flagged():

@@ -315,6 +315,8 @@ def test_sweep_jobs_below_one_exit_code(tmp_path, monkeypatch, capsys, jobs):
 @pytest.mark.parametrize("argv", [
     ["mms-spatial", "--jobs", "2"],
     ["mms-temporal", "--jobs", "2"],
+    ["mms-spatial", "--snapshot-every", "0.1"],
+    ["mms-temporal", "--snapshot-every", "0.123"],
     ["simulate", "--jobs", "8"],
     ["fit", "d.csv", "--config", "/nonexistent.yaml"],
     ["fit", "d.csv", "--snapshot-every", "0.1"],
@@ -428,6 +430,8 @@ time: {alpha: -0.05, t_final: 0.01}
     (["fit", "bad.csv"], "'foo,bar'"),
     (["fit", "one.csv"], "'1.0'"),
     (["fit", "good.csv", "--init-b", "-1"], "-1.0"),
+    (["fit", "good.csv", "--init-b", "inf"], "inf"),
+    (["fit", "good.csv", "--max-iters", "0"], "max_iters"),
     (["gen-data", "g.csv", "--b", "-1", "--a", "1"], "b must"),
     (["gen-data", "g.csv", "--b", "nan", "--a", "1"], "nan"),
     (["gen-data", "g.csv", "--b", "1", "--a", "0"], "a must"),
@@ -435,7 +439,8 @@ time: {alpha: -0.05, t_final: 0.01}
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--sigma-max", "0"],
      "sigma_max"),
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--noise", "-1"], "noise"),
-], ids=["fit-data-line", "fit-one-column-first-line", "fit-init-b", "b-negative", "b-nan", "a-zero",
+], ids=["fit-data-line", "fit-one-column-first-line", "fit-init-b",
+        "fit-init-b-inf", "fit-max-iters-zero", "b-negative", "b-nan", "a-zero",
         "n-two", "sigma-max-zero", "noise-negative"])
 def test_bad_fit_and_gen_data_input_exit_code(tmp_path, monkeypatch, capsys,
                                               argv, named):

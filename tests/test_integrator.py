@@ -3,7 +3,7 @@ import pytest
 
 from stresswave import integrator
 from stresswave.assembly import (assemble_load_at, assemble_stiffness,
-                                 stage_points, stage_residual, stage_tangent)
+                                 stage_residual, stage_tangent)
 from stresswave.config import parse_config
 from stresswave.constitutive import MaterialParams
 from stresswave.fe_space import build_space
@@ -14,6 +14,7 @@ from stresswave.integrator import (BoundaryDrive, HhtParams,
                                    newmark_update, run_simulation, step_system)
 from stresswave.verification import mms_fields, mms_forcing
 
+from stage_helpers import nodal_stage_points
 from state_helpers import zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
@@ -31,16 +32,10 @@ def _inline_stage(space, state_n, sdd, hht, p, load_prev, load_next):
     Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
     stage = (1 + a) * Sigma - a * state_n.Sigma
     stage_dot = (1 + a) * Sigma_dot - a * state_n.Sigma_dot
-    pts = _stage_points(space, stage, stage_dot, sdd, p)
+    pts = nodal_stage_points(space, stage, stage_dot, sdd, p)
     load = (1 + a) * load_next - a * load_prev
     elastic = assemble_stiffness(space).matvec(stage) - load
     return pts, stage_residual(space, elastic, pts, p), (Sigma, Sigma_dot)
-
-
-def _stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p):
-    """stage_points of nodal vectors, interpolated to the points first."""
-    return stage_points(
-        space, *space.table.at_points(Sigma, Sigma_dot, Sigma_ddot), p)
 
 
 def _mms_config(overrides=None):
@@ -319,9 +314,9 @@ def test_blocked_loads_equal_single_time_loads(monkeypatch, t_final, n_steps,
         used.append((args[-2], args[-1]))
         return step(*args)
 
-    def recording_init(space, Sigma0, Sigma_dot0, p, drive, load):
+    def recording_init(space, Sigma0, Sigma_dot0, p, load):
         used.append((None, load))
-        return init(space, Sigma0, Sigma_dot0, p, drive, load)
+        return init(space, Sigma0, Sigma_dot0, p, load)
 
     monkeypatch.setattr(integrator, "advance_step", recording_step)
     monkeypatch.setattr(integrator, "initial_acceleration", recording_init)
@@ -342,8 +337,9 @@ def test_initial_acceleration_solves_t0_balance():
     Sigma0 = 0.3 * np.sin(np.pi * x)
     Sigma_dot0 = 0.1 * np.sin(2 * np.pi * x)
     sdd0 = initial_acceleration(space, Sigma0, Sigma_dot0, P12)
+    pts = nodal_stage_points(space, Sigma0, Sigma_dot0, sdd0, P12)
     R = stage_residual(space, assemble_stiffness(space).matvec(Sigma0),
-                       _stage_points(space, Sigma0, Sigma_dot0, sdd0, P12), P12)
+                       pts, P12)
     np.testing.assert_allclose(R[1:-1], 0.0, atol=1e-12)
     # MMS initial data has zero exact acceleration
     f0 = mms_fields(x, 0.0)
@@ -353,22 +349,24 @@ def test_initial_acceleration_solves_t0_balance():
     np.testing.assert_allclose(sdd_mms, 0.0, atol=1e-10)
 
 
-def test_initial_acceleration_with_boundary_drive():
-    space = build_space(1.0, 6, "center_graded")
-    x = space.dof_coords
-    drive = BoundaryDrive(amplitude=0.5, omega=3.0)
-    t0 = 0.4
-    Sigma0 = 0.3 * np.sin(np.pi * x) + drive.value(t0) * x
-    Sigma_dot0 = 0.1 * np.sin(2 * np.pi * x)
-    sdd0 = initial_acceleration(space, Sigma0, Sigma_dot0, P12, drive, t0=t0)
-    assert drive.accel(t0) != 0.0
-    assert sdd0[-1] == drive.accel(t0)
-    assert sdd0[0] == 0.0
-    pts = _stage_points(space, Sigma0, Sigma_dot0, np.zeros_like(x), P12)
-    rhs = -stage_residual(space, np.zeros_like(x), pts, P12) \
-        - assemble_stiffness(space).matvec(Sigma0)
-    balance = stage_tangent(space, pts, 0.0, 0.0, P12).matvec(sdd0) - rhs
-    np.testing.assert_allclose(balance[1:-1], 0.0, atol=1e-12)
+def test_initial_acceleration_of_driven_run():
+    cfg = parse_config({"material": {"b": 1.0, "a": 2.0},
+                        "drive": {"A": 0.5, "omega": 3.0},
+                        "mesh": {"n_cells": 6,
+                                 "degree_policy": "center_graded"},
+                        "time": {"dt": 1e-3, "t_final": 1e-3},
+                        "output": {"snapshot_interval": 0.0}})
+    snaps, report = run_simulation(
+        cfg, initial_sigma=lambda x: 0.3 * np.sin(np.pi * x),
+        initial_rate=lambda x: 0.1 * np.sin(2 * np.pi * x))
+    space, p, s0 = report.space, cfg.material, snaps[0]
+    assert s0.t == 0.0
+    assert s0.Sigma_ddot[0] == s0.Sigma_ddot[-1] == 0.0
+    assert np.max(np.abs(s0.Sigma_ddot)) > 0.1
+    pts = nodal_stage_points(space, s0.Sigma, s0.Sigma_dot, s0.Sigma_ddot, p)
+    R = stage_residual(space, assemble_stiffness(space).matvec(s0.Sigma),
+                       pts, p)
+    np.testing.assert_allclose(R[1:-1], 0.0, atol=1e-12)
 
 
 def test_run_simulation_snapshot_schedule():
