@@ -106,11 +106,10 @@ def _config_mapping(args, preset: dict | None = None) -> dict:
 
 
 def _out_dir(args, config: ScenarioConfig | None = None) -> Path:
+    """--out if given, else the config's output.directory, else out."""
     if args.out:
         return Path(args.out)
-    if config is not None:
-        return Path(config.output.directory)
-    return Path("out")
+    return Path("out" if config is None else config.output.directory)
 
 
 def _say(args, message: str):
@@ -139,7 +138,7 @@ def _mms_preset(kind: str) -> dict:
 def cmd_mms(args, kind: str) -> int:
     config = parse_config(_config_mapping(args, preset=_mms_preset(kind)))
     table = convergence_study(kind, config)
-    out = _out_dir(args)
+    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     path = table.write_csv(out / f"convergence_{kind}.csv")
     _say(args, str(table))
@@ -160,7 +159,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     base = _config_mapping(args, preset={"material": {"b": 0.0}})
-    parse_config(base)  # fail early on bad base config
+    config = parse_config(base)  # fail early on bad base config
 
     members = []
     if args.grid in ("b", "all"):
@@ -168,7 +167,7 @@ def cmd_sweep(args) -> int:
     if args.grid in ("a", "all"):
         members.extend(g for g in SWEEP_A_GRID if g not in members)
 
-    out = _out_dir(args)
+    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     jobs = min(args.jobs, len(members))
     if jobs == 1:

@@ -9,19 +9,24 @@ Configs are YAML mappings with sections mirroring the solver modules:
     newton:   {tol, k_max}
     output:   {snapshot_interval, samples, directory}
 
-Only material.b is required; everything else has a documented default.
-Unknown sections or keys are rejected.  A run manifest (mapping with a
-"config" key) is accepted anywhere a config is, so runs can be
-reproduced from their own manifests.
+`_KEYS` is the schema: the one place that names a key and gives its
+type and default.  Each section of ScenarioConfig is a dataclass whose
+fields are exactly that section's keys, in the same order, so a config
+is built from its merged mapping and turned back into one without
+naming a key again.  Only material.b is required; everything else has a
+documented default.  Unknown sections or keys are rejected.  A run
+manifest (mapping with a "config" key) is accepted anywhere a config
+is, so runs can be reproduced from their own manifests.
 """
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 from .constitutive import MaterialParams
 from .fe_space import uniform_mesh
@@ -38,12 +43,18 @@ class MeshConfig:
     n_cells: int
     degree_policy: str
 
+    def __post_init__(self):
+        uniform_mesh(self.L, self.n_cells, self.degree_policy)
+
 
 @dataclass(frozen=True)
 class TimeConfig:
     dt: float
     t_final: float
     alpha: float
+
+    def __post_init__(self):
+        HhtParams(alpha=self.alpha, dt=self.dt)
 
 
 @dataclass(frozen=True)
@@ -101,7 +112,7 @@ def _coerce(section: str, key: str, value: Any, typ):
 def _merged_sections(mapping: Mapping) -> dict:
     unknown = set(mapping) - set(_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown config section(s): {sorted(unknown, key=repr)}")
     merged: dict = {}
     for section, keys in _KEYS.items():
         given = mapping.get(section, {})
@@ -111,7 +122,7 @@ def _merged_sections(mapping: Mapping) -> dict:
             raise ConfigError(f"section {section!r} must be a mapping")
         bad = set(given) - set(keys)
         if bad:
-            raise ConfigError(f"unknown key(s) in section {section!r}: {sorted(bad)}")
+            raise ConfigError(f"unknown key(s) in section {section!r}: {sorted(bad, key=repr)}")
         values = {key: default for key, (_, default) in keys.items()}
         for key, value in given.items():
             values[key] = _coerce(section, key, value, keys[key][0])
@@ -122,55 +133,31 @@ def _merged_sections(mapping: Mapping) -> dict:
 
 
 def _validated(merged: dict) -> ScenarioConfig:
-    m = merged["material"]
-    try:
-        material = MaterialParams(rho=m["rho"], b=m["b"], a=m["a"],
-                                  reg_eta=m["reg_eta"])
-    except ValueError as exc:
-        raise ConfigError(f"material: {exc}") from exc
-    if material.reg_eta == 0.0 and material.a < 2.0:
+    m, t = merged["material"], merged["time"]
+    d, o = merged["drive"], merged["output"]
+    if m["reg_eta"] == 0.0 and m["a"] < 2.0:
         raise ConfigError("material.reg_eta: must be positive when a < 2, "
                           "where eps''' is infinite at sigma = 0")
-
-    mesh = MeshConfig(**merged["mesh"])
-    try:
-        uniform_mesh(mesh.L, mesh.n_cells, mesh.degree_policy)
-    except ValueError as exc:
-        raise ConfigError(f"mesh: {exc}") from exc
-
-    t = merged["time"]
     if t["dt"] <= 0:
         raise ConfigError(f"time.dt: must be positive, got {t['dt']}")
     if t["t_final"] <= 0:
         raise ConfigError(f"time.t_final: must be positive, got {t['t_final']}")
     if not t["t_final"] / t["dt"] <= 2.0**53:  # (k + 1) dt hits every step time
         raise ConfigError(f"time.dt: t_final / dt is {t['t_final'] / t['dt']:g}, over 2**53")
-    try:
-        HhtParams(alpha=t["alpha"], dt=t["dt"])
-    except ValueError as exc:
-        raise ConfigError(f"time: {exc}") from exc
-    time_cfg = TimeConfig(**t)
-
-    d = merged["drive"]
     if d["A"] < 0:
         raise ConfigError(f"drive.A: must be non-negative, got {d['A']}")
-    drive = BoundaryDrive(amplitude=d["A"], omega=d["omega"])
-
-    try:
-        newton = NewtonSettings(tol=merged["newton"]["tol"],
-                                k_max=merged["newton"]["k_max"])
-    except ValueError as exc:
-        raise ConfigError(f"newton: {exc}") from exc
-
-    o = merged["output"]
     if o["snapshot_interval"] < 0:
         raise ConfigError("output.snapshot_interval: must be non-negative")
     if o["samples"] < 1:
         raise ConfigError("output.samples: must be >= 1")
-    output = OutputConfig(**o)
 
-    return ScenarioConfig(material=material, mesh=mesh, time=time_cfg,
-                          drive=drive, newton=newton, output=output)
+    sections = {}
+    for section, cls in get_type_hints(ScenarioConfig).items():
+        try:
+            sections[section] = cls(**merged[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
+    return ScenarioConfig(**sections)
 
 
 def parse_config(source) -> ScenarioConfig:
@@ -204,22 +191,15 @@ def parse_config(source) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse a config (or manifest) file."""
-    return parse_config(Path(path).read_text())
+    """Parse a UTF-8 config (or manifest) file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
+    return parse_config(text)
 
 
 def config_to_mapping(config: ScenarioConfig) -> dict:
     """Plain mapping of every resolved parameter (manifest content)."""
-    return {
-        "material": {"rho": config.material.rho, "b": config.material.b,
-                     "a": config.material.a, "reg_eta": config.material.reg_eta},
-        "mesh": {"L": config.mesh.L, "n_cells": config.mesh.n_cells,
-                 "degree_policy": config.mesh.degree_policy},
-        "time": {"dt": config.time.dt, "t_final": config.time.t_final,
-                 "alpha": config.time.alpha},
-        "drive": {"A": config.drive.amplitude, "omega": config.drive.omega},
-        "newton": {"tol": config.newton.tol, "k_max": config.newton.k_max},
-        "output": {"snapshot_interval": config.output.snapshot_interval,
-                   "samples": config.output.samples,
-                   "directory": config.output.directory},
-    }
+    return dataclasses.asdict(config)

@@ -135,11 +135,11 @@ class NewtonSettings:
 class BoundaryDrive:
     """Oscillatory stress Dirichlet data: 0 at x=0, A sin(omega t) at x=L."""
 
-    amplitude: float
+    A: float
     omega: float
 
     def value(self, t: float) -> float:
-        return self.amplitude * np.sin(self.omega * t)
+        return self.A * np.sin(self.omega * t)
 
 
 @dataclass
@@ -204,19 +204,18 @@ def _stage(space: FeSpace, p: MaterialParams, base: np.ndarray,
 
 
 def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
-                p: MaterialParams, load_prev: np.ndarray | None = None,
-                load_next: np.ndarray | None = None) -> tuple:
+                p: MaterialParams, load_prev: np.ndarray | float = 0.0,
+                load_next: np.ndarray | float = 0.0) -> tuple:
     """Residual and tangent of one step as functions of Sdd_{n+1}.
 
     Returns (residual, tangent): residual(sdd) evaluates the stage of
     the acceleration vector sdd once and returns (pts, R); tangent(pts)
     is the BandedMatrix dR/dSdd at those stage values.  `load_prev` /
-    `load_next` are the assembled load vectors at t_n / t_{n+1}; None
+    `load_next` are the assembled load vectors at t_n / t_{n+1}; 0.0
     means no load.
     """
     alpha, w, dt = hht.alpha, 1.0 + hht.alpha, hht.dt
-    load = ((0.0 if load_next is None else w * load_next)
-            - (0.0 if load_prev is None else alpha * load_prev))
+    load = w * load_next - alpha * load_prev
     S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
     return _stage(space, p,
                   S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd,
@@ -227,8 +226,8 @@ def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
 def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
                  p: MaterialParams, newton: NewtonSettings,
                  drive: BoundaryDrive | None = None,
-                 load_prev: np.ndarray | None = None,
-                 load_next: np.ndarray | None = None,
+                 load_prev: np.ndarray | float = 0.0,
+                 load_next: np.ndarray | float = 0.0,
                  ) -> tuple[SystemState, NewtonReport]:
     """Advance one HHT-alpha step by Newton iteration on the acceleration.
 
@@ -360,12 +359,11 @@ def run_simulation(config: "ScenarioConfig",
     def block(lo):  # the end times of steps lo.. that one load block holds
         return np.minimum(np.arange(lo, min(lo + LOAD_BLOCK, n_steps + 1)) * dt, t_final)
 
-    loads = load_prev = None
+    loads, load_prev = None, 0.0
     if forcing is not None:
         loads = assembly.assemble_load_at(space, forcing, block(0))
         load_prev = loads[0]
-    Sigma_ddot0 = initial_acceleration(
-        space, Sigma0, Sigma_dot0, p, 0.0 if load_prev is None else load_prev)
+    Sigma_ddot0 = initial_acceleration(space, Sigma0, Sigma_dot0, p, load_prev)
     state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
 
     snapshots = [state]
@@ -378,7 +376,7 @@ def run_simulation(config: "ScenarioConfig",
         step_hht = hht
         if abs(t_target - (state.t + dt)) > 1e-12 * max(t_final, 1.0):
             step_hht = HhtParams(alpha=hht.alpha, dt=t_target - state.t)
-        load_next = None
+        load_next = 0.0
         if forcing is not None:
             if (step + 1) % LOAD_BLOCK == 0:
                 loads = assembly.assemble_load_at(space, forcing, block(step + 1))

@@ -79,7 +79,7 @@ def test_criterion_02_temporal_mms_convergence():
 
 def test_criterion_03_linear_baseline():
     cfg, records, _ = _driven_run(b=0.0, a=1.5)
-    A = cfg.drive.amplitude
+    A = cfg.drive.A
 
     c_dev = max(float(np.max(np.abs(rec.c - 1.0))) for _, rec in records)
 

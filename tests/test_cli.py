@@ -61,9 +61,19 @@ def test_simulate_requires_config(tmp_path):
     assert main(["simulate", "--out", str(tmp_path / "o"), "--quiet"]) == 2
 
 
-def test_config_error_exit_code(tmp_path):
-    cfg = _write(tmp_path, "bad.yaml", "material: {rho: 1.0}\n")
-    assert main(["simulate", "--config", str(cfg), "--quiet"]) == 2
+def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for data, named in (
+            (b"material: {rho: 1.0}\n", "material.b is required"),
+            (b"material: {b: 1.0}\n# \xff\n", "bad.yaml: not UTF-8"),
+            (b"material: {b: 1.0}\n1: 2\nx: 3\n", "['x', 1]"),
+            (b"material: {b: 1.0, 1: 2, x: 3}\n", "['x', 1]")):
+        Path("bad.yaml").write_bytes(data)
+        assert main(["simulate", "--config", "bad.yaml", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bad.yaml"]
 
 
 @pytest.mark.parametrize("text,field", [
@@ -242,6 +252,24 @@ output: {snapshot_interval: 0.05, samples: 64}
     assert labels == ["b1_a1.5", "b1_a3", "b1_a5", "b1_a10"]
     for label in labels:
         assert (out / label / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["sweep", "--grid", "b"], "sweep_summary.csv"),
+    (["mms-temporal"], "convergence_temporal.csv"),
+])
+def test_config_output_directory_without_out(tmp_path, monkeypatch, argv,
+                                             written):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "base.yaml", """
+material: {b: 1.0, a: 2.0}
+mesh: {n_cells: 8}
+time: {dt: 5.0e-3, t_final: 0.01}
+output: {snapshot_interval: 0.05, samples: 16, directory: here}
+""")
+    assert main(argv + ["--config", "base.yaml", "--quiet"]) == 0
+    assert (tmp_path / "here" / written).exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -17,7 +17,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.time.dt == 1e-3
     assert cfg.time.t_final == 1.0
     assert cfg.time.alpha == -0.05
-    assert cfg.drive.amplitude == 0.02
+    assert cfg.drive.A == 0.02
     assert cfg.drive.omega == pytest.approx(2.0 * math.pi)
     assert cfg.newton.tol == 1e-10
     assert cfg.newton.k_max == 20
@@ -51,11 +51,16 @@ def test_nonpositive_exponent_rejected():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown config section"):
         parse_config({"material": {"b": 0.0}, "solver": {}})
+    # names of mixed types are listed, not compared
+    with pytest.raises(ConfigError, match=r"section\(s\): \['x', 1\]$"):
+        parse_config({"material": {"b": 0.0}, 1: 2, "x": 3})
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config({"material": {"b": 0.0, "nu": 0.3}})
+    with pytest.raises(ConfigError, match=r"'material': \['x', 1\]$"):
+        parse_config({"material": {"b": 0.0, 1: 2, "x": 3}})
 
 
 def test_bad_types_rejected():

@@ -127,7 +127,7 @@ def test_boundary_acceleration_zero_cases():
 
 
 def test_boundary_acceleration_roundtrip():
-    drive = BoundaryDrive(amplitude=0.5, omega=3.0)
+    drive = BoundaryDrive(A=0.5, omega=3.0)
     hht = HhtParams(alpha=-0.05, dt=0.02)
     rng = np.random.default_rng(2)
     state = SystemState(0.3, rng.normal(size=4), rng.normal(size=4),
@@ -174,7 +174,7 @@ def test_advance_step_singular_tangent_diverges(monkeypatch):
     with pytest.raises(NewtonDivergedError, match="singular") as err:
         advance_step(zero_state(space.n_dofs), space,
                      HhtParams(alpha=-0.05, dt=1e-3), P12, NEWTON,
-                     BoundaryDrive(amplitude=0.02, omega=2.0 * np.pi))
+                     BoundaryDrive(A=0.02, omega=2.0 * np.pi))
     assert err.value.iters == 0
     assert err.value.t == pytest.approx(1e-3)
 
@@ -188,7 +188,7 @@ def test_advance_step_matches_public_newton_loop():
     p = MaterialParams(rho=1.0, b=5.0, a=1.5)
     hht = HhtParams(alpha=-0.05, dt=1e-2)
     newton = NEWTON
-    drive = BoundaryDrive(amplitude=0.3, omega=3.0)
+    drive = BoundaryDrive(A=0.3, omega=3.0)
     rng = np.random.default_rng(11)
     state_n = SystemState(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
                           rng.normal(size=n))
@@ -282,7 +282,7 @@ def test_boundary_conditions_exact_at_snapshots():
     snaps, _ = run_simulation(cfg)
     for st in snaps:
         assert abs(st.Sigma[0]) <= 1e-12
-        bc = cfg.drive.amplitude * np.sin(cfg.drive.omega * st.t)
+        bc = cfg.drive.A * np.sin(cfg.drive.omega * st.t)
         assert abs(st.Sigma[-1] - bc) <= 1e-12
 
 
@@ -414,7 +414,7 @@ def test_run_below_half_a_step_takes_one_step_to_t_final():
                         "time": {"dt": 1e-3, "t_final": 1e-10}})
     snaps, report = run_simulation(cfg)
     assert report.newton_iters == [1] and [s.t for s in snaps] == [0.0, 1e-10]
-    bc = cfg.drive.amplitude * np.sin(cfg.drive.omega * 1e-10)
+    bc = cfg.drive.A * np.sin(cfg.drive.omega * 1e-10)
     assert snaps[-1].Sigma[-1] == pytest.approx(bc, rel=1e-12)
 
 
@@ -437,7 +437,7 @@ def test_run_simulation_short_final_step():
     snaps, report = run_simulation(cfg)
     assert len(report.newton_iters) == 4
     assert snaps[-1].t == pytest.approx(0.01, abs=1e-15)
-    bc = cfg.drive.amplitude * np.sin(cfg.drive.omega * snaps[-1].t)
+    bc = cfg.drive.A * np.sin(cfg.drive.omega * snaps[-1].t)
     assert abs(snaps[-1].Sigma[-1] - bc) <= 1e-12
 
 
