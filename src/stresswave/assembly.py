@@ -125,9 +125,9 @@ class BandedMatrix:
         return out
 
 
-def _vector(space: FeSpace, t: CellTable, integrand: np.ndarray) -> np.ndarray:
-    """F_I = integral integrand N_I dx from integrand values at the points."""
-    fe = t.integrate(integrand, t.ref)
+def _vector(space: FeSpace, t: CellTable, hw: np.ndarray) -> np.ndarray:
+    """F_I = integral h N_I dx from hw = h * wj at the points."""
+    fe = t.integrate(hw, t.ref)
     return np.bincount(t.dofs.ravel(), weights=fe.ravel(),
                        minlength=space.n_dofs)
 
@@ -139,16 +139,35 @@ def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
     return BandedMatrix(n, bw, ab.reshape(n, 2 * bw + 1).T)
 
 
-def _matrix(space: FeSpace, t: CellTable, coef: np.ndarray) -> BandedMatrix:
-    """M_IJ = integral coef N_I N_J dx from coef values at the points."""
-    return _banded(space, t, t.integrate(coef, t.ref_outer))
+def _matrix(space: FeSpace, t: CellTable, hw: np.ndarray) -> BandedMatrix:
+    """M_IJ = integral h N_I N_J dx from hw = h * wj at the points."""
+    return _banded(space, t, t.integrate(hw, t.ref_outer))
 
 
 @lru_cache(maxsize=1)  # a run assembles with one space
 def assemble_stiffness(space: FeSpace) -> BandedMatrix:
     """Constant stiffness K_IJ = integral N_I' N_J' dx (cached per space)."""
     t = space.table  # dN/dx = dN/d xi / jac
-    return _banded(space, t, t.integrate(t.jac[:, None] ** -2.0, t.dref_outer))
+    return _banded(space, t, t.integrate(t.jac[:, None] ** -2.0 * t.wj,
+                                         t.dref_outer))
+
+
+@lru_cache(maxsize=2)  # the c of every step, and of t = 0 or a short last step
+def _scaled_stiffness(space: FeSpace, c: float) -> np.ndarray:
+    """c K in banded storage (read-only), the elastic part of a stage
+    tangent."""
+    ab = c * assemble_stiffness(space).ab
+    ab.flags.writeable = False
+    return ab
+
+
+@lru_cache(maxsize=1)  # a run integrates with one space and one rho
+def _rho_wj(space: FeSpace, rho: float) -> np.ndarray:
+    """rho * wj of space.table (read-only), the weights of the inertial
+    integrals."""
+    w = rho * space.table.wj
+    w.flags.writeable = False
+    return w
 
 
 def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
@@ -156,7 +175,7 @@ def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
     `times`, from one forcing call with t of shape (len(times), 1, 1)."""
     t, k = space.table, len(times)
     f = forcing(t.x_q, np.asarray(times, dtype=float)[:, None, None])
-    fe = t.integrate(np.broadcast_to(f, (k,) + t.x_q.shape), t.ref)
+    fe = t.integrate(np.broadcast_to(f, (k,) + t.x_q.shape) * t.wj, t.ref)
     rows = np.arange(k)[:, None] * space.n_dofs + t.dofs.ravel()
     return np.bincount(rows.ravel(), weights=fe.ravel(),
                        minlength=k * space.n_dofs).reshape(k, -1)
@@ -186,7 +205,10 @@ def stage_residual(space: FeSpace, elastic: np.ndarray, pts: tuple,
                    p: MaterialParams) -> np.ndarray:
     """R = F_inrt(pts) + elastic, where elastic is K S - L of the stage."""
     sigd_q, sigdd_q, fp, fpp, _ = pts
-    R = _vector(space, space.table, p.rho * (fp * sigdd_q + fpp * sigd_q**2))
+    h = fp * sigdd_q
+    h += fpp * sigd_q**2
+    h *= _rho_wj(space, p.rho)
+    R = _vector(space, space.table, h)
     R += elastic
     return R
 
@@ -197,8 +219,14 @@ def stage_tangent(space: FeSpace, pts: tuple, c_dot: float, c: float,
     dSd = c_dot dSdd; c = c_dot = 0 gives the mass matrix M(S)."""
     sigd_q, sigdd_q, fp, fpp, fppp = pts
     # M + c_dot C_nl + c (K + K_sig), fused in one pass
-    S = _matrix(space, space.table, p.rho * (
-        fp + c_dot * 2.0 * fpp * sigd_q
-        + c * (fpp * sigdd_q + fppp * sigd_q**2)))
-    S.ab += c * assemble_stiffness(space).ab
+    h = c_dot * 2.0 * fpp
+    h *= sigd_q
+    h += fp
+    k_sig = fpp * sigdd_q
+    k_sig += fppp * sigd_q**2
+    k_sig *= c
+    h += k_sig
+    h *= _rho_wj(space, p.rho)
+    S = _matrix(space, space.table, h)
+    S.ab += _scaled_stiffness(space, c)
     return S

@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    common(sp, scenario=False)
+    sp.add_argument("--quiet", action="store_true")
     sp.add_argument("path", help="output file")
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--a", type=float, required=True)

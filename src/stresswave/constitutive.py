@@ -74,21 +74,23 @@ def strain(sigma, p: MaterialParams):
     that relies on strict order of eps (a bisection inverse, a monotone
     interpolation of fitted data) must allow for it.
     """
-    return _as_result(sigma, _strain(np.asarray(sigma, dtype=float), p)[0])
+    return _as_result(sigma, _strain(np.asarray(sigma, dtype=float), p,
+                                     slope=False)[0])
 
 
-def _strain(s: np.ndarray, p: MaterialParams):
+def _strain(s: np.ndarray, p: MaterialParams, slope: bool = True):
     """eps(s) and eps'(s) = D^-(1+1/a) as in derivatives, from one
-    evaluation of w = (b|s|)^a and D = 1 + w (eps' = 1 for b = 0)."""
+    evaluation of w = (b|s|)^a and D = 1 + w (eps' = 1 for b = 0); eps'
+    is None unless `slope`."""
     if p.b == 0.0:
-        return s + 0.0, np.ones_like(s)
+        return s + 0.0, np.ones_like(s) if slope else None
     with np.errstate(over="ignore"):
         w = (p.b * np.abs(s)) ** p.a
         d = 1.0 + w
         out = s * d ** (-1.0 / p.a)
     # (b|s|)^a overflowed: the law has saturated at the limiting strain
     return (np.where(np.isinf(w), np.sign(s) / p.b, out),
-            d ** (-(1.0 + 1.0 / p.a)))
+            d ** (-(1.0 + 1.0 / p.a)) if slope else None)
 
 
 def derivatives(sigma, p: MaterialParams):
@@ -112,14 +114,17 @@ def derivatives(sigma, p: MaterialParams):
     return tuple(map(float, out)) if s.ndim == 0 else out
 
 
-def _derivatives(s: np.ndarray, p: MaterialParams):
+def _derivatives(s: np.ndarray, p: MaterialParams, third: bool = True):
     """derivatives of the array s plus the min(eps') its saturation guard
-    took (1.0 for b = 0), so that a caller checking eps' > 0 reduces once."""
+    took (1.0 for b = 0), so that a caller checking eps' > 0 reduces once;
+    eps''' is None unless `third`.  reg_eta^2 is a float64, so a width
+    whose square overflows gives reg = inf and 0 for its negative powers."""
     a, mag = p.a, np.abs(s)
     if p.b == 0.0:
-        return np.ones_like(s), np.zeros_like(s), np.zeros_like(s), 1.0
+        return (np.ones_like(s), np.zeros_like(s),
+                np.zeros_like(s) if third else None, 1.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reg = mag if a >= 2.0 else np.sqrt(s * s + p.reg_eta**2)
+        reg = mag if a >= 2.0 else np.sqrt(s * s + np.float64(p.reg_eta) ** 2)
         w = (p.b * mag) ** a
         d = 1.0 + w
         fp = d ** (-(1.0 + 1.0 / a))
@@ -130,12 +135,17 @@ def _derivatives(s: np.ndarray, p: MaterialParams):
         else:
             fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
             fpp *= np.sign(s)
-        fppp = g * r
-        fppp *= (a - 1.0) - (a + 2.0) * w
-        fppp /= d
+        fppp = None
+        if third:
+            fppp = g * r
+            fppp *= (a - 1.0) - (a + 2.0) * w
+            fppp /= d
     fp_min = fp.min(initial=np.inf)
     if not fp_min > 0.0:  # saturated: w = inf, eps' = 0
-        fpp, fppp = np.where(np.isinf(w), 0.0, (fpp, fppp))
+        saturated = np.isinf(w)
+        fpp = np.where(saturated, 0.0, fpp)
+        if third:
+            fppp = np.where(saturated, 0.0, fppp)
     return fp, fpp, fppp, fp_min
 
 

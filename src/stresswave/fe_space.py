@@ -112,10 +112,10 @@ class CellTable:
         vals = [f[self.dofs].dot(self.ref_t) for f in fields]
         return vals if self.pick is None else [v.ravel()[self.pick] for v in vals]
 
-    def integrate(self, h: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        """Per-cell sums over the points of h * wj times the rows of the
-        reference table `ref`, for h of shape (..., n_cells, n_points)."""
-        hw = h * self.wj
+    def integrate(self, hw: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """Per-cell sums over the points of hw (the integrand already times
+        wj) times the rows of the reference table `ref`, for hw of shape
+        (..., n_cells, n_points)."""
         if self.pick is not None:  # each cell's values in its degree block
             full = np.zeros(hw.shape[:-1] + (len(ref),))
             rows = (slice(None),) * (hw.ndim - 2)  # leading axes, if any
@@ -249,7 +249,9 @@ def uniform_mesh(L: float, n_cells: int,
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
     edges = np.linspace(0.0, L, n_cells + 1)
-    m = re.fullmatch(r"uniform\((\d)\)", policy.strip())
+    if not np.all(np.diff(edges) > 0):  # L is a few subnormals wide
+        raise ValueError(f"L={L} is too small to separate {n_cells} cells")
+    m = re.fullmatch(r"uniform\(([0-9])\)", policy.strip())
     if m:
         p = int(m.group(1))
         if p not in (1, 2, 3):

@@ -1,19 +1,27 @@
 """Implicit HHT-alpha time stepping with Newton-Raphson stage solves.
 
-Each step advances the nodal stress, rate and acceleration vectors.
-The acceleration is the Newton unknown; stress and rate follow from the
-Newmark relations
+A state is the nodal stress, rate and acceleration vectors, kept as the
+rows of one (3, n) array X = (S, Sd, Sdd).  The acceleration is the
+Newton unknown; stress and rate follow from the Newmark relations,
+written as predictors plus correctors (Hughes, The Finite Element
+Method, 2000, ch. 9):
 
-    S_{n+1}  = S_n + dt Sd_n + dt^2 [(1 - 2 beta)/2 Sdd_n + beta Sdd_{n+1}]
-    Sd_{n+1} = Sd_n + dt [(1 - gamma) Sdd_n + gamma Sdd_{n+1}]
+    S_{n+1}  = pred     + beta dt^2 Sdd_{n+1}
+    Sd_{n+1} = pred_dot + gamma dt Sdd_{n+1}
+    pred     = S_n + dt Sd_n + (1/2 - beta) dt^2 Sdd_n
+    pred_dot = Sd_n + (1 - gamma) dt Sdd_n
 
 with beta = (1 - alpha)^2 / 4 and gamma = 1/2 - alpha derived from the
-dissipation parameter alpha in [-1/3, 0].  Stress Dirichlet data at the
-two boundary nodes is enforced exactly: before Newton starts, each
-boundary acceleration is set to the value whose Newmark update hits the
-prescribed stress, and every Newton update then solves only the interior
-rows and columns of the tangent.  The drive is asked only for its stress
-value; at t = 0 both boundary accelerations are 0.
+dissipation parameter alpha in [-1/3, 0].  Each HhtParams holds two 2x3
+coefficient matrices (HhtParams.newmark): one product with X_n gives the
+predictor and its rate, the other the two stage bases below, and the
+next state is written into a fresh X as pred + beta dt^2 Sdd and
+pred_dot + gamma dt Sdd.  Stress Dirichlet data at the two boundary
+nodes is enforced exactly: before Newton starts, each boundary
+acceleration is set from the predictor row to the value whose corrector
+hits the prescribed stress, and every Newton update then solves only the
+interior rows and columns of the tangent.  The drive is asked only for
+its stress value; at t = 0 both boundary accelerations are 0.
 
 The time-discrete residual weights the elastic and load terms with
 alpha:
@@ -23,10 +31,12 @@ alpha:
 
 where the starred quantities are the alpha-weighted stage states
 
-    S*  = (1+alpha) S_{n+1}  - alpha S_n
-    Sd* = (1+alpha) Sd_{n+1} - alpha Sd_n,
+    S*  = (1+alpha) S_{n+1}  - alpha S_n  = base     + c Sdd_{n+1}
+    Sd* = (1+alpha) Sd_{n+1} - alpha Sd_n = base_dot + c_dot Sdd_{n+1}
 
-so the elastic term is the single product K S*.  This is the pairing
+with base = (1+alpha) pred - alpha S_n (base_dot likewise), c =
+(1+alpha) beta dt^2 and c_dot = (1+alpha) gamma dt, so the elastic term
+is the single product K S*.  This is the pairing
 that keeps second-order accuracy with the beta and gamma above: the
 converged acceleration is effectively a sample of the true acceleration
 at t_{n+1} + alpha dt, and the gamma excess over 1/2 cancels exactly
@@ -44,20 +54,21 @@ stage weighting:
     dR/dSdd = M(S*) + (1+alpha) { gamma dt C_nl + beta dt^2 [K + K_sig] }
 
 with C_nl and K_sig the stage integrals of assembly, that is
-assembly.stage_tangent with c_dot = (1+alpha) gamma dt and c =
-(1+alpha) beta dt^2; at c = c_dot = 0 the same stage is the t = 0
-balance, with the mass matrix M(S0) as tangent, that initial_acceleration
-solves.  A stage's part at Sdd_{n+1} = 0 goes to the quadrature points,
-and its elastic term K S* - L is formed, once.  Each Newton iterate then
-interpolates only its acceleration, adds c K Sdd_{n+1} to that elastic
-term in one BLAS call, and evaluates its stage at the points once
-(fused eps', eps'', eps''') for both its residual and its tangent.
+assembly.stage_tangent with c_dot and c; at c = c_dot = 0 the same stage
+is the t = 0 balance, with the mass matrix M(S0) as tangent, that
+initial_acceleration solves.  A stage's bases go to the quadrature
+points, and its elastic term K base - L is formed, once.  Each Newton
+iterate then interpolates only its acceleration, adds c K Sdd_{n+1} to
+the elastic term in one BLAS gbmv, and evaluates its stage at the
+points once (fused eps', eps'', eps''') for both its residual and its
+tangent.
 """
 from __future__ import annotations
 
 import math
 import time as _time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -96,20 +107,63 @@ class HhtParams:
     def gamma_nm(self) -> float:
         return 0.5 - self.alpha
 
+    @cached_property
+    def newmark(self) -> tuple:
+        """(Cp, Cs, corr, c, c_dot), computed once per instance.
 
-@dataclass
+        The read-only 2x3 matrices Cp and Cs take a state's rows (S, Sd,
+        Sdd) to (pred, pred_dot) and to the stage bases (base, base_dot).
+        The read-only column corr = (beta dt^2, gamma dt) adds the next
+        acceleration to the predictors, and c = (1+alpha) beta dt^2,
+        c_dot = (1+alpha) gamma dt to the bases.
+        """
+        dt, beta, gamma, w = self.dt, self.beta_nm, self.gamma_nm, 1.0 + self.alpha
+        Cp = np.array([[1.0, dt, dt**2 * 0.5 * (1.0 - 2.0 * beta)],
+                       [0.0, 1.0, dt * (1.0 - gamma)]])
+        Cs = np.array([[1.0, w * dt, w * dt**2 * (0.5 - beta)],
+                       [0.0, 1.0, w * dt * (1.0 - gamma)]])
+        corr = np.array([[beta * dt**2], [gamma * dt]])
+        for m in (Cp, Cs, corr):
+            m.flags.writeable = False
+        return Cp, Cs, corr, w * beta * dt**2, w * gamma * dt
+
+
 class SystemState:
-    """Nodal stress, stress rate and stress acceleration at time t."""
+    """Nodal stress, stress rate and stress acceleration at time t.
 
-    t: float
-    Sigma: np.ndarray
-    Sigma_dot: np.ndarray
-    Sigma_ddot: np.ndarray
+    The three vectors are the rows of one (3, n) array X, and Sigma,
+    Sigma_dot and Sigma_ddot are views of its rows.  The constructor
+    copies the vectors into a new X; SystemState.stacked keeps a given X.
+    """
 
-    def __post_init__(self):
-        n = len(self.Sigma)
-        if len(self.Sigma_dot) != n or len(self.Sigma_ddot) != n:
+    __slots__ = ("t", "X")
+
+    def __init__(self, t: float, Sigma: np.ndarray, Sigma_dot: np.ndarray,
+                 Sigma_ddot: np.ndarray):
+        n = len(Sigma)
+        if len(Sigma_dot) != n or len(Sigma_ddot) != n:
             raise ValueError("state vectors must share one length")
+        self.t = t
+        self.X = np.array([Sigma, Sigma_dot, Sigma_ddot], dtype=float)
+
+    @classmethod
+    def stacked(cls, t: float, X: np.ndarray) -> "SystemState":
+        """The state at t whose rows are those of the (3, n) array X."""
+        state = cls.__new__(cls)
+        state.t, state.X = t, X
+        return state
+
+    @property
+    def Sigma(self) -> np.ndarray:
+        return self.X[0]
+
+    @property
+    def Sigma_dot(self) -> np.ndarray:
+        return self.X[1]
+
+    @property
+    def Sigma_ddot(self) -> np.ndarray:
+        return self.X[2]
 
 
 @dataclass(frozen=True)
@@ -158,28 +212,6 @@ class NewtonDivergedError(RuntimeError):
         self.history = history
 
 
-def newmark_update(state_n: SystemState, Sigma_ddot_next: np.ndarray,
-                   hht: HhtParams) -> tuple[np.ndarray, np.ndarray]:
-    """Next stress and stress-rate vectors from the next acceleration."""
-    dt, beta, gamma = hht.dt, hht.beta_nm, hht.gamma_nm
-    Sigma_next = (state_n.Sigma + dt * state_n.Sigma_dot
-                  + dt**2 * (0.5 * (1.0 - 2.0 * beta) * state_n.Sigma_ddot
-                             + beta * Sigma_ddot_next))
-    Sigma_dot_next = (state_n.Sigma_dot
-                      + dt * ((1.0 - gamma) * state_n.Sigma_ddot
-                              + gamma * Sigma_ddot_next))
-    return Sigma_next, Sigma_dot_next
-
-
-def boundary_acceleration(bc_value_next: float, node: int,
-                          state_n: SystemState, hht: HhtParams) -> float:
-    """Acceleration that makes the Newmark update hit bc_value_next exactly."""
-    dt, beta = hht.dt, hht.beta_nm
-    free = (state_n.Sigma[node] + dt * state_n.Sigma_dot[node]
-            + dt**2 * 0.5 * (1.0 - 2.0 * beta) * state_n.Sigma_ddot[node])
-    return (bc_value_next - free) / (beta * dt**2)
-
-
 def _stage(space: FeSpace, p: MaterialParams, base: np.ndarray,
            base_dot: np.ndarray, c: float, c_dot: float, load) -> tuple:
     """Residual and tangent of the stage S = base + c Sdd, Sd = base_dot +
@@ -214,13 +246,10 @@ def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
     `load_next` are the assembled load vectors at t_n / t_{n+1}; 0.0
     means no load.
     """
-    alpha, w, dt = hht.alpha, 1.0 + hht.alpha, hht.dt
-    load = w * load_next - alpha * load_prev
-    S, Sd, Sdd = state_n.Sigma, state_n.Sigma_dot, state_n.Sigma_ddot
-    return _stage(space, p,
-                  S + w * dt * Sd + w * dt**2 * (0.5 - hht.beta_nm) * Sdd,
-                  Sd + w * dt * (1.0 - hht.gamma_nm) * Sdd,
-                  w * hht.beta_nm * dt**2, w * hht.gamma_nm * dt, load)
+    _, Cs, _, c, c_dot = hht.newmark
+    base, base_dot = Cs.dot(state_n.X)
+    load = (1.0 + hht.alpha) * load_next - hht.alpha * load_prev
+    return _stage(space, p, base, base_dot, c, c_dot, load)
 
 
 def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
@@ -232,13 +261,18 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
     """Advance one HHT-alpha step by Newton iteration on the acceleration.
 
     Loads are as in step_system.  The boundary accelerations are fixed
-    before the first iterate, so Newton updates only the interior DoFs.
+    before the first iterate, so Newton updates only the interior DoFs,
+    in place in the next state's acceleration row.
     """
     t_next = state_n.t + hht.dt
-    sdd = state_n.Sigma_ddot.copy()
-    sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
-    sdd[-1] = boundary_acceleration(
-        0.0 if drive is None else drive.value(t_next), -1, state_n, hht)
+    Cp, _, corr, _, _ = hht.newmark
+    pred = Cp.dot(state_n.X)  # pred, pred_dot
+    X = state_n.X.copy()
+    sdd = X[2]
+    bc = 0.0 if drive is None else drive.value(t_next)
+    k = corr[0, 0]
+    sdd[0] = (0.0 - pred[0, 0]) / k
+    sdd[-1] = (bc - pred[0, -1]) / k
     residual, tangent = step_system(state_n, space, hht, p, load_prev,
                                     load_next)
     pts, R = residual(sdd)
@@ -271,9 +305,10 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
         pts, R = residual(sdd)
         history.append(math.sqrt(R[1:-1] @ R[1:-1]))
 
-    report = NewtonReport(iters=iters, history=history)
-    Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
-    return SystemState(t_next, Sigma, Sigma_dot, sdd), report
+    np.multiply(corr, sdd, out=X[:2])
+    X[:2] += pred
+    return (SystemState.stacked(t_next, X),
+            NewtonReport(iters=iters, history=history))
 
 
 def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,

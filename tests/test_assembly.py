@@ -8,13 +8,12 @@ from stresswave.assembly import (BandedMatrix, _scipy_linalg_extension,
                                  stage_residual, stage_tangent)
 from stresswave.constitutive import HyperbolicityError, MaterialParams
 from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
-from stresswave.integrator import (HhtParams, SystemState, newmark_update,
-                                   step_system)
+from stresswave.integrator import HhtParams, SystemState, step_system
 from stresswave.verification import mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
 from stage_helpers import nodal_stage_points
-from state_helpers import zero_state
+from state_helpers import newmark_update, zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)

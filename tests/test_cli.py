@@ -96,6 +96,35 @@ def test_non_finite_config_number_exit_code(tmp_path, capsys, text, field):
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+@pytest.mark.parametrize("mesh,named", [
+    ("{L: 5e-324}", "L=5e-324 is too small to separate 128 cells"),
+    ("{degree_policy: 'uniform(\uff11)'}", "unknown degree policy"),
+])
+def test_mesh_rule_exit_code(tmp_path, capsys, mesh, named):
+    # edges that linspace cannot separate, and a full-width digit 1
+    cfg = _write(tmp_path, "bad.yaml", f"material: {{b: 1.0}}\nmesh: {mesh}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mesh: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_huge_reg_eta_runs(tmp_path, command):
+    # reg_eta^2 overflows to inf: the regularised negative powers are 0
+    cfg = _write(tmp_path, "run.yaml", """
+material: {b: 1.0, a: 1.5, reg_eta: 1.0e300}
+mesh: {n_cells: 8}
+time: {dt: 1.0e-2, t_final: 0.05}
+drive: {A: 0.3}
+""")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--quiet"]
+    assert main(argv + (["--grid", "b"] if command == "sweep" else [])) == 0
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_bad_snapshot_every_exit_code(tmp_path, capsys, command, value):
@@ -352,6 +381,7 @@ def test_sweep_jobs_below_one_exit_code(tmp_path, monkeypatch, capsys, jobs):
     ["gen-data", "g.csv", "--b", "1", "--a", "1", "--config",
      "/nonexistent.yaml"],
     ["gen-data", "g.csv", "--b", "1", "--a", "1", "--snapshot-every", "nan"],
+    ["gen-data", "g.csv", "--b", "1", "--a", "1", "--out", "x"],
 ], ids=lambda argv: argv[0] + [a for a in argv if a[:2] == "--"][-1])
 def test_unread_flag_exit_code(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -76,6 +76,10 @@ def test_build_space_rejects_bad_input():
         build_space(1.0, 4, "uniform(4)")
     with pytest.raises(ValueError):
         build_space(1.0, 4, "chebyshev")
+    with pytest.raises(ValueError, match="unknown degree policy"):
+        build_space(1.0, 4, "uniform(\uff11)")  # a full-width digit 1
+    with pytest.raises(ValueError, match="too small to separate 4 cells"):
+        build_space(5e-324, 4, "uniform(1)")  # linspace repeats edges
     for L in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             build_space(L, 4)
@@ -248,10 +252,10 @@ def test_cell_table_weighted_tables(policy, n_extra):
                                    atol=1e-14 * np.max(np.abs(ref)))
 
     close(t.at_points(f)[0], np.einsum("mqi,mi->mq", shape, f[dofs]))
-    close(_vector(space, t, h),
+    close(_vector(space, t, h * t.wj),
           np.bincount(dofs.ravel(), np.einsum("mq,mqi->mi", h, wshape).ravel(),
                       minlength=space.n_dofs))
-    close(_matrix(space, t, h).ab,
+    close(_matrix(space, t, h * t.wj).ab,
           _banded(space, t, np.einsum("mq,mqk->mk", h, wouter)).ab)
     if n_extra == 2:
         close(assemble_stiffness(space).ab,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stresswave import integrator
 from stresswave.assembly import (assemble_load_at, assemble_stiffness,
@@ -10,15 +12,34 @@ from stresswave.fe_space import build_space
 from stresswave.integrator import (BoundaryDrive, HhtParams,
                                    NewtonDivergedError, NewtonSettings,
                                    SystemState, advance_step,
-                                   boundary_acceleration, initial_acceleration,
-                                   newmark_update, run_simulation, step_system)
+                                   initial_acceleration, run_simulation,
+                                   step_system)
 from stresswave.verification import mms_fields, mms_forcing
 
 from stage_helpers import nodal_stage_points
-from state_helpers import zero_state
+from state_helpers import boundary_acceleration, newmark_update, zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
+LINEAR = MaterialParams(rho=1.0, b=0.0, a=1.5)
 NEWTON = NewtonSettings(tol=1.0e-10, k_max=20)
+
+
+def _corrected(state_n, sdd, hht):
+    """(Sigma, Sigma_dot) as advance_step writes them from the next
+    acceleration sdd: the predictors of HhtParams.newmark plus the
+    correctors."""
+    Cp, _, corr, _, _ = hht.newmark
+    return Cp.dot(state_n.X) + corr * sdd
+
+
+class _Held:
+    """A drive that holds one stress value at x = L."""
+
+    def __init__(self, stress):
+        self.stress = stress
+
+    def value(self, t):
+        return self.stress
 
 
 def _inline_stage(space, state_n, sdd, hht, p, load_prev, load_next):
@@ -83,8 +104,7 @@ def test_newton_settings_validation():
 
 def test_newmark_zero():
     hht = HhtParams(alpha=-0.1, dt=0.2)
-    state = zero_state(4)
-    s, sd = newmark_update(state, np.zeros(4), hht)
+    s, sd = _corrected(zero_state(4), np.zeros(4), hht)
     np.testing.assert_array_equal(s, 0.0)
     np.testing.assert_array_equal(sd, 0.0)
 
@@ -94,7 +114,7 @@ def test_newmark_constant_acceleration():
     for alpha in (0.0, -0.05, -1.0 / 3.0):
         hht = HhtParams(alpha=alpha, dt=0.3)
         state = SystemState(0.0, np.zeros(3), np.zeros(3), np.full(3, a0))
-        s, sd = newmark_update(state, np.full(3, a0), hht)
+        s, sd = _corrected(state, np.full(3, a0), hht)
         np.testing.assert_allclose(s, a0 * 0.3**2 / 2.0, rtol=1e-14)
         np.testing.assert_allclose(sd, a0 * 0.3, rtol=1e-14)
 
@@ -103,7 +123,7 @@ def test_newmark_scalar_spot_value():
     # independent arithmetic: alpha=-0.05 -> beta=0.275625, gamma=0.55
     hht = HhtParams(alpha=-0.05, dt=0.1)
     state = SystemState(0.0, np.array([1.0]), np.array([2.0]), np.array([3.0]))
-    s, sd = newmark_update(state, np.array([4.0]), hht)
+    s, sd = _corrected(state, np.array([4.0]), hht)
     sigma_expected = 1.0 + 0.1 * 2.0 + 0.1**2 * ((1 - 2 * 0.275625) / 2 * 3.0
                                                  + 0.275625 * 4.0)
     rate_expected = 2.0 + 0.1 * ((1 - 0.55) * 3.0 + 0.55 * 4.0)
@@ -113,30 +133,96 @@ def test_newmark_scalar_spot_value():
     assert rate_expected == pytest.approx(2.355)
 
 
+def test_newmark_stage_rows():
+    # the stage bases are (1+alpha) pred - alpha (S, Sd), and the stage
+    # moves with the acceleration by (1+alpha) times the correctors
+    rng = np.random.default_rng(3)
+    for alpha in (0.0, -0.05, -1.0 / 3.0):
+        hht = HhtParams(alpha=alpha, dt=0.07)
+        X = rng.normal(size=(3, 6))
+        Cp, Cs, corr, c, c_dot = hht.newmark
+        pred, bases = Cp.dot(X), Cs.dot(X)
+        w = 1.0 + alpha
+        np.testing.assert_allclose(bases, w * pred - alpha * X[:2], rtol=0,
+                                   atol=1e-14 * np.max(np.abs(bases)))
+        np.testing.assert_allclose([[c], [c_dot]], w * corr, rtol=1e-15)
+
+
 def test_boundary_acceleration_zero_cases():
     hht = HhtParams(alpha=-0.05, dt=0.01)
-    state = zero_state(5)
-    assert boundary_acceleration(0.0, 0, state, hht) == 0.0
-    # bc equal to the free Newmark prediction needs no correction
+    space = build_space(1.0, 4, "uniform(1)")
+    got, _ = advance_step(zero_state(5), space, hht, LINEAR, NEWTON)
+    assert got.Sigma_ddot[0] == got.Sigma_ddot[-1] == 0.0
+    # a boundary value equal to the predictor needs no correction
     rng = np.random.default_rng(1)
     state = SystemState(0.0, rng.normal(size=5), rng.normal(size=5),
                         rng.normal(size=5))
-    free = (state.Sigma[2] + hht.dt * state.Sigma_dot[2]
-            + hht.dt**2 * 0.5 * (1 - 2 * hht.beta_nm) * state.Sigma_ddot[2])
-    assert boundary_acceleration(free, 2, state, hht) == pytest.approx(0.0, abs=1e-12)
+    pred = hht.newmark[0].dot(state.X)[0]
+    got, _ = advance_step(state, space, hht, LINEAR, NEWTON, _Held(pred[-1]))
+    assert got.Sigma_ddot[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_boundary_acceleration_roundtrip():
     drive = BoundaryDrive(A=0.5, omega=3.0)
     hht = HhtParams(alpha=-0.05, dt=0.02)
     rng = np.random.default_rng(2)
+    space = build_space(1.0, 3, "uniform(1)")
     state = SystemState(0.3, rng.normal(size=4), rng.normal(size=4),
                         rng.normal(size=4))
-    bc = drive.value(0.3 + hht.dt)
-    sdd = state.Sigma_ddot.copy()
-    sdd[-1] = boundary_acceleration(bc, 3, state, hht)
-    s, _ = newmark_update(state, sdd, hht)
-    assert s[-1] == pytest.approx(bc, abs=1e-14)
+    got, _ = advance_step(state, space, hht, LINEAR, NEWTON, drive)
+    assert got.Sigma[-1] == pytest.approx(drive.value(0.3 + hht.dt), abs=1e-14)
+    assert got.Sigma[0] == pytest.approx(0.0, abs=1e-14)
+
+
+def _assert_newmark_step(state_n, got, hht, bc):
+    """got is the Newmark step of state_n to its own acceleration, to
+    1e-13 relative, with boundary accelerations that hit 0 and bc."""
+    S, Sd = newmark_update(state_n, got.Sigma_ddot, hht)
+    for mine, ref in ((got.Sigma, S), (got.Sigma_dot, Sd)):
+        assert np.max(np.abs(mine - ref)) <= 1e-13 * np.max(np.abs(ref))
+    dt, beta = hht.dt, hht.beta_nm
+    scale = np.abs(state_n.X[:, [0, -1]]).sum(axis=0).max() + abs(bc)
+    for node, value in ((0, 0.0), (-1, bc)):
+        ref = boundary_acceleration(value, node, state_n, hht)
+        assert abs(got.Sigma_ddot[node] - ref) <= 1e-13 * scale / (beta * dt**2)
+        assert abs(got.Sigma[node] - value) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       alpha=st.sampled_from([0.0, -0.05, -1.0 / 3.0]),
+       dt=st.floats(1e-4, 5e-2))
+def test_step_algebra_matches_newmark_formulas(seed, alpha, dt):
+    # advance_step's coefficient-matrix step against the Newmark update
+    # and boundary accelerations written out term by term
+    space = build_space(1.0, 5, "uniform(2)")
+    n = space.n_dofs
+    rng = np.random.default_rng(seed)
+    hht = HhtParams(alpha=alpha, dt=dt)
+    drive = BoundaryDrive(A=0.5, omega=3.0)
+    state_n = SystemState(0.3, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                          rng.normal(size=n))
+    got, _ = advance_step(state_n, space, hht,
+                          MaterialParams(rho=1.3, b=1.0, a=1.5), NEWTON, drive,
+                          rng.normal(size=n), rng.normal(size=n))
+    _assert_newmark_step(state_n, got, hht, drive.value(state_n.t + dt))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.05, -1.0 / 3.0])
+def test_shortened_last_step_matches_newmark_formulas(alpha):
+    # t_final = 2.5 dt: the last step is half a step
+    cfg = parse_config({"material": {"b": 5.0, "a": 1.5},
+                        "drive": {"A": 0.3},
+                        "mesh": {"n_cells": 8},
+                        "time": {"dt": 1e-2, "t_final": 0.025,
+                                 "alpha": alpha},
+                        "output": {"snapshot_interval": 0.01}})
+    snaps, report = run_simulation(cfg)
+    assert [s.t for s in snaps] == [0.0, 0.01, 0.02, 0.025]
+    prev, last = snaps[-2:]
+    hht = HhtParams(alpha=alpha, dt=last.t - prev.t)
+    assert hht.dt < 0.6e-2
+    _assert_newmark_step(prev, last, hht, cfg.drive.value(last.t))
 
 
 def test_advance_step_zero_data_one_iteration():
@@ -239,6 +325,22 @@ def test_step_system_residual_matches_inline_stage(alpha):
         _, R_ref, _ = _inline_stage(space, state_n, sdd, hht, p, load_prev,
                                     load_next)
         assert np.linalg.norm(R - R_ref) <= 1e-13 * np.linalg.norm(R_ref)
+
+
+def test_float_load_is_a_constant_vector():
+    # a float load enters the step like the vector of its value
+    space = build_space(1.0, 6, "uniform(2)")
+    n = space.n_dofs
+    hht = HhtParams(alpha=-0.05, dt=1e-2)
+    rng = np.random.default_rng(7)
+    state = SystemState(0.1, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                        rng.normal(size=n))
+    got, _ = advance_step(state, space, hht, P12, NEWTON, None, 0.3, 0.7)
+    ref, _ = advance_step(state, space, hht, P12, NEWTON, None,
+                          np.full(n, 0.3), np.full(n, 0.7))
+    np.testing.assert_array_equal(got.X, ref.X)
+    nil, _ = advance_step(state, space, hht, P12, NEWTON)
+    assert not np.array_equal(got.Sigma_ddot, nil.Sigma_ddot)
 
 
 def test_linear_material_single_newton_iteration():
