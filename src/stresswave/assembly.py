@@ -146,10 +146,12 @@ def _matrix(space: FeSpace, t: CellTable, hw: np.ndarray) -> BandedMatrix:
 
 @lru_cache(maxsize=1)  # a run assembles with one space
 def assemble_stiffness(space: FeSpace) -> BandedMatrix:
-    """Constant stiffness K_IJ = integral N_I' N_J' dx (cached per space)."""
+    """Constant stiffness K_IJ = integral N_I' N_J' dx (cached, read-only)."""
     t = space.table  # dN/dx = dN/d xi / jac
-    return _banded(space, t, t.integrate(t.jac[:, None] ** -2.0 * t.wj,
-                                         t.dref_outer))
+    K = _banded(space, t, t.integrate(t.jac[:, None] ** -2.0 * t.wj,
+                                      t.dref_outer))
+    K.ab.flags.writeable = False
+    return K
 
 
 @lru_cache(maxsize=2)  # the c of every step, and of t = 0 or a short last step

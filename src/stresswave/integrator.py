@@ -23,6 +23,12 @@ hits the prescribed stress, and every Newton update then solves only the
 interior rows and columns of the tangent.  The drive is asked only for
 its stress value; at t = 0 both boundary accelerations are 0.
 
+The run computes each step time t_k = min(k dt, t_final) once, for
+LOAD_BLOCK steps at a time, and takes from those times the boundary
+stresses (one drive call), the stage loads below (one array operation),
+the short last step and the time of each new state.  advance_step is
+given its time, boundary stress and stage load.
+
 The time-discrete residual weights the elastic and load terms with
 alpha:
 
@@ -192,7 +198,7 @@ class BoundaryDrive:
     A: float
     omega: float
 
-    def value(self, t: float) -> float:
+    def value(self, t: float | np.ndarray):
         return self.A * np.sin(self.omega * t)
 
 
@@ -236,45 +242,38 @@ def _stage(space: FeSpace, p: MaterialParams, base: np.ndarray,
 
 
 def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
-                p: MaterialParams, load_prev: np.ndarray | float = 0.0,
-                load_next: np.ndarray | float = 0.0) -> tuple:
+                p: MaterialParams, load: np.ndarray | float = 0.0) -> tuple:
     """Residual and tangent of one step as functions of Sdd_{n+1}.
 
     Returns (residual, tangent): residual(sdd) evaluates the stage of
     the acceleration vector sdd once and returns (pts, R); tangent(pts)
-    is the BandedMatrix dR/dSdd at those stage values.  `load_prev` /
-    `load_next` are the assembled load vectors at t_n / t_{n+1}; 0.0
-    means no load.
+    is the BandedMatrix dR/dSdd at those stage values.  `load` is the
+    assembled stage load (1+alpha) L_{n+1} - alpha L_n; 0.0 means none.
     """
     _, Cs, _, c, c_dot = hht.newmark
     base, base_dot = Cs.dot(state_n.X)
-    load = (1.0 + hht.alpha) * load_next - hht.alpha * load_prev
     return _stage(space, p, base, base_dot, c, c_dot, load)
 
 
-def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
-                 p: MaterialParams, newton: NewtonSettings,
-                 drive: BoundaryDrive | None = None,
-                 load_prev: np.ndarray | float = 0.0,
-                 load_next: np.ndarray | float = 0.0,
+def advance_step(state_n: SystemState, t_next: float, space: FeSpace,
+                 hht: HhtParams, p: MaterialParams, newton: NewtonSettings,
+                 bc: float = 0.0, load: np.ndarray | float = 0.0,
                  ) -> tuple[SystemState, NewtonReport]:
     """Advance one HHT-alpha step by Newton iteration on the acceleration.
 
-    Loads are as in step_system.  The boundary accelerations are fixed
-    before the first iterate, so Newton updates only the interior DoFs,
-    in place in the next state's acceleration row.
+    hht.dt is the step length to t_next, `bc` the stress at x = L then and
+    `load` the stage load as in step_system.  The boundary accelerations
+    are fixed before the first iterate, so Newton updates only the
+    interior DoFs, in place in the next state's acceleration row.
     """
-    t_next = state_n.t + hht.dt
     Cp, _, corr, _, _ = hht.newmark
     pred = Cp.dot(state_n.X)  # pred, pred_dot
     X = state_n.X.copy()
     sdd = X[2]
-    bc = 0.0 if drive is None else drive.value(t_next)
     k = corr[0, 0]
     sdd[0] = (0.0 - pred[0, 0]) / k
     sdd[-1] = (bc - pred[0, -1]) / k
-    residual, tangent = step_system(state_n, space, hht, p, load_prev,
-                                    load_next)
+    residual, tangent = step_system(state_n, space, hht, p, load)
     pts, R = residual(sdd)
     ref_norm = math.sqrt(R[1:-1] @ R[1:-1])
     threshold = max(newton.tol * ref_norm, NEWTON_ABS_FLOOR)
@@ -284,8 +283,8 @@ def advance_step(state_n: SystemState, space: FeSpace, hht: HhtParams,
         r_norm = history[-1]
         if not math.isfinite(r_norm):
             raise NewtonDivergedError(
-                f"Newton residual is not finite at t={t_next:.6g} "
-                f"after {iters} iterations",
+                f"Newton residual is not finite (overflow or NaN) at "
+                f"t={t_next:.6g} after {iters} iterations",
                 t=t_next, iters=iters, history=history)
         if iters >= 1 and r_norm <= threshold:
             break
@@ -391,39 +390,38 @@ def run_simulation(config: "ScenarioConfig",
     n_steps = schedule[-1][0]
     keep = {step for step, _ in schedule[1:-1]}
 
-    def block(lo):  # the end times of steps lo.. that one load block holds
-        return np.minimum(np.arange(lo, min(lo + LOAD_BLOCK, n_steps + 1)) * dt, t_final)
-
-    loads, load_prev = None, 0.0
-    if forcing is not None:
-        loads = assembly.assemble_load_at(space, forcing, block(0))
-        load_prev = loads[0]
-    Sigma_ddot0 = initial_acceleration(space, Sigma0, Sigma_dot0, p, load_prev)
-    state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
-
-    snapshots = [state]
-    newton_iters = []
-    histories = []
-
-    t_start = _time.perf_counter()
-    for step in range(n_steps):
-        t_target = min((step + 1) * dt, t_final)
-        step_hht = hht
-        if abs(t_target - (state.t + dt)) > 1e-12 * max(t_final, 1.0):
-            step_hht = HhtParams(alpha=hht.alpha, dt=t_target - state.t)
-        load_next = 0.0
+    # one scope for the whole run: an overflow anywhere shows up as a
+    # residual that is not finite, which Newton reports with its time
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L = None
         if forcing is not None:
-            if (step + 1) % LOAD_BLOCK == 0:
-                loads = assembly.assemble_load_at(space, forcing, block(step + 1))
-            load_next = loads[(step + 1) % LOAD_BLOCK]
-        state, report = advance_step(state, space, step_hht, p, newton,
-                                     drive, load_prev, load_next)
-        state.t = t_target  # avoid accumulated roundoff in t
-        newton_iters.append(report.iters)
-        histories.append(report.history)
-        load_prev = load_next
-        if step + 1 in keep:
-            snapshots.append(state)
+            L = assembly.assemble_load_at(space, forcing, [0.0])
+        Sigma_ddot0 = initial_acceleration(space, Sigma0, Sigma_dot0, p,
+                                           0.0 if L is None else L[0])
+        state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
+        snapshots, newton_iters, histories = [state], [], []
+        t_start = _time.perf_counter()
+        for lo in range(0, n_steps, LOAD_BLOCK):
+            # t_k = min(k dt, t_final) for k = lo..hi, where step k ends
+            times = np.minimum(
+                np.arange(lo, min(lo + LOAD_BLOCK, n_steps) + 1) * dt, t_final)
+            loads = [0.0] * (len(times) - 1)
+            if forcing is not None:
+                L = np.concatenate((L[-1:], assembly.assemble_load_at(
+                    space, forcing, times[1:])))
+                loads = (1.0 + hht.alpha) * L[1:] - hht.alpha * L[:-1]
+            for t_next, h, bc, load in zip(
+                    times[1:].tolist(), np.diff(times).tolist(),
+                    drive.value(times[1:]).tolist(), loads):
+                # only the last step, cut to t_final, is off dt by more
+                step_hht = (hht if abs(h - dt) <= 1e-12 * max(t_final, 1.0)
+                            else HhtParams(alpha=hht.alpha, dt=h))
+                state, report = advance_step(state, t_next, space, step_hht,
+                                             p, newton, bc, load)
+                newton_iters.append(report.iters)
+                histories.append(report.history)
+                if len(newton_iters) in keep:
+                    snapshots.append(state)
     snapshots.append(state)
 
     run_report = RunReport(newton_iters=newton_iters,

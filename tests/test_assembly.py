@@ -117,6 +117,10 @@ def test_stiffness_symmetric_zero_rowsum_psd():
 def test_stiffness_cached_per_space():
     space = build_space(1.0, 4, "uniform(2)")
     assert assemble_stiffness(space) is assemble_stiffness(space)
+    # every later stage on the space reads the cached storage
+    with pytest.raises(ValueError):
+        assemble_stiffness(space).ab[:] = 0.0
+    assert assemble_stiffness(space).ab.max() > 0.0
 
 
 def test_mass_linear_material_hand_value():
@@ -222,7 +226,7 @@ def test_residual_alpha_zero_is_plain_newmark_form():
     sn = _random_state(rng, n)
     sdd = rng.normal(size=n)
     load = rng.normal(size=n)
-    residual, _ = step_system(sn, space, hht, P12, np.zeros(n), load)
+    residual, _ = step_system(sn, space, hht, P12, load)
     _, R = residual(sdd)
     Sigma, Sigma_dot = newmark_update(sn, sdd, hht)
     K = assemble_stiffness(space)
@@ -242,12 +246,12 @@ def test_residual_linear_material_exact_form():
     sn = _random_state(rng, n)
     sdd = rng.normal(size=n)
     ln, lp = rng.normal(size=n), rng.normal(size=n)
-    residual, _ = step_system(sn, space, hht, p, lp, ln)
+    a = hht.alpha
+    residual, _ = step_system(sn, space, hht, p, (1 + a) * ln - a * lp)
     _, R = residual(sdd)
     Sigma, _ = newmark_update(sn, sdd, hht)
     M0 = _mass(space, np.zeros(n), p)
     K = assemble_stiffness(space)
-    a = hht.alpha
     expected = (M0.matvec(sdd) + (1 + a) * K.matvec(Sigma)
                 - a * K.matvec(sn.Sigma) - (1 + a) * ln + a * lp)
     np.testing.assert_allclose(R, expected, atol=1e-14)
@@ -266,10 +270,11 @@ def test_residual_mms_consistency_linear():
         x = space.dof_coords
 
         f = mms_fields(x, t)
-        loads = assemble_load_at(space, lambda xx, tt: mms_forcing(xx, tt, P0),
-                                 [t + hht.dt, t])
+        ln, lp = assemble_load_at(space, lambda xx, tt: mms_forcing(xx, tt, P0),
+                                  [t + hht.dt, t])
+        a = hht.alpha
         residual, _ = step_system(SystemState(t, f.sigma, f.sigma_t, f.sigma_tt),
-                                  space, hht, P0, loads[1], loads[0])
+                                  space, hht, P0, (1 + a) * ln - a * lp)
         _, R = residual(mms_fields(x, t + hht.dt).sigma_tt)
         norms.append(np.max(np.abs(R[1:-1])))
     assert norms[1] < norms[0] / 3.0

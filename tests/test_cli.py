@@ -217,6 +217,24 @@ newton: {tol: 1.0e-12, k_max: 1}
                  "--out", str(tmp_path / "o"), "--quiet"]) == 3
 
 
+@pytest.mark.parametrize("text", [
+    "material: {b: 1.0e308}",
+    "material: {b: 1.0, rho: 1.0e300}",
+    "material: {b: 1.0}\nmesh: {L: 1.0e300}",
+    "material: {b: 1.0}\nmesh: {L: 1.0e-300}",
+    "material: {b: 0.0}\ndrive: {A: 1.0e300}",
+])
+def test_overflow_exits_3_naming_the_time(tmp_path, capsys, text):
+    # RuntimeWarning is an error under Tier-1, so an overflow warning
+    # escaping the run would end it with a traceback instead
+    cfg = _write(tmp_path, "run.yaml", text + "\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "solver failure: Newton residual is not finite (overflow or NaN) "
+        "at t=0.001 after 0 iterations"]
+
+
 def test_singular_tangent_exit_code(tmp_path, monkeypatch, capsys):
     import numpy as np
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from stresswave.config import parse_config
 from stresswave.assembly import assemble_load_at
 from stresswave.constitutive import MaterialParams, derivatives
 from stresswave.fe_space import build_space
-from stresswave.verification import (convergence_study,
+from stresswave.verification import (_mms_run_error, convergence_study,
                                      l2_error, mms_fields, mms_forcing,
                                      observed_rate)
 
@@ -129,6 +131,22 @@ def test_temporal_study_smoke():
     table = convergence_study("temporal", _base_config(0.5), dts=(8e-3, 4e-3))
     assert table.rows[0].dofs is None
     assert table.rows[1].rate == pytest.approx(2.0, abs=0.3)
+
+
+@pytest.mark.parametrize("policy, min_rate", [("uniform(2)", 2.9),
+                                              ("uniform(3)", 3.9)])
+def test_spatial_rate_is_degree_plus_one(policy, min_rate):
+    # dt 1e-4 keeps the time error below the spatial one on every rung
+    errors = []
+    for n in (4, 8, 16, 32):
+        cfg = _base_config(0.1)
+        err, _ = _mms_run_error(dataclasses.replace(
+            cfg, mesh=dataclasses.replace(cfg.mesh, n_cells=n,
+                                          degree_policy=policy),
+            time=dataclasses.replace(cfg.time, dt=1e-4)))
+        errors.append(err)
+    rates = [observed_rate(a, b) for a, b in zip(errors, errors[1:])]
+    assert min(rates) >= min_rate, rates
 
 
 def test_convergence_study_rejects_unknown_kind():
