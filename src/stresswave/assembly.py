@@ -16,8 +16,8 @@ where M(S) = integral rho eps'(s) N_I N_J dx and the stage stress and
 rate move with the acceleration as dS = c dSdd, dSd = c_dot dSdd.  The
 time scheme that picks the stage, c and c_dot lives in the integrator;
 this module only integrates in space.  Residual and tangent share one
-evaluation of the stage at the points (stage_points, with eps', eps''
-and eps''' fused); callers interpolate the stage (CellTable.at_points)
+evaluation of the stage at the points (stage_points; eps''' is formed in
+the tangent only); callers interpolate the stage (CellTable.at_points)
 and form its elastic term K S - L (BandedMatrix.matvec, one BLAS gbmv).
 
 Every integral is one matrix product (CellTable.integrate) over the
@@ -46,7 +46,8 @@ from functools import lru_cache
 import numpy as np
 import scipy
 
-from .constitutive import HyperbolicityError, MaterialParams, _derivatives
+from .constitutive import (HyperbolicityError, MaterialParams, _derivatives,
+                           _third_derivative)
 from .fe_space import CellTable, FeSpace
 
 
@@ -188,10 +189,17 @@ def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
     """A stage at the points of space.table, shared by residual and tangent.
 
     Takes stress, rate and acceleration at the points (CellTable.at_points)
-    and returns (sigma_dot, sigma_ddot, eps', eps'', eps''') there, each
-    (n_cells, n_points).  Raises HyperbolicityError where eps' <= 0.
-    """
-    fp, fpp, fppp, fp_min = _derivatives(sig_q, p)
+    and returns (sigma_dot, sigma_dot^2, sigma_ddot, eps', eps'', the
+    factors of eps''') there.  Raises HyperbolicityError where eps' <= 0.
+    Ignores over, invalid and divide, as a run does."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _stage_points(space, sig_q, sigd_q, sigdd_q, p)
+
+
+def _stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
+                  sigdd_q: np.ndarray, p: MaterialParams) -> tuple:
+    """stage_points in the caller's error state (a run's one scope)."""
+    fp, fpp, fp_min, late = _derivatives(sig_q, p)
     if fp_min <= 0.0:
         # padded points interpolate to 0, where eps' = 1: argmin is real
         t = space.table
@@ -200,15 +208,15 @@ def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
             f"tangent compliance {fp[i]:.3e} <= 0 at quadrature point "
             f"x={t.x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
             sigma=float(sig_q[i]), x=float(t.x_q[i]))
-    return sigd_q, sigdd_q, fp, fpp, fppp
+    return sigd_q, sigd_q**2, sigdd_q, fp, fpp, late
 
 
 def stage_residual(space: FeSpace, elastic: np.ndarray, pts: tuple,
                    p: MaterialParams) -> np.ndarray:
     """R = F_inrt(pts) + elastic, where elastic is K S - L of the stage."""
-    sigd_q, sigdd_q, fp, fpp, _ = pts
+    _, sigd2, sigdd_q, fp, fpp, _ = pts
     h = fp * sigdd_q
-    h += fpp * sigd_q**2
+    h += fpp * sigd2
     h *= _rho_wj(space, p.rho)
     R = _vector(space, space.table, h)
     R += elastic
@@ -218,14 +226,15 @@ def stage_residual(space: FeSpace, elastic: np.ndarray, pts: tuple,
 def stage_tangent(space: FeSpace, pts: tuple, c_dot: float, c: float,
                   p: MaterialParams) -> BandedMatrix:
     """Tangent dR/d(Sdd) at the stage values `pts` for dS = c dSdd and
-    dSd = c_dot dSdd; c = c_dot = 0 gives the mass matrix M(S)."""
-    sigd_q, sigdd_q, fp, fpp, fppp = pts
+    dSd = c_dot dSdd; c = c_dot = 0 gives the mass matrix M(S).  Forms
+    eps''' from pts, in the caller's error state."""
+    sigd_q, sigd2, sigdd_q, fp, fpp, late = pts
     # M + c_dot C_nl + c (K + K_sig), fused in one pass
     h = c_dot * 2.0 * fpp
     h *= sigd_q
     h += fp
     k_sig = fpp * sigdd_q
-    k_sig += fppp * sigd_q**2
+    k_sig += _third_derivative(late, p) * sigd2
     k_sig *= c
     h += k_sig
     h *= _rho_wj(space, p.rho)

@@ -110,43 +110,56 @@ def derivatives(sigma, p: MaterialParams):
     higher orders are 0.
     """
     s = np.asarray(sigma, dtype=float)
-    out = _derivatives(s, p)[:3]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fp, fpp, _, late = _derivatives(s, p)
+        out = fp, fpp, _third_derivative(late, p)
     return tuple(map(float, out)) if s.ndim == 0 else out
 
 
-def _derivatives(s: np.ndarray, p: MaterialParams, third: bool = True):
-    """derivatives of the array s plus the min(eps') its saturation guard
-    took (1.0 for b = 0), so that a caller checking eps' > 0 reduces once;
-    eps''' is None unless `third`.  reg_eta^2 is a float64, so a width
-    whose square overflows gives reg = inf and 0 for its negative powers."""
+def _derivatives(s: np.ndarray, p: MaterialParams) -> tuple:
+    """(eps', eps'', min(eps'), late) of the array s in the caller's error
+    state.  The min is the saturation guard's (1.0 for b = 0); `late` holds
+    the factors that _third_derivative forms eps''' from, and only that
+    needs the regularized |s| (reg) for 1 <= a < 2.  reg_eta^2 is a float64:
+    a width whose square overflows gives reg = inf and 0 for its powers."""
     a, mag = p.a, np.abs(s)
     if p.b == 0.0:
-        return (np.ones_like(s), np.zeros_like(s),
-                np.zeros_like(s) if third else None, 1.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        reg = mag if a >= 2.0 else np.sqrt(s * s + np.float64(p.reg_eta) ** 2)
-        w = (p.b * mag) ** a
-        d = 1.0 + w
-        fp = d ** (-(1.0 + 1.0 / a))
-        g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
-        r = reg ** (a - 2.0)
-        if a >= 2.0:
-            fpp = g * (s * r)
-        else:
-            fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
-            fpp *= np.sign(s)
-        fppp = None
-        if third:
-            fppp = g * r
-            fppp *= (a - 1.0) - (a + 2.0) * w
-            fppp /= d
+        return np.ones_like(s), np.zeros_like(s), 1.0, (s, None)
+    w = (p.b * mag) ** a
+    d = 1.0 + w
+    fp = d ** (-(1.0 + 1.0 / a))
+    g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
+    if a >= 2.0:  # reg = |s|: r = |s|^(a-2) serves both orders
+        r = mag ** (a - 2.0)
+        fpp = g * (s * r)
+    else:  # r = reg for a < 1; formed late for a >= 1
+        r = _regularized(s, p) if a < 1.0 else None
+        fpp = g * (mag if r is None else r) ** (a - 1.0)
+        fpp *= np.sign(s)
     fp_min = fp.min(initial=np.inf)
     if not fp_min > 0.0:  # saturated: w = inf, eps' = 0
-        saturated = np.isinf(w)
-        fpp = np.where(saturated, 0.0, fpp)
-        if third:
-            fppp = np.where(saturated, 0.0, fppp)
-    return fp, fpp, fppp, fp_min
+        fpp = np.where(np.isinf(w), 0.0, fpp)
+    return fp, fpp, fp_min, (s, g, w, d, fp_min, r)
+
+
+def _regularized(s: np.ndarray, p: MaterialParams) -> np.ndarray:
+    return np.sqrt(s * s + np.float64(p.reg_eta) ** 2)
+
+
+def _third_derivative(late: tuple, p: MaterialParams) -> np.ndarray:
+    """eps''' from the `late` factors of _derivatives, in the caller's error
+    state, by the operations of one eager evaluation in their order."""
+    if late[1] is None:  # b = 0
+        return np.zeros_like(late[0])
+    s, g, w, d, fp_min, r = late
+    if p.a < 2.0:
+        r = (_regularized(s, p) if r is None else r) ** (p.a - 2.0)
+    fppp = g * r
+    fppp *= (p.a - 1.0) - (p.a + 2.0) * w
+    fppp /= d
+    if not fp_min > 0.0:
+        fppp = np.where(np.isinf(w), 0.0, fppp)
+    return fppp
 
 
 def wave_speed(sigma, p: MaterialParams, fp=None):

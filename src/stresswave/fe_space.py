@@ -248,9 +248,11 @@ def uniform_mesh(L: float, n_cells: int,
         raise ValueError(f"L must be {'finite' if L > 0 else 'positive'}, got {L}")
     if n_cells < 2:
         raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+    inv_jac = 2.0 * n_cells / float(L)  # of each cell, squared in K
+    if not np.isfinite(inv_jac * inv_jac):  # and then its edges differ
+        raise ValueError(f"L={L} is too small to separate {n_cells} cells: "
+                         "(2 n_cells / L)^2 overflows the stiffness")
     edges = np.linspace(0.0, L, n_cells + 1)
-    if not np.all(np.diff(edges) > 0):  # L is a few subnormals wide
-        raise ValueError(f"L={L} is too small to separate {n_cells} cells")
     m = re.fullmatch(r"uniform\(([0-9])\)", policy.strip())
     if m:
         p = int(m.group(1))

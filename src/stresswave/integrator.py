@@ -65,9 +65,9 @@ is the t = 0 balance, with the mass matrix M(S0) as tangent, that
 initial_acceleration solves.  A stage's bases go to the quadrature
 points, and its elastic term K base - L is formed, once.  Each Newton
 iterate then interpolates only its acceleration, adds c K Sdd_{n+1} to
-the elastic term in one BLAS gbmv, and evaluates its stage at the
-points once (fused eps', eps'', eps''') for both its residual and its
-tangent.
+the elastic term in one BLAS gbmv, and evaluates the law at the points
+once for both its residual and its tangent: eps' and eps'' there, eps'''
+only in a tangent, all in the one error-state scope of run_simulation.
 """
 from __future__ import annotations
 
@@ -230,8 +230,8 @@ def _stage(space: FeSpace, p: MaterialParams, base: np.ndarray,
 
     def residual(sdd):
         sdd_q, = table.at_points(sdd)
-        pts = assembly.stage_points(space, base_q + c * sdd_q,
-                                    base_dot_q + c_dot * sdd_q, sdd_q, p)
+        pts = assembly._stage_points(space, base_q + c * sdd_q,
+                                     base_dot_q + c_dot * sdd_q, sdd_q, p)
         return pts, assembly.stage_residual(space, K.matvec(sdd, c, rest),
                                             pts, p)
 

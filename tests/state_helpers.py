@@ -1,9 +1,13 @@
-"""States for tests: a state at rest, and the Newmark step algebra spelled
+"""States for tests: a state at rest, the Newmark step algebra spelled
 out term by term, as a reference for the integrator's coefficient-matrix
-form (HhtParams.newmark)."""
+form (HhtParams.newmark), and the exact discrete solution of the linear
+scheme, mode by mode."""
 import numpy as np
 
+from stresswave.assembly import assemble_stiffness, stage_tangent
 from stresswave.integrator import SystemState
+
+from stage_helpers import nodal_stage_points
 
 
 def zero_state(n_dofs: int, t: float = 0.0) -> SystemState:
@@ -29,3 +33,42 @@ def boundary_acceleration(bc, node, state_n, hht):
     free = (state_n.Sigma[node] + dt * state_n.Sigma_dot[node]
             + dt**2 * 0.5 * (1.0 - 2.0 * beta) * state_n.Sigma_ddot[node])
     return (bc - free) / (beta * dt**2)
+
+
+def linear_modal_oracle(space, p, hht, Sigma0, n_steps):
+    """Nodal stress after n_steps HHT steps of the linear law (p.b = 0)
+    from Sigma0 at rest, with no load and 0 stress at both ends.
+
+    The interior K and M decouple in the modes of K phi = lam M phi,
+    found from the Cholesky factor M = C C^T and eigh of C^-1 K C^-T,
+    with each lam taken again as the Rayleigh quotient of its mode.
+    Each modal amplitude then follows the scalar recursion of the
+    scheme: qdd_{n+1} + (1+alpha) lam q_{n+1} - alpha lam q_n = 0, with
+    q_{n+1} and qd_{n+1} the Newmark update of qdd_{n+1}.
+    """
+    zero = np.zeros(space.n_dofs)
+    K = assemble_stiffness(space).interior().to_dense()
+    M = stage_tangent(space, nodal_stage_points(space, zero, zero, zero, p),
+                      0.0, 0.0, p).interior().to_dense()
+    C_inv = np.linalg.inv(np.linalg.cholesky(M))
+    lam, V = np.linalg.eigh(C_inv @ K @ C_inv.T)
+    phi = C_inv.T @ V  # phi^T M phi = I and phi^T K phi = diag(lam)
+    # eigh's lam errs by about eps lam_max in every mode, which the phase
+    # of a slow mode adds up step by step; a mode's Rayleigh quotient errs
+    # only to second order in the error of its shape
+    lam = (np.einsum("ij,ij->j", phi, K @ phi)
+           / np.einsum("ij,ij->j", phi, M @ phi))
+    q = phi.T @ (M @ Sigma0[1:-1])
+    qd, qdd = np.zeros_like(q), -lam * q
+    dt, alpha, beta, gamma = hht.dt, hht.alpha, hht.beta_nm, hht.gamma_nm
+    for _ in range(n_steps):
+        pred = q + dt * qd + dt**2 * (0.5 - beta) * qdd
+        pred_dot = qd + dt * (1.0 - gamma) * qdd
+        qdd_next = (-lam * ((1.0 + alpha) * pred - alpha * q)
+                    / (1.0 + (1.0 + alpha) * beta * dt**2 * lam))
+        q = pred + beta * dt**2 * qdd_next
+        qd = pred_dot + gamma * dt * qdd_next
+        qdd = qdd_next
+    Sigma = np.zeros(space.n_dofs)
+    Sigma[1:-1] = phi @ q
+    return Sigma

@@ -245,17 +245,29 @@ def test_derivatives_saturated_are_zero_without_warning(s, sign, a):
         np.testing.assert_array_equal(d, 0.0)
 
 
-def _two_power_derivatives(s, p):
-    """The closed form of derivatives for a >= 2 with separate powers
-    |s|^(a-1) (times sign(s)) and |s|^(a-2)."""
+def _eager_derivatives(s, p, two_power=False):
+    """The closed forms of derivatives, all three orders from one eager
+    evaluation with the regularized |s| formed up front, as the law
+    formed them before eps''' moved to the tangent.  `two_power` takes
+    separate powers |s|^(a-1) (times sign(s)) and |s|^(a-2) for a >= 2."""
     a, mag = p.a, np.abs(s)
+    if p.b == 0.0:
+        return np.ones_like(s), np.zeros_like(s), np.zeros_like(s)
     with np.errstate(over="ignore", invalid="ignore"):
+        reg = mag if a >= 2.0 else np.sqrt(s * s + np.float64(p.reg_eta) ** 2)
         w = (p.b * mag) ** a
         d = 1.0 + w
         fp = d ** (-(1.0 + 1.0 / a))
         g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
-        fpp = g * mag ** (a - 1.0) * np.sign(s)
-        fppp = g * mag ** (a - 2.0) * ((a - 1.0) - (a + 2.0) * w) / d
+        r = reg ** (a - 2.0)
+        if a >= 2.0 and not two_power:
+            fpp = g * (s * r)
+        else:
+            fpp = g * (mag if a >= 1.0 else reg) ** (a - 1.0)
+            fpp *= np.sign(s)
+        fppp = g * r
+        fppp *= (a - 1.0) - (a + 2.0) * w
+        fppp /= d
     saturated = np.isinf(w)
     return fp, np.where(saturated, 0.0, fpp), np.where(saturated, 0.0, fppp)
 
@@ -271,13 +283,38 @@ def test_one_power_matches_two_power_form(a, b):
                                np.geomspace(1e-30, 1e3, 34)])
     sigma = np.concatenate([[0.0, -0.0, 1e-300, -1e-300], ordinary, -ordinary,
                             np.array([1e200, 3e250, 1e300]) / b, [-1e300]])
-    got, ref = derivatives(sigma, p), _two_power_derivatives(sigma, p)
+    got, ref = derivatives(sigma, p), _eager_derivatives(sigma, p, True)
     for k in range(3):
         assert np.all(np.isfinite(got[k]))
         if a in (2.0, 3.0):
             assert np.all(got[k] == ref[k])
         else:
             np.testing.assert_array_max_ulp(got[k], ref[k], maxulp=4)
+
+
+@pytest.mark.parametrize("reg_eta", [1e-8, 1e300])
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("b", [0.0, 0.7, 1e50])
+def test_late_third_derivative_equals_eager_form(b, a, reg_eta):
+    # eps''' formed late from the factors of _derivatives, with the
+    # regularized |s| formed there only for 1 <= a < 2, keeps every bit
+    # of the eager form (== counts -0 and +0 as equal); b = 1e50
+    # saturates the law (w = inf) at the largest stresses
+    p = MaterialParams(rho=1.0, b=b, a=a, reg_eta=reg_eta)
+    ordinary = np.concatenate([np.linspace(-4.0, 4.0, 81),
+                               np.geomspace(1e-30, 1e3, 34)])
+    sigma = np.concatenate([[0.0, -0.0, 1e-300, -1e-300], ordinary, -ordinary,
+                            [1e300, -1e300]])
+    got, ref = derivatives(sigma, p), _eager_derivatives(sigma, p)
+    for k in range(3):
+        assert np.all(np.isfinite(got[k])) and np.all(got[k] == ref[k])
+    # the scalar path, against the eager form of 0-d input: NumPy's scalar
+    # power can round an ulp apart from its array loop
+    for v in sigma[[0, 1, 50, -1]]:
+        assert derivatives(float(v), p) == tuple(
+            map(float, _eager_derivatives(np.asarray(v), p)))
+    if b == 1e50:
+        assert got[0][-1] == 0.0  # saturated: eps' underflows
 
 
 @pytest.mark.parametrize("a", [1.5, 2.0])

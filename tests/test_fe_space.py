@@ -78,8 +78,11 @@ def test_build_space_rejects_bad_input():
         build_space(1.0, 4, "chebyshev")
     with pytest.raises(ValueError, match="unknown degree policy"):
         build_space(1.0, 4, "uniform(\uff11)")  # a full-width digit 1
-    with pytest.raises(ValueError, match="too small to separate 4 cells"):
-        build_space(5e-324, 4, "uniform(1)")  # linspace repeats edges
+    # (2 n_cells / L)^2 overflows the stiffness; at 5e-324 the edges repeat
+    for L in (5e-324, 1e-300):
+        with pytest.raises(ValueError, match="too small to separate 4 cells"):
+            build_space(L, 4, "uniform(1)")
+    assert build_space(1e-150, 4, "uniform(3)").n_dofs == 13
     for L in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             build_space(L, 4)

@@ -17,7 +17,8 @@ from stresswave.integrator import (BoundaryDrive, HhtParams,
 from stresswave.verification import mms_fields, mms_forcing
 
 from stage_helpers import nodal_stage_points
-from state_helpers import boundary_acceleration, newmark_update, zero_state
+from state_helpers import (boundary_acceleration, linear_modal_oracle,
+                           newmark_update, zero_state)
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 LINEAR = MaterialParams(rho=1.0, b=0.0, a=1.5)
@@ -630,3 +631,71 @@ def test_mms_newton_count_and_superlinear_tail():
                 qs.append(rk1 / rk**2)
     assert qs, "no measurable Newton tails"
     assert max(qs) < 1.0
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.15])  # Courant number 0.23 and 1.70
+@pytest.mark.parametrize("alpha", [0.0, -0.05, -1.0 / 3.0])
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
+                                    "center_graded"])
+def test_linear_run_matches_modal_oracle(policy, alpha, dt):
+    # b = 0, no drive: the fully discrete solution is known exactly, one
+    # scalar HHT recursion per mode of the space (state_helpers)
+    n_steps = 60
+    cfg = parse_config({"material": {"rho": 2.0, "b": 0.0},
+                        "drive": {"A": 0.0},
+                        "mesh": {"n_cells": 16, "degree_policy": policy},
+                        "time": {"dt": dt, "t_final": n_steps * dt,
+                                 "alpha": alpha},
+                        "output": {"snapshot_interval": 0.0}})
+
+    def shape(x):
+        return x * (1.0 - x) * np.exp(-30.0 * (x - 0.3) ** 2)
+
+    snaps, report = run_simulation(cfg, initial_sigma=shape)
+    space = report.space
+    assert len(report.newton_iters) == n_steps
+    Sigma0 = shape(space.dof_coords)
+    exact = linear_modal_oracle(space, cfg.material,
+                                HhtParams(alpha=alpha, dt=dt), Sigma0, n_steps)
+    err = np.max(np.abs(snaps[-1].Sigma - exact))
+    assert err <= 1e-12 * np.max(np.abs(Sigma0))
+    assert np.max(np.abs(exact)) > 1e-3 * np.max(np.abs(Sigma0))
+
+
+def test_third_derivative_formed_once_per_tangent(monkeypatch):
+    # eps''' is read by a tangent only: a step forms it once per Newton
+    # iteration, and no residual forms it (the t = 0 mass matrix is a
+    # tangent too, so each run forms it once more)
+    from stresswave import assembly
+    third, step, formed, per_step = (assembly._third_derivative,
+                                     integrator.advance_step, [], [])
+
+    def counting_third(late, p):
+        formed.append(1)
+        return third(late, p)
+
+    def counting_step(*args, **kwargs):
+        before = len(formed)
+        state, report = step(*args, **kwargs)
+        per_step.append((len(formed) - before, report.iters))
+        return state, report
+
+    monkeypatch.setattr(assembly, "_third_derivative", counting_third)
+    monkeypatch.setattr(integrator, "advance_step", counting_step)
+    _run_mms(_mms_config({"material": {"a": 1.5},
+                          "time": {"dt": 1e-5, "t_final": 5e-5}}))
+    assert per_step == [(1, 1)] * 5 and len(formed) == 6
+    per_step.clear()
+    cfg = parse_config({"material": {"b": 5.0, "a": 1.5},
+                        "drive": {"A": 0.02},
+                        "mesh": {"n_cells": 16},
+                        "time": {"dt": 1e-3, "t_final": 0.02},
+                        "output": {"snapshot_interval": 0.0}})
+    snaps, report = run_simulation(cfg)
+    assert per_step == [(2, 2)] * 20
+    state = snaps[-1]
+    residual, _ = step_system(state, report.space,
+                              HhtParams(alpha=-0.05, dt=1e-3), cfg.material)
+    before = len(formed)
+    residual(state.Sigma_ddot)
+    assert len(formed) == before
