@@ -26,7 +26,7 @@ zero.  All matrices are stored in LAPACK banded form (half-bandwidth = max
 cell degree); element matrices reach it through the table's precomputed
 scatter index.  The two boundary DoFs always carry prescribed values, so
 the integrator solves only the interior block (BandedMatrix.interior) by
-direct banded factorization (LAPACK gtsv, or gbsv above bandwidth 1).
+direct banded factorization (LAPACK gtsv; gbsv above bandwidth 1 or 1x1).
 
 The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
 scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
@@ -99,7 +99,7 @@ class BandedMatrix:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs; np.linalg.LinAlgError if A is singular."""
         bw, ab = self.bandwidth, self.ab
-        if bw == 1:
+        if bw == 1 and self.n > 1:  # gtsv rejects a 1x1 system's empty bands
             *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
         else:
             lab = np.zeros((3 * bw + 1, self.n), order="F")  # + fill-in rows

@@ -240,13 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", metavar="DIR", help="output directory")
         sp.add_argument("--quiet", action="store_true")
 
-    sp = sub.add_parser("mms-spatial", help="spatial convergence study")
-    common(sp)
-    sp.set_defaults(func=lambda a: cmd_mms(a, "spatial"))
-
-    sp = sub.add_parser("mms-temporal", help="temporal convergence study")
-    common(sp)
-    sp.set_defaults(func=lambda a: cmd_mms(a, "temporal"))
+    for kind in ("spatial", "temporal"):
+        sp = sub.add_parser(f"mms-{kind}", help=f"{kind} convergence study")
+        common(sp)
+        sp.set_defaults(func=lambda a, kind=kind: cmd_mms(a, kind))
 
     sp = sub.add_parser("simulate", help="single boundary-driven run")
     common(sp)

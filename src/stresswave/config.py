@@ -97,7 +97,7 @@ def _coerce(section: str, key: str, value: Any, typ):
                 value = float(value)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
-        if not math.isfinite(value):
+        if not abs(value) <= math.nextafter(math.inf, 0.0):  # as a float64
             raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
         return float(value)
     if typ is int:
@@ -115,9 +115,7 @@ def _merged_sections(mapping: Mapping) -> dict:
         raise ConfigError(f"unknown config section(s): {sorted(unknown, key=repr)}")
     merged: dict = {}
     for section, keys in _KEYS.items():
-        given = mapping.get(section, {})
-        if given is None:
-            given = {}
+        given = {} if mapping.get(section) is None else mapping[section]
         if not isinstance(given, Mapping):
             raise ConfigError(f"section {section!r} must be a mapping")
         bad = set(given) - set(keys)
@@ -148,8 +146,8 @@ def _validated(merged: dict) -> ScenarioConfig:
         raise ConfigError(f"drive.A: must be non-negative, got {d['A']}")
     if o["snapshot_interval"] < 0:
         raise ConfigError("output.snapshot_interval: must be non-negative")
-    if o["samples"] < 1:
-        raise ConfigError("output.samples: must be >= 1")
+    if not 1 <= o["samples"] <= 2**31:  # 2**31 samples need over 100 GB
+        raise ConfigError(f"output.samples: must be in [1, 2**31], got {o['samples']}")
 
     sections = {}
     for section, cls in get_type_hints(ScenarioConfig).items():

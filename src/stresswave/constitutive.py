@@ -20,8 +20,8 @@ import numpy as np
 class HyperbolicityError(RuntimeError):
     """Tangent compliance eps'(sigma) dropped to zero or below.
 
-    The stress wave equation is hyperbolic only while eps' > 0; losing
-    that sign means the local wave speed is no longer real.
+    The stress wave equation is hyperbolic only while eps' > 0; below, or
+    where rho eps' underflows to 0, the wave speed has no finite real value.
     """
 
     def __init__(self, message: str, sigma: float | None = None,
@@ -58,13 +58,6 @@ class MaterialParams:
             raise ValueError(f"reg_eta must be non-negative, got {self.reg_eta}")
 
 
-def _as_result(sigma, out: np.ndarray):
-    """Return a float for scalar input, ndarray otherwise."""
-    if np.isscalar(sigma) or np.ndim(sigma) == 0:
-        return float(out)
-    return out
-
-
 def strain(sigma, p: MaterialParams):
     """Evaluate eps(sigma).  Odd in sigma; |result| < 1/b for b > 0.
 
@@ -74,23 +67,7 @@ def strain(sigma, p: MaterialParams):
     that relies on strict order of eps (a bisection inverse, a monotone
     interpolation of fitted data) must allow for it.
     """
-    return _as_result(sigma, _strain(np.asarray(sigma, dtype=float), p,
-                                     slope=False)[0])
-
-
-def _strain(s: np.ndarray, p: MaterialParams, slope: bool = True):
-    """eps(s) and eps'(s) = D^-(1+1/a) as in derivatives, from one
-    evaluation of w = (b|s|)^a and D = 1 + w (eps' = 1 for b = 0); eps'
-    is None unless `slope`."""
-    if p.b == 0.0:
-        return s + 0.0, np.ones_like(s) if slope else None
-    with np.errstate(over="ignore"):
-        w = (p.b * np.abs(s)) ** p.a
-        d = 1.0 + w
-        out = s * d ** (-1.0 / p.a)
-    # (b|s|)^a overflowed: the law has saturated at the limiting strain
-    return (np.where(np.isinf(w), np.sign(s) / p.b, out),
-            d ** (-(1.0 + 1.0 / p.a)) if slope else None)
+    return _evaluate(lambda s: _strain(s, p), sigma)[0]
 
 
 def derivatives(sigma, p: MaterialParams):
@@ -109,11 +86,38 @@ def derivatives(sigma, p: MaterialParams):
     overflows the law has saturated: eps' underflows to 0 and the
     higher orders are 0.
     """
+    def three(s):
+        fp, fpp, _, late = _derivatives(s, p)
+        return fp, fpp, _third_derivative(late, p)
+    return _evaluate(three, sigma)
+
+
+def wave_speed(sigma, p: MaterialParams):
+    """Local wave speed c(sigma) = sqrt(1 / (rho * eps'(sigma))); raises
+    HyperbolicityError naming a stress where eps'(sigma) <= 0 or where
+    rho eps' underflows to 0 (c would be inf)."""
+    return _evaluate(lambda s: (_speed(
+        np.ones_like(s) if p.b == 0.0 else _compliance(s, p)[3], s, p),), sigma)[0]
+
+
+def _evaluate(kernel, sigma):
+    """The tuple kernel(s) of the array s = sigma in one error-state scope
+    that ignores over, invalid and divide, as a run does.  A float or 0-d
+    sigma is a 1-element array there, so it takes the array loop (NumPy's
+    scalar power can round an ulp apart from it), and gets floats back."""
     s = np.asarray(sigma, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fp, fpp, _, late = _derivatives(s, p)
-        out = fp, fpp, _third_derivative(late, p)
-    return tuple(map(float, out)) if s.ndim == 0 else out
+        out = kernel(s.reshape(-1) if s.ndim == 0 else s)
+    return out if s.ndim else tuple(float(v[0]) for v in out)
+
+
+def _compliance(s: np.ndarray, p: MaterialParams) -> tuple:
+    """(|s|, w, D, eps') of the array s for b > 0, in the caller's error
+    state: the one place that forms w = (b|s|)^a and D = 1 + w."""
+    mag = np.abs(s)
+    w = (p.b * mag) ** p.a
+    d = 1.0 + w
+    return mag, w, d, d ** (-(1.0 + 1.0 / p.a))
 
 
 def _derivatives(s: np.ndarray, p: MaterialParams) -> tuple:
@@ -122,12 +126,10 @@ def _derivatives(s: np.ndarray, p: MaterialParams) -> tuple:
     the factors that _third_derivative forms eps''' from, and only that
     needs the regularized |s| (reg) for 1 <= a < 2.  reg_eta^2 is a float64:
     a width whose square overflows gives reg = inf and 0 for its powers."""
-    a, mag = p.a, np.abs(s)
+    a = p.a
     if p.b == 0.0:
         return np.ones_like(s), np.zeros_like(s), 1.0, (s, None)
-    w = (p.b * mag) ** a
-    d = 1.0 + w
-    fp = d ** (-(1.0 + 1.0 / a))
+    mag, w, d, fp = _compliance(s, p)
     g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
     if a >= 2.0:  # reg = |s|: r = |s|^(a-2) serves both orders
         r = mag ** (a - 2.0)
@@ -157,24 +159,28 @@ def _third_derivative(late: tuple, p: MaterialParams) -> np.ndarray:
     fppp = g * r
     fppp *= (p.a - 1.0) - (p.a + 2.0) * w
     fppp /= d
-    if not fp_min > 0.0:
-        fppp = np.where(np.isinf(w), 0.0, fppp)
-    return fppp
+    return fppp if fp_min > 0.0 else np.where(np.isinf(w), 0.0, fppp)
 
 
-def wave_speed(sigma, p: MaterialParams, fp=None):
-    """Local wave speed c(sigma) = sqrt(1 / (rho * eps'(sigma))).
+def _strain(s: np.ndarray, p: MaterialParams) -> tuple:
+    """(eps, eps') of the array s in the caller's error state; where w
+    overflowed the law has saturated at the limiting strain sign(s)/b."""
+    if p.b == 0.0:
+        return s + 0.0, np.ones_like(s)
+    _, w, d, fp = _compliance(s, p)
+    eps = s * d ** (-1.0 / p.a)
+    return np.where(np.isinf(w), np.sign(s) / p.b, eps), fp
 
-    `fp` is eps'(sigma) when the caller has it already.
-    """
-    fp = np.asarray(derivatives(sigma, p)[0] if fp is None else fp,
-                    dtype=float)
-    if np.any(fp <= 0.0):
-        idx = int(np.argmin(fp))
-        bad = float(np.asarray(sigma, dtype=float).ravel()[idx]) \
-            if np.ndim(sigma) else float(sigma)
+
+def _speed(fp: np.ndarray, s: np.ndarray, p: MaterialParams) -> np.ndarray:
+    """c = 1/sqrt(rho eps') from eps' at the stresses s, in the caller's error
+    state; HyperbolicityError names the first s whose rho eps' <= 0 (NaN passes)."""
+    m = p.rho * fp
+    bad = m <= 0.0
+    if bad.any():
+        i = np.argmax(bad)  # flat index of the first
+        f, sig = fp.flat[i], float(s.flat[i])
+        why = "<= 0" if f <= 0.0 else f"times rho={p.rho:.3e} underflows to 0"
         raise HyperbolicityError(
-            f"tangent compliance {fp.ravel()[idx]:.3e} <= 0 at sigma={bad:.6g}",
-            sigma=bad)
-    return _as_result(sigma, 1.0 / np.sqrt(p.rho * fp))
-
+            f"tangent compliance {f:.3e} {why} at sigma={sig:.6g}", sigma=sig)
+    return 1.0 / np.sqrt(m)

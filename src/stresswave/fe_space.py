@@ -61,12 +61,8 @@ def lagrange_basis(nodes: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
         denom = np.prod([nodes[i] - nodes[j] for j in others])
         vals[:, i] = np.prod([pts - nodes[j] for j in others], axis=0) / denom
         der = np.zeros_like(pts)
-        for k in others:
-            rest = [j for j in others if j != k]
-            if rest:
-                der += np.prod([pts - nodes[j] for j in rest], axis=0)
-            else:
-                der += 1.0
+        for k in others:  # an empty product (p = 1) is 1.0
+            der += np.prod([pts - nodes[j] for j in others if j != k], axis=0)
         ders[:, i] = der / denom
     return vals, ders
 
@@ -244,10 +240,10 @@ def uniform_mesh(L: float, n_cells: int,
     `policy` is either "uniform(p)" with p in {1, 2, 3} or
     "center_graded", which is judged at cell midpoints.
     """
-    if not 0 < L < np.inf:  # nan and inf too
-        raise ValueError(f"L must be {'finite' if L > 0 else 'positive'}, got {L}")
-    if n_cells < 2:
-        raise ValueError(f"n_cells must be >= 2, got {n_cells}")
+    if not 0 < 2.0 * L < np.inf:  # nan and inf too; FeSpace sums two edges
+        raise ValueError(f"L must be {'below 2**1023' if L > 0 else 'positive'}, got {L}")
+    if not 2 <= n_cells <= 2**31:  # 2**31 cells need over 100 GB
+        raise ValueError(f"n_cells must be in [2, 2**31], got {n_cells}")
     inv_jac = 2.0 * n_cells / float(L)  # of each cell, squared in K
     if not np.isfinite(inv_jac * inv_jac):  # and then its edges differ
         raise ValueError(f"L={L} is too small to separate {n_cells} cells: "

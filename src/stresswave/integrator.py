@@ -324,7 +324,11 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     # from zero interior values solves it.
     residual, mass = _stage(space, p, Sigma0, Sigma_dot0, 0.0, 0.0, load)
     pts, R = residual(sdd)
-    sdd[1:-1] -= mass(pts).interior().solve(R[1:-1])
+    try:
+        sdd[1:-1] -= mass(pts).interior().solve(R[1:-1])
+    except np.linalg.LinAlgError as exc:  # rho * wj underflowed, say
+        raise NewtonDivergedError(f"tangent is singular at t=0: {exc}",
+                                  t=0.0, iters=0, history=[]) from exc
     return sdd
 
 
@@ -341,7 +345,8 @@ def snapshot_schedule(dt: float, t_final: float, interval: float) -> list:
         t = min(step * dt, t_final)
         if t >= next_snap - 0.5 * dt:
             kept.append((step, t))
-            next_snap = (math.floor((t + 0.5 * dt) / interval) + 1.0) * interval
+            q = (t + 0.5 * dt) / interval  # inf: keep every step
+            next_snap = (math.floor(q) + 1.0) * interval if q < math.inf else t
     return kept + [(n_steps, min(n_steps * dt, t_final))]
 
 

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import MaterialParams, _strain, wave_speed
+from .constitutive import MaterialParams, _speed, _strain
 from .fe_space import FeSpace
 
 
@@ -85,8 +85,9 @@ def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
     dx = np.diff(samples.x)
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=0.0):
         raise ValueError("sample spacing must be uniform")
-    eps, fp = _strain(np.asarray(samples.sigma, dtype=float), p)
-    c = np.asarray(wave_speed(samples.sigma, p, fp))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eps, fp = _strain(samples.sigma, p)
+        c = _speed(fp, samples.sigma, p)
     eps_dot = fp * samples.sigma_dot
 
     u = np.zeros_like(eps)

@@ -358,3 +358,15 @@ def test_graded_assembly_matches_per_cell_loop():
     np.testing.assert_allclose(
         _inertial(space, Sigma, Sigma_dot, Sigma_ddot, P12), F_ref,
         rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("bw", [1, 2])
+def test_one_by_one_solve_and_its_zero_pivot(bw):
+    # the interior of a 2-cell uniform(1) mesh: gtsv rejects its empty
+    # off-diagonals, so gbsv solves it and reports a zero pivot
+    ab = np.zeros((2 * bw + 1, 1))
+    ab[bw] = 4.0
+    assert BandedMatrix(1, bw, ab).solve(np.array([2.0])).tolist() == [0.5]
+    ab[bw] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        BandedMatrix(1, bw, ab).solve(np.array([2.0]))

@@ -88,6 +88,10 @@ def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
      "output.snapshot_interval"),
     ("material: {b: 1.0, a: 1.5, reg_eta: 0.0}", "material.reg_eta"),
     ("material: {b: 1.0}\ntime: {dt: 'nan'}", "time.dt"),
+    pytest.param(f"material: {{b: 1.0}}\nmesh: {{L: {10**400}}}", "mesh.L",
+                 id="integer-L-beyond-float64"),
+    pytest.param(f"material: {{b: 1.0}}\noutput: {{samples: {10**400}}}",
+                 "output.samples", id="samples-over-2**31"),
 ])
 def test_non_finite_config_number_exit_code(tmp_path, capsys, text, field):
     cfg = _write(tmp_path, "bad.yaml", text + "\n")
@@ -100,10 +104,14 @@ def test_non_finite_config_number_exit_code(tmp_path, capsys, text, field):
     ("{L: 5e-324}", "L=5e-324 is too small to separate 128 cells"),
     ("{L: 1.0e-300}", "L=1e-300 is too small to separate 128 cells"),
     ("{degree_policy: 'uniform(\uff11)'}", "unknown degree policy"),
+    ("{L: 1.0e308}", "L must be below 2**1023, got 1e+308"),
+    pytest.param(f"{{n_cells: {10**400}}}", "n_cells must be in [2, 2**31]",
+                 id="n_cells-over-2**31"),
 ])
 def test_mesh_rule_exit_code(tmp_path, capsys, mesh, named):
     # cells whose stiffness (2 n_cells / L)^2 overflows (at 5e-324 their
-    # edges repeat, too), and a full-width digit 1
+    # edges repeat, too), a full-width digit 1, edges whose sum (the cell
+    # midpoints) overflows, and a cell count beyond the 2**31 limit
     cfg = _write(tmp_path, "bad.yaml", f"material: {{b: 1.0}}\nmesh: {mesh}\n")
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out),
@@ -234,6 +242,54 @@ def test_overflow_exits_3_naming_the_time(tmp_path, capsys, text):
     assert capsys.readouterr().err.splitlines() == [
         "solver failure: Newton residual is not finite (overflow or NaN) "
         "at t=0.001 after 0 iterations"]
+
+
+@pytest.mark.parametrize("text, kept", [
+    ("mesh: {n_cells: 2, degree_policy: 'uniform(1)'}", 2),
+    ("mesh: {n_cells: 2, degree_policy: 'uniform(2)'}", 2),
+    ("mesh: {n_cells: 2, degree_policy: 'uniform(3)'}", 2),
+    ("mesh: {n_cells: 2, degree_policy: center_graded}", 2),
+    ("output: {snapshot_interval: 5.0e-324}", 21),
+    ("material: {b: 5.0e-324}", 2),
+])
+def test_edge_config_runs_clean(tmp_path, capsys, text, kept):
+    # a 1x1 interior (2 linear cells); an interval whose quotient
+    # overflows, which keeps every step; a limiting strain 1/b that
+    # overflows
+    if "material" not in text:
+        text = f"material: {{b: 1.0}}\n{text}"
+    cfg = _write(tmp_path, "run.yaml", f"{text}\ntime: {{t_final: 0.02}}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(list(out.glob("snapshot_*.csv"))) == kept
+
+
+@pytest.mark.parametrize("b", ["0.0", "1.0"])
+def test_singular_mass_at_t0_exits_3(tmp_path, capsys, b):
+    # rho * wj underflows to 0, so the mass matrix of the initial
+    # acceleration is 0
+    cfg = _write(tmp_path, "run.yaml", f"material: {{b: {b}, rho: 5.0e-324}}\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "solver failure: tangent is singular at t=0: singular matrix "
+        "(zero pivot 1)"]
+
+
+def test_infinite_wave_speed_exits_3(tmp_path, capsys):
+    # eps' falls to about 3e-38 at the snapshot of t = 0.02, where
+    # rho eps' underflows to 0: the snapshot's c would be inf
+    cfg = _write(tmp_path, "run.yaml", "material: {b: 1.0e20, rho: 1.0e-300}\n"
+                 "time: {t_final: 0.02}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 3
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith("solver failure: tangent compliance ")
+    assert " times rho=1.000e-300 underflows to 0 at sigma=" in line
+    assert [f.name for f in out.glob("snapshot_*.csv")] == ["snapshot_t0.000000.csv"]
 
 
 def test_singular_tangent_exit_code(tmp_path, monkeypatch, capsys):

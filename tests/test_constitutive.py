@@ -173,6 +173,18 @@ def test_wave_speed_hyperbolicity_failure():
         wave_speed(1e200, p)
 
 
+def test_wave_speed_raises_where_rho_times_eps_prime_underflows():
+    # eps'(1e-5) is about 3e-38 here, so rho eps' underflows to 0 and c
+    # would be inf
+    p = MaterialParams(rho=1e-300, b=1e20, a=1.5)
+    assert wave_speed(0.0, p) == pytest.approx(1e150, rel=1e-15)
+    with pytest.raises(HyperbolicityError) as err:
+        wave_speed(np.array([0.0, 1e-5]), p)
+    assert err.value.sigma == 1e-5
+    assert str(err.value).endswith(
+        "times rho=1.000e-300 underflows to 0 at sigma=1e-05")
+
+
 # b|sigma| <= 1e3 keeps the gap to the limiting strain 1/b far above
 # roundoff, so the strict bound can be asserted.
 materials = st.builds(lambda b, a: MaterialParams(rho=1.0, b=b, a=a),
@@ -308,11 +320,9 @@ def test_late_third_derivative_equals_eager_form(b, a, reg_eta):
     got, ref = derivatives(sigma, p), _eager_derivatives(sigma, p)
     for k in range(3):
         assert np.all(np.isfinite(got[k])) and np.all(got[k] == ref[k])
-    # the scalar path, against the eager form of 0-d input: NumPy's scalar
-    # power can round an ulp apart from its array loop
-    for v in sigma[[0, 1, 50, -1]]:
-        assert derivatives(float(v), p) == tuple(
-            map(float, _eager_derivatives(np.asarray(v), p)))
+    # a float takes the array loop: equal to its entry of the array result
+    for i in (0, 1, 50, -1):
+        assert derivatives(float(sigma[i]), p) == tuple(float(g[i]) for g in got)
     if b == 1e50:
         assert got[0][-1] == 0.0  # saturated: eps' underflows
 
@@ -325,3 +335,31 @@ def test_derivatives_of_empty_input_are_empty(a, b):
         assert d.shape == (0,)
     assert strain_derivative(none, 2, p).shape == (0,)
     assert wave_speed(none, p).shape == (0,)
+
+
+@pytest.mark.parametrize("b", [0.7, 0.0, 5.0, 1e50])
+def test_float_equals_its_entry_of_the_array_bit_for_bit(b):
+    # a float is evaluated as a 1-element array: NumPy's scalar power
+    # rounds up to an ulp apart from the array loop, which once put 57
+    # first, 52 second and 87 third derivatives, 54 strains and 27 speeds
+    # of this grid at b = 0.7 an ulp away from the array result
+    p, s = MaterialParams(rho=1.0, b=b, a=1.5), np.linspace(-4.0, 4.0, 801)
+    arrays = (*derivatives(s, p), strain(s, p), wave_speed(s, p))
+    floats = [(*derivatives(v, p), strain(v, p), wave_speed(v, p))
+              for v in s.tolist()]
+    assert all(type(x) is float for x in floats[0])
+    np.testing.assert_array_equal(np.array(floats).T.view(np.int64),
+                                  np.array(arrays).view(np.int64))
+
+
+def test_law_warns_nowhere_and_names_a_point_where_hyperbolicity_fails():
+    p = MaterialParams(rho=1.0, b=1e200, a=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # sign(s)/b overflows for b = 5e-324, inside the law's one scope
+        tiny = MaterialParams(rho=1.0, b=5e-324, a=1.5)
+        assert strain(np.array([1.0, -1e300]), tiny).tolist() == [1.0, -1e300]
+        with pytest.raises(HyperbolicityError) as err:
+            wave_speed(np.array([np.nan, 1e200]), p)  # the NaN is not named
+    assert err.value.sigma == 1e200
+    assert str(err.value) == "tangent compliance 0.000e+00 <= 0 at sigma=1e+200"

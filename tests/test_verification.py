@@ -134,11 +134,18 @@ def test_temporal_study_smoke():
 
 
 @pytest.mark.parametrize("policy, min_rate", [("uniform(2)", 2.9),
-                                              ("uniform(3)", 3.9)])
+                                              ("uniform(3)", 3.9),
+                                              ("center_graded", 1.95)])
 def test_spatial_rate_is_degree_plus_one(policy, min_rate):
-    # dt 1e-4 keeps the time error below the spatial one on every rung
+    # dt 1e-4 keeps the time error below the spatial one on every rung.
+    # center_graded's band edges (0.1, 0.3, 0.7 and 0.9 L) are cell edges
+    # when n_cells is a multiple of 10, so each rung of 10-80 cells has the
+    # same mix (1/5 linear, 2/5 quadratic, 2/5 cubic) and the linear cells
+    # set the rate, 2 (1.86, 1.97, 1.99); on 4-32 cells the linear share
+    # goes 0, 2/8, 4/16, 6/32 and the rates are erratic (0.38, 1.86, 2.59)
+    graded = policy == "center_graded"
     errors = []
-    for n in (4, 8, 16, 32):
+    for n in (10, 20, 40, 80) if graded else (4, 8, 16, 32):
         cfg = _base_config(0.1)
         err, _ = _mms_run_error(dataclasses.replace(
             cfg, mesh=dataclasses.replace(cfg.mesh, n_cells=n,
@@ -146,7 +153,7 @@ def test_spatial_rate_is_degree_plus_one(policy, min_rate):
             time=dataclasses.replace(cfg.time, dt=1e-4)))
         errors.append(err)
     rates = [observed_rate(a, b) for a, b in zip(errors, errors[1:])]
-    assert min(rates) >= min_rate, rates
+    assert min(rates[-1:] if graded else rates) >= min_rate, rates
 
 
 def test_convergence_study_rejects_unknown_kind():
