@@ -200,13 +200,14 @@ def _stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
                   sigdd_q: np.ndarray, p: MaterialParams) -> tuple:
     """stage_points in the caller's error state (a run's one scope)."""
     fp, fpp, fp_min, late = _derivatives(sig_q, p)
-    if fp_min <= 0.0:
+    if p.rho * fp_min <= 0.0:  # eps' <= 0, or rho eps' underflows to 0
         # padded points interpolate to 0, where eps' = 1: argmin is real
         t = space.table
         i = np.unravel_index(np.argmin(fp), fp.shape)
+        why = "<= 0" if fp[i] <= 0.0 else f"times rho={p.rho:.3e} underflows to 0"
         raise HyperbolicityError(
-            f"tangent compliance {fp[i]:.3e} <= 0 at quadrature point "
-            f"x={t.x_q[i]:.6g} (sigma={sig_q[i]:.6g})",
+            f"tangent compliance {fp[i]:.3e} {why} at sigma={sig_q[i]:.6g} "
+            f"(quadrature point x={t.x_q[i]:.6g})",
             sigma=float(sig_q[i]), x=float(t.x_q[i]))
     return sigd_q, sigd_q**2, sigdd_q, fp, fpp, late
 

@@ -15,18 +15,19 @@ eps and eps' come from one evaluation of w = (b|sigma|)^a.
 Output is CSV with a header row, rows ended by \r\n and every float as
 "%.17g", which reads back to the same float: snapshot_t<t to 6
 decimals>.csv holds x,sigma,u,v,eps,c and spacetime.csv stacks every
-snapshot's rows, each prefixed by t.  The text is exactly Python's
-'%.17g' % v, made for a whole column at once without a dtoa call per
-float (_format_g17): the 17 digits come from an exact two-product with a
-double-double power of ten and the %g layout from byte tables, into a
-zero-padded byte matrix whose zero bytes are deleted once per snapshot;
-the spacetime.csv rows are that text with t put before each row.  A
-value this path cannot settle exactly (nan, inf, |v| outside [1e-280,
-1e280], or a fraction within 1e-7 of a rounding tie) is formatted by
-Python's own %, one element at a time.  The tables are built with
-integer arithmetic on the first write, not at import.  What depends only
-on the sample points is done once per run: their cells and basis values
-are cached per space, and the x column is formatted once per x.
+snapshot's rows, each prefixed by t.  Snapshots are written in blocks of
+whole snapshots up to BLOCK_ROWS rows, in text that is exactly '%.17g' % v,
+made a column of a block at a time without a dtoa call per float
+(_format_g17): the 17 digits come from an exact two-product with a
+double-double power of ten and the %g layout from byte tables, into one
+zero-padded byte buffer whose zero bytes are deleted once per block; each
+snapshot's slice goes to its file and, with t before each row, to
+spacetime.csv.  A value this path cannot settle exactly (nan, inf, |v|
+outside [1e-280, 1e280], or a fraction within 1e-7 of a rounding tie) is
+formatted by Python's own %, one element at a time.  The tables are built
+with integer arithmetic on the first write, not at import.  What depends
+only on the sample points is done once per run: their cells and basis
+values are cached per space, and the x column is formatted once per x.
 """
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ import numpy as np
 
 from .constitutive import MaterialParams, _speed, _strain
 from .fe_space import FeSpace
+
+BLOCK_ROWS = 2048  # sample rows per block of output: whole snapshots, at least one
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def _sample_points(space: FeSpace, M: int) -> tuple:
 
 def sample_solution(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
                     M: int) -> Samples:
-    """Evaluate the FE fields at M+1 uniformly spaced points (cached per space and M)."""
+    """FE fields (n_dofs or (k, n_dofs)) at M+1 uniform points (cached per space and M)."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     x, at_x = _sample_points(space, M)
@@ -81,7 +84,7 @@ def sample_solution(space: FeSpace, Sigma: np.ndarray, Sigma_dot: np.ndarray,
 
 
 def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
-    """Strain, displacement, particle velocity and wave speed from samples."""
+    """Strain, displacement, particle velocity and wave speed from samples, row by row."""
     dx = np.diff(samples.x)
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=0.0):
         raise ValueError("sample spacing must be uniform")
@@ -92,8 +95,9 @@ def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
 
     u = np.zeros_like(eps)
     v = np.zeros_like(eps)
-    u[1:] = np.cumsum(0.5 * (eps[1:] + eps[:-1]) * dx)
-    v[1:] = np.cumsum(0.5 * (eps_dot[1:] + eps_dot[:-1]) * dx)
+    u[..., 1:] = np.cumsum(0.5 * (eps[..., 1:] + eps[..., :-1]) * dx, axis=-1)
+    v[..., 1:] = np.cumsum(0.5 * (eps_dot[..., 1:] + eps_dot[..., :-1]) * dx,
+                           axis=-1)
     return SnapshotRecord(x=samples.x, sigma=samples.sigma,
                           sigma_dot=samples.sigma_dot,
                           u=u, v=v, eps=eps, c=c)
@@ -220,25 +224,35 @@ def _x_text(x: bytes) -> np.ndarray:
     return text
 
 
-def write_snapshot(record: SnapshotRecord, t: float, directory) -> Path:
-    """Write one snapshot CSV into `directory` and append it to spacetime.csv."""
+def write_snapshot(record: SnapshotRecord, t: float | list, directory) -> Path:
+    """Write the CSVs of one snapshot (1-D fields, a float t) or of a block
+    ((k, M+1) fields, k times t) into `directory`, append them to
+    spacetime.csv and return the last one's path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    times = np.atleast_1d(t).tolist()
     fields = [_x_text(np.asarray(record.x, dtype=float).tobytes())]
     fields += [_format_g17(v) for v in (record.sigma, record.u, record.v,
                                         record.eps, record.c)]
-    comma = np.full((len(fields[0]), 1), ord(","), np.uint8)
-    rows = np.hstack([a for f in fields for a in (f, comma)] + [comma])
-    rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # the two trailing commas
-    body = rows.tobytes().translate(None, b"\0")
-    path = directory / snapshot_filename(t)
-    with open(path, "wb") as fh:
-        fh.write(b"x,sigma,u,v,eps,c\r\n")
-        fh.write(body)
-    t_text = b"%.17g," % t  # each spacetime row starts with it
-    with open(directory / "spacetime.csv", "ab") as fh:
-        if fh.tell() == 0:
-            fh.write(b"t,x,sigma,u,v,eps,c\r\n")
-        fh.write(t_text)
-        fh.write(memoryview(body.replace(b"\n", b"\n" + t_text))[:-len(t_text)])
+    width = sum(f.shape[-1] for f in fields) + len(fields) + 1
+    buf = bytearray(b",") * (len(times) * len(fields[0]) * width)
+    rows = np.frombuffer(buf, np.uint8).reshape(len(times), -1, width)
+    at = 0
+    for f in fields:  # each column of text, then a comma of the fill
+        rows[..., at:at + f.shape[-1]] = f
+        at += f.shape[-1] + 1
+    rows[..., -2:] = np.frombuffer(b"\r\n", np.uint8)  # ends the last column
+    body = buf.translate(None, b"\0")
+    ends = np.cumsum([np.count_nonzero(r) for r in rows[:-1]]).tolist() + [len(body)]
+    with open(directory / "spacetime.csv", "ab") as spacetime:
+        if spacetime.tell() == 0:
+            spacetime.write(b"t,x,sigma,u,v,eps,c\r\n")
+        for t, start, end in zip(times, [0] + ends, ends):
+            text = body if len(times) == 1 else body[start:end]  # one: no copy
+            path = directory / snapshot_filename(t)
+            with open(path, "wb") as fh:
+                fh.writelines((b"x,sigma,u,v,eps,c\r\n", text))
+            t_text = b"%.17g," % t  # each spacetime row starts with it
+            spacetime.writelines((t_text, memoryview(
+                text.replace(b"\n", b"\n" + t_text))[:-len(t_text)]))
     return path

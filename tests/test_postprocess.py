@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stresswave.cli import main
+from stresswave import cli
+from stresswave.cli import main, run_scenario
 from stresswave.config import parse_config
-from stresswave.constitutive import MaterialParams, strain, wave_speed
+from stresswave.constitutive import (HyperbolicityError, MaterialParams,
+                                     strain, wave_speed)
 from stresswave.fe_space import _LOCAL_NODES, build_space, lagrange_basis
-from stresswave.integrator import run_simulation
+from stresswave.integrator import SystemState, run_simulation
 from stresswave.postprocess import (Samples, SnapshotRecord, _format_g17,
                                     reconstruct, sample_solution,
                                     snapshot_filename, write_snapshot)
@@ -277,6 +279,109 @@ def test_write_snapshot_matches_csv_writer_bytes(tmp_path):
     for name in [snapshot_filename(t) for t in times] + ["spacetime.csv"]:
         assert (new / name).read_bytes() == (ref / name).read_bytes()
     assert (new / "spacetime.csv").read_bytes().count(b"t,x") == 1
+
+
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
+                                    "center_graded"])
+def test_stacked_sample_and_reconstruct_equal_single_calls(policy):
+    # a (k, n_dofs) stack gives, row by row, the bits of k single calls
+    p = MaterialParams(rho=2.0, b=5.0, a=1.5)
+    space = build_space(1.0, 12, policy)
+    rng = np.random.default_rng(11)
+    Sigma, Sigma_dot = rng.normal(size=(2, 5, space.n_dofs)) * 0.3
+    Sigma[2] = Sigma_dot[2] = 0.0
+    stack = sample_solution(space, Sigma, Sigma_dot, 40)
+    rec = reconstruct(stack, p)
+    assert rec.sigma.shape == rec.c.shape == (5, 41)
+    for j in range(5):
+        one = sample_solution(space, Sigma[j], Sigma_dot[j], 40)
+        np.testing.assert_array_equal(stack.sigma[j], one.sigma)
+        np.testing.assert_array_equal(stack.sigma_dot[j], one.sigma_dot)
+        single = reconstruct(one, p)
+        for field in ("u", "v", "eps", "c"):
+            np.testing.assert_array_equal(getattr(rec, field)[j],
+                                          getattr(single, field))
+
+
+def _block_records(k, M, seed):
+    """k reconstructed snapshots of M+1 rows as one (k, M+1) record and
+    their times: stresses over 40 decades, so column widths differ between
+    snapshots, and one zero state, whose u, v and eps print as 0 and c as 1."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, M + 1)
+    scale = 10.0 ** rng.integers(-20, 20, size=(k, 1))
+    sigma = rng.normal(size=(k, M + 1)) * scale
+    sigma[k // 2] = 0.0
+    rec = reconstruct(Samples(x=x, sigma=sigma, sigma_dot=sigma * 0.7),
+                      MaterialParams(rho=1.0, b=5.0, a=1.5))
+    assert np.all(rec.c[k // 2] == 1.0)
+    return rec, [j / 3.0 for j in range(k)]
+
+
+def _rows(rec, rows):
+    return SnapshotRecord(x=rec.x, **{f: getattr(rec, f)[rows] for f in (
+        "sigma", "sigma_dot", "u", "v", "eps", "c")})
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 7, 9])
+def test_block_output_equals_one_snapshot_at_a_time(tmp_path, per_block):
+    # blocks of 1, 2, 7 and all 9 snapshots write the bytes that one
+    # write_snapshot call per snapshot and the csv.writer reference write
+    rec, times = _block_records(9, 30, seed=12)
+    new, one, ref = tmp_path / "new", tmp_path / "one", tmp_path / "ref"
+    ref.mkdir()
+    for i in range(0, 9, per_block):
+        last = write_snapshot(_rows(rec, slice(i, i + per_block)),
+                              times[i:i + per_block], new)
+        assert last.name == snapshot_filename(times[min(i + per_block, 9) - 1])
+    for j, t in enumerate(times):
+        write_snapshot(_rows(rec, j), t, one)
+        _csv_reference(_rows(rec, j), t, ref)
+    names = sorted(path.name for path in ref.iterdir())
+    assert len(names) == 10
+    assert sorted(path.name for path in new.iterdir()) == names
+    for name in names:
+        assert (new / name).read_bytes() == (one / name).read_bytes()
+        assert (new / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_failure_inside_a_block_writes_the_snapshots_before_it(tmp_path,
+                                                                monkeypatch):
+    # 21 snapshots of 257 rows go out in blocks of 7.  Snapshot 10, the
+    # fourth of the second block, has a boundary stress where rho eps'
+    # underflows to 0 (a sample point, not a quadrature point): the run
+    # raises its HyperbolicityError after snapshots 0-9 are on disk
+    config = parse_config({"material": {"rho": 1.0e-300, "b": 1.0e20},
+                           "drive": {"A": 0.0},
+                           "time": {"t_final": 0.2},
+                           "output": {"snapshot_interval": 0.01}})
+    assert cli.BLOCK_ROWS // (config.output.samples + 1) == 7
+    run = cli.run_simulation
+
+    def one_bad_snapshot(config):
+        snapshots, report = run(config)
+        s = snapshots[10]
+        Sigma = s.Sigma.copy()
+        Sigma[0] = 1.0e-5  # the node at x = 0, sampled exactly
+        snapshots[10] = SystemState(s.t, Sigma, s.Sigma_dot, s.Sigma_ddot)
+        return snapshots, report
+
+    monkeypatch.setattr(cli, "run_simulation", one_bad_snapshot)
+    with pytest.raises(HyperbolicityError) as err:
+        run_scenario(config, tmp_path)
+    snapshots, report = one_bad_snapshot(config)
+    bad = snapshots[10]
+    with pytest.raises(HyperbolicityError) as alone:
+        reconstruct(sample_solution(report.space, bad.Sigma, bad.Sigma_dot,
+                                    256), config.material)
+    assert str(err.value) == str(alone.value)
+    assert "times rho=1.000e-300 underflows to 0 at sigma=1e-05" in str(err.value)
+    times = [s.t for s in snapshots[:10]]
+    assert sorted(p.name for p in tmp_path.glob("snapshot_*.csv")) == \
+        [snapshot_filename(t) for t in times]
+    rows = (tmp_path / "spacetime.csv").read_bytes().split(b"\r\n")[1:-1]
+    assert [row.split(b",", 1)[0] for row in rows] == \
+        [b"%.17g" % t for t in times for _ in range(257)]
 
 
 def _assert_g17(values):
