@@ -15,18 +15,20 @@ A stage is one such set of vectors, and its residual and tangent are
 where M(S) = integral rho eps'(s) N_I N_J dx and the stage stress and
 rate move with the acceleration as dS = c dSdd, dSd = c_dot dSdd.  The
 time scheme that picks the stage, c and c_dot lives in the integrator;
-this module only integrates in space.  Residual and tangent share one
-evaluation of the stage at the points (stage_points; eps''' is formed in
-the tangent only); callers interpolate the stage (CellTable.at_points)
-and form its elastic term K S - L (BandedMatrix.matvec, one BLAS gbmv).
+this module only integrates in space, in one StageKernel per space,
+material and (c, c_dot), built once per step size with every per-run
+constant bound.  Residual and tangent share one evaluation of the stage
+at the points (eps''' is formed in the tangent only), and its elastic
+term K S - L is one BLAS gbmv (BandedMatrix.matvec).
 
-Every integral is one matrix product (CellTable.integrate) over the
-space's cell table (FeSpace.table), whose padded nodes and points add
-zero.  All matrices are stored in LAPACK banded form (half-bandwidth = max
-cell degree); element matrices reach it through the table's precomputed
-scatter index.  The two boundary DoFs always carry prescribed values, so
-the integrator solves only the interior block (BandedMatrix.interior) by
-direct banded factorization (LAPACK gtsv; gbsv above bandwidth 1 or 1x1).
+Every integral is one matrix product over the space's cell table
+(FeSpace.table, the kernel's reference blocks), whose padded nodes and
+points add zero.  All matrices are stored in LAPACK banded form
+(half-bandwidth = max cell degree); element matrices reach it through the
+table's precomputed scatter index.  The two boundary DoFs always carry
+prescribed values, so the integrator solves only the interior block
+(BandedMatrix.solve with interior=True) by direct banded factorization
+(LAPACK gtsv; gbsv above bandwidth 1 or 1x1).
 
 The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
 scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
@@ -46,8 +48,7 @@ from functools import lru_cache
 import numpy as np
 import scipy
 
-from .constitutive import (HyperbolicityError, MaterialParams, _derivatives,
-                           _third_derivative)
+from .constitutive import HyperbolicityError, MaterialParams
 from .fe_space import CellTable, FeSpace
 
 
@@ -96,26 +97,23 @@ class BandedMatrix:
         return _gbmv(n, n, bw, bw, scale, self.ab, x,
                      beta=0.0 if add is None else 1.0, y=add)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs; np.linalg.LinAlgError if A is singular."""
-        bw, ab = self.bandwidth, self.ab
-        if bw == 1 and self.n > 1:  # gtsv rejects a 1x1 system's empty bands
+    def solve(self, rhs: np.ndarray, interior: bool = False) -> np.ndarray:
+        """x with A x = rhs, or with the interior block of A (without its
+        first and last rows and columns); np.linalg.LinAlgError if that is
+        singular.  Dropping the end columns of the storage leaves the
+        couplings to the end rows in slots that the solver never reads."""
+        n, bw, ab = self.n, self.bandwidth, self.ab
+        if interior:
+            n, ab = n - 2, ab[:, 1:-1]
+        if bw == 1 and n > 1:  # gtsv rejects a 1x1 system's empty bands
             *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
         else:
-            lab = np.zeros((3 * bw + 1, self.n), order="F")  # + fill-in rows
+            lab = np.zeros((3 * bw + 1, n), order="F")  # + fill-in rows
             lab[bw:] = ab
             *_, x, info = _gbsv(bw, bw, lab, rhs, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
         return x
-
-    def interior(self) -> "BandedMatrix":
-        """View of the block without the first and last rows and columns.
-
-        Dropping the end columns of the storage leaves the couplings to
-        the end rows in slots that the banded solver never reads.
-        """
-        return BandedMatrix(self.n - 2, self.bandwidth, self.ab[:, 1:-1])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -126,23 +124,11 @@ class BandedMatrix:
         return out
 
 
-def _vector(space: FeSpace, t: CellTable, hw: np.ndarray) -> np.ndarray:
-    """F_I = integral h N_I dx from hw = h * wj at the points."""
-    fe = t.integrate(hw, t.ref)
-    return np.bincount(t.dofs.ravel(), weights=fe.ravel(),
-                       minlength=space.n_dofs)
-
-
 def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
     """Sum of the element matrices `me`, one per cell, in banded storage."""
     n, bw = space.n_dofs, space.bandwidth
     ab = np.bincount(t.scatter, weights=me.ravel(), minlength=(2 * bw + 1) * n)
     return BandedMatrix(n, bw, ab.reshape(n, 2 * bw + 1).T)
-
-
-def _matrix(space: FeSpace, t: CellTable, hw: np.ndarray) -> BandedMatrix:
-    """M_IJ = integral h N_I N_J dx from hw = h * wj at the points."""
-    return _banded(space, t, t.integrate(hw, t.ref_outer))
 
 
 @lru_cache(maxsize=1)  # a run assembles with one space
@@ -153,24 +139,6 @@ def assemble_stiffness(space: FeSpace) -> BandedMatrix:
                                       t.dref_outer))
     K.ab.flags.writeable = False
     return K
-
-
-@lru_cache(maxsize=2)  # the c of every step, and of t = 0 or a short last step
-def _scaled_stiffness(space: FeSpace, c: float) -> np.ndarray:
-    """c K in banded storage (read-only), the elastic part of a stage
-    tangent."""
-    ab = c * assemble_stiffness(space).ab
-    ab.flags.writeable = False
-    return ab
-
-
-@lru_cache(maxsize=1)  # a run integrates with one space and one rho
-def _rho_wj(space: FeSpace, rho: float) -> np.ndarray:
-    """rho * wj of space.table (read-only), the weights of the inertial
-    integrals."""
-    w = rho * space.table.wj
-    w.flags.writeable = False
-    return w
 
 
 def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
@@ -184,61 +152,106 @@ def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
                        minlength=k * space.n_dofs).reshape(k, -1)
 
 
-def stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
-                 sigdd_q: np.ndarray, p: MaterialParams) -> tuple:
-    """A stage at the points of space.table, shared by residual and tangent.
+class StageKernel:
+    """The residual and tangent of a stage, with every per-run constant of
+    one space, material and pair (c, c_dot) bound once.
 
-    Takes stress, rate and acceleration at the points (CellTable.at_points)
-    and returns (sigma_dot, sigma_dot^2, sigma_ddot, eps', eps'', the
-    factors of eps''') there.  Raises HyperbolicityError where eps' <= 0.
-    Ignores over, invalid and divide, as a run does."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _stage_points(space, sig_q, sigd_q, sigdd_q, p)
+    A stage is S = base + c Sdd, Sd = base_dot + c_dot Sdd as functions of
+    the acceleration Sdd.  `stage` takes a step's bases to the points and
+    forms its elastic term K base - load, once per step; it carries the
+    step's time, which the guard's HyperbolicityError names.  `residual` then
+    evaluates the stage of one Sdd at the points, law included, and
+    returns (pts, R); `tangent(pts)` is the BandedMatrix dR/dSdd at those
+    stage values, and the only reader of eps'''.  c = c_dot = 0 is the
+    t = 0 balance, whose tangent is the mass matrix M(S).
 
+    The kernel holds the space's flat DoF index, reference blocks, `pick`
+    and scatter index, K's band and c K, rho wj, the material's Law and
+    c, c_dot and 2 c_dot as 0-d arrays, so an iterate is array operations
+    only.  Its methods run in the caller's error state (a run's one scope).
+    """
 
-def _stage_points(space: FeSpace, sig_q: np.ndarray, sigd_q: np.ndarray,
-                  sigdd_q: np.ndarray, p: MaterialParams) -> tuple:
-    """stage_points in the caller's error state (a run's one scope)."""
-    fp, fpp, fp_min, late = _derivatives(sig_q, p)
-    if p.rho * fp_min <= 0.0:  # eps' <= 0, or rho eps' underflows to 0
-        # padded points interpolate to 0, where eps' = 1: argmin is real
+    def __init__(self, space: FeSpace, p: MaterialParams, c: float = 0.0,
+                 c_dot: float = 0.0):
         t = space.table
+        self.table, self.law, self.rho = t, p.law, p.rho
+        self.n, self.bw = space.n_dofs, space.bandwidth
+        self.dofs, self.flat_dofs, self.pick = t.dofs, t.dofs.ravel(), t.pick
+        self.ref, self.ref_t, self.ref_outer = t.ref, t.ref_t, t.ref_outer
+        self.blocks = (space.n_cells, len(t.ref))  # a cell's degree blocks
+        self.scatter, self.band = t.scatter, (2 * self.bw + 1) * self.n
+        self.K = assemble_stiffness(space)
+        self.cK = c * self.K.ab
+        self.rho_wj = p.rho * t.wj
+        self.c_scale = c  # the gbmv scale
+        self.c, self.c_dot, self.c_dot2 = (np.array(v) for v in
+                                           (c, c_dot, c_dot * 2.0))
+
+    def stage(self, base: np.ndarray, base_dot: np.ndarray,
+              load: np.ndarray | float, t: float | None = None) -> tuple:
+        """(base and base_dot at the points, K base - load, t) of the step
+        to time t, which the guard's error names (None: no time)."""
+        base_q, base_dot_q = self.table.at_points(base, base_dot)
+        return base_q, base_dot_q, self.K.matvec(base) - load, t
+
+    def residual(self, stage: tuple, sdd: np.ndarray) -> tuple:
+        """(pts, R): the stage values at the points, (sigma_dot,
+        sigma_dot^2, sigma_ddot, eps', eps'', the factors of eps'''), and
+        R = F_inrt(pts) + K (base + c sdd) - load.  Raises
+        HyperbolicityError where eps' <= 0 or rho eps' underflows to 0."""
+        base_q, base_dot_q, rest, t = stage
+        sdd_q = sdd[self.dofs].dot(self.ref_t)
+        if self.pick is not None:
+            sdd_q = sdd_q.ravel()[self.pick]
+        sig_q = base_q + self.c * sdd_q
+        sigd_q = base_dot_q + self.c_dot * sdd_q
+        fp, fpp, fp_min, late = self.law.derivatives(sig_q)
+        if self.rho * fp_min <= 0.0:  # eps' <= 0, or rho eps' underflows
+            raise self._lost(fp, sig_q, t)
+        sigd2 = sigd_q**2
+        h = fp * sdd_q
+        h += fpp * sigd2
+        h *= self.rho_wj
+        if self.pick is not None:  # each cell's values in its degree block
+            full = np.zeros(self.blocks)
+            full.reshape(-1)[self.pick] = h
+            h = full
+        R = np.bincount(self.flat_dofs, weights=h.dot(self.ref).ravel(),
+                        minlength=self.n)
+        R += self.K.matvec(sdd, self.c_scale, rest)
+        return (sigd_q, sigd2, sdd_q, fp, fpp, late), R
+
+    def tangent(self, pts: tuple) -> BandedMatrix:
+        """dR/d(Sdd) = M + c_dot C_nl + c (K + K_sig) at the stage values
+        `pts` of `residual`, forming eps''' from them."""
+        sigd_q, sigd2, sigdd_q, fp, fpp, late = pts
+        h = self.c_dot2 * fpp
+        h *= sigd_q
+        h += fp
+        k_sig = fpp * sigdd_q
+        k_sig += self.law.third(late) * sigd2
+        k_sig *= self.c
+        h += k_sig
+        h *= self.rho_wj
+        if self.pick is not None:
+            full = np.zeros(self.blocks)
+            full.reshape(-1)[self.pick] = h
+            h = full
+        ab = np.bincount(self.scatter, weights=h.dot(self.ref_outer).ravel(),
+                         minlength=self.band).reshape(self.n, -1).T
+        ab += self.cK
+        return BandedMatrix(self.n, self.bw, ab)
+
+    def _lost(self, fp: np.ndarray, sig_q: np.ndarray,
+              t: float | None) -> HyperbolicityError:
+        """The error naming the point of least eps' (padded points
+        interpolate to 0, where eps' = 1, so it is a real one) and t."""
         i = np.unravel_index(np.argmin(fp), fp.shape)
-        why = "<= 0" if fp[i] <= 0.0 else f"times rho={p.rho:.3e} underflows to 0"
-        raise HyperbolicityError(
+        why = ("<= 0" if fp[i] <= 0.0
+               else f"times rho={self.rho:.3e} underflows to 0")
+        x = self.table.x_q[i]
+        when = "" if t is None else f" at t={t:.6g}"
+        return HyperbolicityError(
             f"tangent compliance {fp[i]:.3e} {why} at sigma={sig_q[i]:.6g} "
-            f"(quadrature point x={t.x_q[i]:.6g})",
-            sigma=float(sig_q[i]), x=float(t.x_q[i]))
-    return sigd_q, sigd_q**2, sigdd_q, fp, fpp, late
-
-
-def stage_residual(space: FeSpace, elastic: np.ndarray, pts: tuple,
-                   p: MaterialParams) -> np.ndarray:
-    """R = F_inrt(pts) + elastic, where elastic is K S - L of the stage."""
-    _, sigd2, sigdd_q, fp, fpp, _ = pts
-    h = fp * sigdd_q
-    h += fpp * sigd2
-    h *= _rho_wj(space, p.rho)
-    R = _vector(space, space.table, h)
-    R += elastic
-    return R
-
-
-def stage_tangent(space: FeSpace, pts: tuple, c_dot: float, c: float,
-                  p: MaterialParams) -> BandedMatrix:
-    """Tangent dR/d(Sdd) at the stage values `pts` for dS = c dSdd and
-    dSd = c_dot dSdd; c = c_dot = 0 gives the mass matrix M(S).  Forms
-    eps''' from pts, in the caller's error state."""
-    sigd_q, sigd2, sigdd_q, fp, fpp, late = pts
-    # M + c_dot C_nl + c (K + K_sig), fused in one pass
-    h = c_dot * 2.0 * fpp
-    h *= sigd_q
-    h += fp
-    k_sig = fpp * sigdd_q
-    k_sig += _third_derivative(late, p) * sigd2
-    k_sig *= c
-    h += k_sig
-    h *= _rho_wj(space, p.rho)
-    S = _matrix(space, space.table, h)
-    S.ab += _scaled_stiffness(space, c)
-    return S
+            f"(quadrature point x={x:.6g}){when}", sigma=float(sig_q[i]),
+            x=float(x), t=t)

@@ -9,10 +9,15 @@ the linear law eps = sigma when b = 0.  The first three stress
 derivatives drive the inertial terms and the consistent tangent of the
 stress wave equation; the first derivative (tangent compliance) also
 sets the local wave speed c = sqrt(1 / (rho * eps'(sigma))).
+
+Every value of the law comes from the methods of one Law per material
+(MaterialParams.law), which binds the material's constants once; the
+public functions wrap them in one error-state scope per call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +27,15 @@ class HyperbolicityError(RuntimeError):
 
     The stress wave equation is hyperbolic only while eps' > 0; below, or
     where rho eps' underflows to 0, the wave speed has no finite real value.
+    `t` is the time of the failing stage in a run, else None.
     """
 
     def __init__(self, message: str, sigma: float | None = None,
-                 x: float | None = None):
+                 x: float | None = None, t: float | None = None):
         super().__init__(message)
         self.sigma = sigma
         self.x = x
+        self.t = t
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,11 @@ class MaterialParams:
         if self.reg_eta < 0:
             raise ValueError(f"reg_eta must be non-negative, got {self.reg_eta}")
 
+    @cached_property
+    def law(self) -> "Law":
+        """The Law of this material, built on first use."""
+        return Law(self)
+
 
 def strain(sigma, p: MaterialParams):
     """Evaluate eps(sigma).  Odd in sigma; |result| < 1/b for b > 0.
@@ -67,7 +79,7 @@ def strain(sigma, p: MaterialParams):
     that relies on strict order of eps (a bisection inverse, a monotone
     interpolation of fitted data) must allow for it.
     """
-    return _evaluate(lambda s: _strain(s, p), sigma)[0]
+    return _evaluate(p.law.strain, sigma)[0]
 
 
 def derivatives(sigma, p: MaterialParams):
@@ -86,9 +98,11 @@ def derivatives(sigma, p: MaterialParams):
     overflows the law has saturated: eps' underflows to 0 and the
     higher orders are 0.
     """
+    law = p.law
+
     def three(s):
-        fp, fpp, _, late = _derivatives(s, p)
-        return fp, fpp, _third_derivative(late, p)
+        fp, fpp, _, late = law.derivatives(s)
+        return fp, fpp, law.third(late)
     return _evaluate(three, sigma)
 
 
@@ -96,8 +110,9 @@ def wave_speed(sigma, p: MaterialParams):
     """Local wave speed c(sigma) = sqrt(1 / (rho * eps'(sigma))); raises
     HyperbolicityError naming a stress where eps'(sigma) <= 0 or where
     rho eps' underflows to 0 (c would be inf)."""
-    return _evaluate(lambda s: (_speed(
-        np.ones_like(s) if p.b == 0.0 else _compliance(s, p)[3], s, p),), sigma)[0]
+    law = p.law
+    return _evaluate(lambda s: (law.speed(
+        np.ones_like(s) if law.linear else law.compliance(s)[3], s),), sigma)[0]
 
 
 def _evaluate(kernel, sigma):
@@ -111,76 +126,91 @@ def _evaluate(kernel, sigma):
     return out if s.ndim else tuple(float(v[0]) for v in out)
 
 
-def _compliance(s: np.ndarray, p: MaterialParams) -> tuple:
-    """(|s|, w, D, eps') of the array s for b > 0, in the caller's error
-    state: the one place that forms w = (b|s|)^a and D = 1 + w."""
-    mag = np.abs(s)
-    w = (p.b * mag) ** p.a
-    d = 1.0 + w
-    return mag, w, d, d ** (-(1.0 + 1.0 / p.a))
+class Law:
+    """The law of one material, its constants bound once.
 
+    b, 1, -(a+1) b^a, a-1, a+2 and reg_eta^2 are 0-d arrays, which a ufunc
+    takes for less than a float; the exponents stay floats, since a 0-d
+    exponent costs more.  Each method takes arrays and runs in the
+    caller's error state: a run's one scope, or _evaluate's.
+    """
 
-def _derivatives(s: np.ndarray, p: MaterialParams) -> tuple:
-    """(eps', eps'', min(eps'), late) of the array s in the caller's error
-    state.  The min is the saturation guard's (1.0 for b = 0); `late` holds
-    the factors that _third_derivative forms eps''' from, and only that
-    needs the regularized |s| (reg) for 1 <= a < 2.  reg_eta^2 is a float64:
-    a width whose square overflows gives reg = inf and 0 for its powers."""
-    a = p.a
-    if p.b == 0.0:
-        return np.ones_like(s), np.zeros_like(s), 1.0, (s, None)
-    mag, w, d, fp = _compliance(s, p)
-    g = (-(a + 1.0) * np.float64(p.b) ** a) * fp / d
-    if a >= 2.0:  # reg = |s|: r = |s|^(a-2) serves both orders
-        r = mag ** (a - 2.0)
-        fpp = g * (s * r)
-    else:  # r = reg for a < 1; formed late for a >= 1
-        r = _regularized(s, p) if a < 1.0 else None
-        fpp = g * (mag if r is None else r) ** (a - 1.0)
-        fpp *= np.sign(s)
-    fp_min = fp.min(initial=np.inf)
-    if not fp_min > 0.0:  # saturated: w = inf, eps' = 0
-        fpp = np.where(np.isinf(w), 0.0, fpp)
-    return fp, fpp, fp_min, (s, g, w, d, fp_min, r)
+    def __init__(self, p: MaterialParams):
+        a = p.a
+        self.rho, self.linear, self.a = p.rho, p.b == 0.0, a
+        with np.errstate(over="ignore"):  # b^a or reg_eta^2 may overflow
+            g = -(a + 1.0) * np.float64(p.b) ** a
+            eta2 = np.float64(p.reg_eta) ** 2
+        self.b, self.one, self.g, self.am1, self.ap2, self.eta2 = map(
+            np.array, (p.b, 1.0, g, a - 1.0, a + 2.0, eta2))
+        # the exponents of D in eps' and eps, and of |s| in eps'' and eps'''
+        self.e_fp, self.e_eps = -(1.0 + 1.0 / a), -1.0 / a
+        self.e1, self.e2 = a - 1.0, a - 2.0
 
+    def compliance(self, s: np.ndarray) -> tuple:
+        """(|s|, w, D, eps') of s for b > 0: the one place that forms
+        w = (b|s|)^a and D = 1 + w."""
+        mag = np.abs(s)
+        w = (self.b * mag) ** self.a
+        d = self.one + w
+        return mag, w, d, d ** self.e_fp
 
-def _regularized(s: np.ndarray, p: MaterialParams) -> np.ndarray:
-    return np.sqrt(s * s + np.float64(p.reg_eta) ** 2)
+    def derivatives(self, s: np.ndarray) -> tuple:
+        """(eps', eps'', min(eps'), late) of s.  The min is the saturation
+        guard's (1.0 for b = 0); `late` holds the factors that `third` forms
+        eps''' from, and only that needs the regularized |s| (reg) for
+        1 <= a < 2.  reg_eta^2 is a float64: a width whose square overflows
+        gives reg = inf and 0 for its powers."""
+        if self.linear:
+            return np.ones_like(s), np.zeros_like(s), 1.0, (s, None)
+        mag, w, d, fp = self.compliance(s)
+        g = self.g * fp / d
+        if self.a >= 2.0:  # reg = |s|: r = |s|^(a-2) serves both orders
+            r = mag ** self.e2
+            fpp = g * (s * r)
+        else:  # r = reg for a < 1; formed late for a >= 1
+            r = self.regularized(s) if self.a < 1.0 else None
+            fpp = g * (mag if r is None else r) ** self.e1
+            fpp *= np.sign(s)
+        fp_min = np.minimum.reduce(fp, axis=None, initial=np.inf)
+        if not fp_min > 0.0:  # saturated: w = inf, eps' = 0
+            fpp = np.where(np.isinf(w), 0.0, fpp)
+        return fp, fpp, fp_min, (s, g, w, d, fp_min, r)
 
+    def regularized(self, s: np.ndarray) -> np.ndarray:
+        return np.sqrt(s * s + self.eta2)
 
-def _third_derivative(late: tuple, p: MaterialParams) -> np.ndarray:
-    """eps''' from the `late` factors of _derivatives, in the caller's error
-    state, by the operations of one eager evaluation in their order."""
-    if late[1] is None:  # b = 0
-        return np.zeros_like(late[0])
-    s, g, w, d, fp_min, r = late
-    if p.a < 2.0:
-        r = (_regularized(s, p) if r is None else r) ** (p.a - 2.0)
-    fppp = g * r
-    fppp *= (p.a - 1.0) - (p.a + 2.0) * w
-    fppp /= d
-    return fppp if fp_min > 0.0 else np.where(np.isinf(w), 0.0, fppp)
+    def third(self, late: tuple) -> np.ndarray:
+        """eps''' from the `late` factors of `derivatives`, by the operations
+        of one eager evaluation in their order."""
+        if late[1] is None:  # b = 0
+            return np.zeros_like(late[0])
+        s, g, w, d, fp_min, r = late
+        if self.a < 2.0:
+            r = (self.regularized(s) if r is None else r) ** self.e2
+        fppp = g * r
+        fppp *= self.am1 - self.ap2 * w
+        fppp /= d
+        return fppp if fp_min > 0.0 else np.where(np.isinf(w), 0.0, fppp)
 
+    def strain(self, s: np.ndarray) -> tuple:
+        """(eps, eps') of s; where w overflowed the law has saturated at the
+        limiting strain sign(s)/b."""
+        if self.linear:
+            return s + 0.0, np.ones_like(s)
+        _, w, d, fp = self.compliance(s)
+        eps = s * d ** self.e_eps
+        return np.where(np.isinf(w), np.sign(s) / self.b, eps), fp
 
-def _strain(s: np.ndarray, p: MaterialParams) -> tuple:
-    """(eps, eps') of the array s in the caller's error state; where w
-    overflowed the law has saturated at the limiting strain sign(s)/b."""
-    if p.b == 0.0:
-        return s + 0.0, np.ones_like(s)
-    _, w, d, fp = _compliance(s, p)
-    eps = s * d ** (-1.0 / p.a)
-    return np.where(np.isinf(w), np.sign(s) / p.b, eps), fp
-
-
-def _speed(fp: np.ndarray, s: np.ndarray, p: MaterialParams) -> np.ndarray:
-    """c = 1/sqrt(rho eps') from eps' at the stresses s, in the caller's error
-    state; HyperbolicityError names the first s whose rho eps' <= 0 (NaN passes)."""
-    m = p.rho * fp
-    bad = m <= 0.0
-    if bad.any():
-        i = np.argmax(bad)  # flat index of the first
-        f, sig = fp.flat[i], float(s.flat[i])
-        why = "<= 0" if f <= 0.0 else f"times rho={p.rho:.3e} underflows to 0"
-        raise HyperbolicityError(
-            f"tangent compliance {f:.3e} {why} at sigma={sig:.6g}", sigma=sig)
-    return 1.0 / np.sqrt(m)
+    def speed(self, fp: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """c = 1/sqrt(rho eps') from eps' at the stresses s; HyperbolicityError
+        names the first s whose rho eps' <= 0 (NaN passes)."""
+        m = self.rho * fp
+        bad = m <= 0.0
+        if bad.any():
+            i = np.argmax(bad)  # flat index of the first
+            f, sig = fp.flat[i], float(s.flat[i])
+            why = "<= 0" if f <= 0.0 else f"times rho={self.rho:.3e} underflows to 0"
+            raise HyperbolicityError(
+                f"tangent compliance {f:.3e} {why} at sigma={sig:.6g}", sigma=sig)
+        return 1.0 / np.sqrt(m)

@@ -59,15 +59,17 @@ stage weighting:
 
     dR/dSdd = M(S*) + (1+alpha) { gamma dt C_nl + beta dt^2 [K + K_sig] }
 
-with C_nl and K_sig the stage integrals of assembly, that is
-assembly.stage_tangent with c_dot and c; at c = c_dot = 0 the same stage
-is the t = 0 balance, with the mass matrix M(S0) as tangent, that
-initial_acceleration solves.  A stage's bases go to the quadrature
-points, and its elastic term K base - L is formed, once.  Each Newton
-iterate then interpolates only its acceleration, adds c K Sdd_{n+1} to
-the elastic term in one BLAS gbmv, and evaluates the law at the points
-once for both its residual and its tangent: eps' and eps'' there, eps'''
-only in a tangent, all in the one error-state scope of run_simulation.
+with C_nl and K_sig the stage integrals of assembly.  Both come from one
+assembly.StageKernel per step size (HhtParams.kernel): the run's dt and a
+short last step, plus c = c_dot = 0 for the t = 0 balance, whose tangent
+is the mass matrix M(S0) that initial_acceleration solves.  The kernel
+binds every per-run constant once.  A step forms its bases, their values
+at the quadrature points and its elastic term K base - L once.  Each
+Newton iterate is then array operations only: it interpolates its
+acceleration, evaluates the law at the points once for both residual and
+tangent (eps''' only in a tangent), adds c K Sdd_{n+1} to the elastic
+term in one BLAS gbmv and solves the tangent's interior block, all in
+the one error-state scope of run_simulation.
 """
 from __future__ import annotations
 
@@ -132,6 +134,20 @@ class HhtParams:
         for m in (Cp, Cs, corr):
             m.flags.writeable = False
         return Cp, Cs, corr, w * beta * dt**2, w * gamma * dt
+
+    def kernel(self, space: FeSpace,
+               p: MaterialParams) -> assembly.StageKernel:
+        """The stage kernel of a step of dt on `space` and material `p`,
+        built when either changes: once per run that uses this step size."""
+        last = self._kernel
+        if last[0] is not space or last[1] is not p:
+            last[:] = space, p, assembly.StageKernel(space, p, *self.newmark[3:])
+        return last[2]
+
+    @cached_property
+    def _kernel(self) -> list:
+        """[space, p, kernel] of the last kernel built."""
+        return [None, None, None]
 
 
 class SystemState:
@@ -218,43 +234,6 @@ class NewtonDivergedError(RuntimeError):
         self.history = history
 
 
-def _stage(space: FeSpace, p: MaterialParams, base: np.ndarray,
-           base_dot: np.ndarray, c: float, c_dot: float, load) -> tuple:
-    """Residual and tangent of the stage S = base + c Sdd, Sd = base_dot +
-    c_dot Sdd as functions of Sdd; base goes to the points, and its
-    elastic term K base - load is formed, once."""
-    table = space.table
-    base_q, base_dot_q = table.at_points(base, base_dot)
-    K = assembly.assemble_stiffness(space)
-    rest = K.matvec(base) - load
-
-    def residual(sdd):
-        sdd_q, = table.at_points(sdd)
-        pts = assembly._stage_points(space, base_q + c * sdd_q,
-                                     base_dot_q + c_dot * sdd_q, sdd_q, p)
-        return pts, assembly.stage_residual(space, K.matvec(sdd, c, rest),
-                                            pts, p)
-
-    def tangent(pts):
-        return assembly.stage_tangent(space, pts, c_dot, c, p)
-
-    return residual, tangent
-
-
-def step_system(state_n: SystemState, space: FeSpace, hht: HhtParams,
-                p: MaterialParams, load: np.ndarray | float = 0.0) -> tuple:
-    """Residual and tangent of one step as functions of Sdd_{n+1}.
-
-    Returns (residual, tangent): residual(sdd) evaluates the stage of
-    the acceleration vector sdd once and returns (pts, R); tangent(pts)
-    is the BandedMatrix dR/dSdd at those stage values.  `load` is the
-    assembled stage load (1+alpha) L_{n+1} - alpha L_n; 0.0 means none.
-    """
-    _, Cs, _, c, c_dot = hht.newmark
-    base, base_dot = Cs.dot(state_n.X)
-    return _stage(space, p, base, base_dot, c, c_dot, load)
-
-
 def advance_step(state_n: SystemState, t_next: float, space: FeSpace,
                  hht: HhtParams, p: MaterialParams, newton: NewtonSettings,
                  bc: float = 0.0, load: np.ndarray | float = 0.0,
@@ -262,19 +241,21 @@ def advance_step(state_n: SystemState, t_next: float, space: FeSpace,
     """Advance one HHT-alpha step by Newton iteration on the acceleration.
 
     hht.dt is the step length to t_next, `bc` the stress at x = L then and
-    `load` the stage load as in step_system.  The boundary accelerations
-    are fixed before the first iterate, so Newton updates only the
-    interior DoFs, in place in the next state's acceleration row.
+    `load` the assembled stage load (1+alpha) L_{n+1} - alpha L_n (0.0
+    means none).  The boundary accelerations are fixed before the first
+    iterate, so Newton updates only the interior DoFs, in place in the next
+    state's acceleration row.  A HyperbolicityError names t_next.
     """
-    Cp, _, corr, _, _ = hht.newmark
+    kernel = hht.kernel(space, p)
+    Cp, Cs, corr, _, _ = hht.newmark
     pred = Cp.dot(state_n.X)  # pred, pred_dot
     X = state_n.X.copy()
     sdd = X[2]
     k = corr[0, 0]
     sdd[0] = (0.0 - pred[0, 0]) / k
     sdd[-1] = (bc - pred[0, -1]) / k
-    residual, tangent = step_system(state_n, space, hht, p, load)
-    pts, R = residual(sdd)
+    stage = kernel.stage(*Cs.dot(state_n.X), load, t_next)
+    pts, R = kernel.residual(stage, sdd)
     ref_norm = math.sqrt(R[1:-1] @ R[1:-1])
     threshold = max(newton.tol * ref_norm, NEWTON_ABS_FLOOR)
     history = [ref_norm]
@@ -295,13 +276,13 @@ def advance_step(state_n: SystemState, t_next: float, space: FeSpace,
                 f"(threshold {threshold:.3e})",
                 t=t_next, iters=iters, history=history)
         try:
-            sdd[1:-1] -= tangent(pts).interior().solve(R[1:-1])
+            sdd[1:-1] -= kernel.tangent(pts).solve(R[1:-1], interior=True)
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergedError(
                 f"Newton tangent is singular at t={t_next:.6g}: {exc}",
                 t=t_next, iters=iters, history=history) from exc
         iters += 1
-        pts, R = residual(sdd)
+        pts, R = kernel.residual(stage, sdd)
         history.append(math.sqrt(R[1:-1] @ R[1:-1]))
 
     np.multiply(corr, sdd, out=X[:2])
@@ -316,16 +297,16 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     """Acceleration consistent with the semi-discrete balance at t = 0.
 
     Solves the interior rows of M(S0) Sdd0 = L(0) - F_vel(S0, Sd0) - K S0,
-    the stage of step_system at c = c_dot = 0, with both boundary
-    accelerations 0.  `load` is the assembled L(0).
+    the stage at c = c_dot = 0, with both boundary accelerations 0.
+    `load` is the assembled L(0).  A HyperbolicityError names t=0.
     """
     sdd = np.zeros(space.n_dofs)
+    kernel = assembly.StageKernel(space, p)
     # The balance is linear in Sdd0 with matrix M(S0), so one Newton step
     # from zero interior values solves it.
-    residual, mass = _stage(space, p, Sigma0, Sigma_dot0, 0.0, 0.0, load)
-    pts, R = residual(sdd)
+    pts, R = kernel.residual(kernel.stage(Sigma0, Sigma_dot0, load, 0.0), sdd)
     try:
-        sdd[1:-1] -= mass(pts).interior().solve(R[1:-1])
+        sdd[1:-1] -= kernel.tangent(pts).solve(R[1:-1], interior=True)
     except np.linalg.LinAlgError as exc:  # rho * wj underflowed, say
         raise NewtonDivergedError(f"tangent is singular at t=0: {exc}",
                                   t=0.0, iters=0, history=[]) from exc

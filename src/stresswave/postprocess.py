@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import MaterialParams, _speed, _strain
+from .constitutive import MaterialParams
 from .fe_space import FeSpace
 
 BLOCK_ROWS = 2048  # sample rows per block of output: whole snapshots, at least one
@@ -89,8 +89,8 @@ def reconstruct(samples: Samples, p: MaterialParams) -> SnapshotRecord:
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=0.0):
         raise ValueError("sample spacing must be uniform")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps, fp = _strain(samples.sigma, p)
-        c = _speed(fp, samples.sigma, p)
+        eps, fp = p.law.strain(samples.sigma)
+        c = p.law.speed(fp, samples.sigma)
     eps_dot = fp * samples.sigma_dot
 
     u = np.zeros_like(eps)

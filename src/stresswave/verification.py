@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constitutive import MaterialParams, _derivatives
+from .constitutive import MaterialParams
 from .fe_space import FeSpace, cell_table
 from .integrator import run_simulation
 
@@ -54,7 +54,7 @@ def mms_forcing(x, t, p: MaterialParams):
     sx = np.sin(np.pi * np.asarray(x, dtype=float))
     sigma, f = sx * np.sin(t), sx * np.cos(t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fp, fpp, _, _ = _derivatives(sigma, p)
+        fp, fpp, _, _ = p.law.derivatives(sigma)
     f *= f
     f *= fpp
     fp *= sigma

@@ -1,9 +1,83 @@
-"""A stage at the quadrature points from nodal vectors, for tests that
-build residuals and tangents outside the integrator."""
-from stresswave.assembly import stage_points
+"""Stages for tests: the integrator's stage kernel as functions of the
+acceleration, and references for a stage's residual and tangent built
+from the public law (constitutive.derivatives) and the cell table, one
+integral of the weak form at a time."""
+import numpy as np
+
+from stresswave.assembly import BandedMatrix, assemble_stiffness
+from stresswave.constitutive import HyperbolicityError, derivatives
+from stresswave.fe_space import gauss_rule, lagrange_basis
 
 
-def nodal_stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p):
-    """stage_points of nodal vectors, interpolated to the points first."""
-    return stage_points(
-        space, *space.table.at_points(Sigma, Sigma_dot, Sigma_ddot), p)
+def step_system(state_n, space, hht, p, load=0.0):
+    """(residual, tangent) of one step through the integrator's stage
+    kernel: residual(sdd) is (pts, R) and tangent(pts) the BandedMatrix
+    dR/dSdd.  `load` is the stage load (1+alpha) L_{n+1} - alpha L_n."""
+    kernel = hht.kernel(space, p)
+    stage = kernel.stage(*hht.newmark[1].dot(state_n.X), load)
+    return (lambda sdd: kernel.residual(stage, sdd)), kernel.tangent
+
+
+def reference_residual(space, Sigma, Sigma_dot, Sigma_ddot, p, elastic=0.0):
+    """F_inrt + elastic, with F_inrt_I = integral rho [eps'(s) s_ddot +
+    eps''(s) s_dot^2] N_I dx at the nodal stage (Sigma, Sigma_dot,
+    Sigma_ddot)."""
+    t = space.table
+    s, sd, sdd = t.at_points(Sigma, Sigma_dot, Sigma_ddot)
+    fp, fpp, _ = derivatives(s, p)
+    fe = t.integrate(p.rho * (fp * sdd + fpp * sd**2) * t.wj, t.ref)
+    return np.bincount(t.dofs.ravel(), fe.ravel(),
+                       minlength=space.n_dofs) + elastic
+
+
+def reference_tangent(space, Sigma, Sigma_dot, Sigma_ddot, p, c_dot=0.0,
+                      c=0.0):
+    """M(S) + c_dot C_nl + c (K + K_sig) at the nodal stage, as a
+    BandedMatrix; the mass matrix M(S) at c = c_dot = 0."""
+    t = space.table
+    s, sd, sdd = t.at_points(Sigma, Sigma_dot, Sigma_ddot)
+    fp, fpp, fppp = derivatives(s, p)
+    h = fp + c_dot * 2.0 * fpp * sd + c * (fpp * sdd + fppp * sd**2)
+    me = t.integrate(p.rho * h * t.wj, t.ref_outer)
+    n, bw = space.n_dofs, space.bandwidth
+    ab = np.bincount(t.scatter, me.ravel(), minlength=(2 * bw + 1) * n)
+    return BandedMatrix(n, bw, ab.reshape(n, -1).T
+                        + c * assemble_stiffness(space).ab)
+
+
+def per_cell_stage(space, base, base_dot, sdd, load, p, c, c_dot):
+    """(R, dense tangent) of the stage S = base + c sdd, Sd = base_dot +
+    c_dot sdd by a loop over cells: each cell's (degree + 2)-point rule and
+    basis, the law from `derivatives` at its points.  Raises the stage
+    guard's HyperbolicityError at the point of least eps'."""
+    n = space.n_dofs
+    S, Sd = base + c * sdd, base_dot + c_dot * sdd
+    R, T, K = np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+    least = (np.inf, None, None)  # eps', sigma and x of the least eps'
+    for k, deg in enumerate(space.degrees):
+        dofs = space.dof_table[k, :deg + 1]
+        xl, xr = space.cell_edges[k], space.cell_edges[k + 1]
+        jac = 0.5 * (xr - xl)
+        rule = gauss_rule(deg + 2)
+        shp, dshp = lagrange_basis((space.dof_coords[dofs] - xl) / jac - 1.0,
+                                   rule.points)
+        wj = rule.weights * jac
+        s, sd, sa = shp @ S[dofs], shp @ Sd[dofs], shp @ sdd[dofs]
+        fp, fpp, fppp = derivatives(s, p)
+        i = np.argmin(fp)
+        if fp[i] < least[0]:
+            least = (fp[i], s[i], 0.5 * (xl + xr) + jac * rule.points[i])
+        inertial = p.rho * (fp * sa + fpp * sd**2) * wj
+        mass = p.rho * (fp + c_dot * 2.0 * fpp * sd
+                        + c * (fpp * sa + fppp * sd**2)) * wj
+        block = np.ix_(dofs, dofs)
+        R[dofs] += shp.T @ inertial
+        T[block] += (shp * mass[:, None]).T @ shp
+        K[block] += (dshp * (wj / jac**2)[:, None]).T @ dshp
+    f = least[0]
+    if not p.rho * f > 0.0:
+        why = "<= 0" if f <= 0.0 else f"times rho={p.rho:.3e} underflows to 0"
+        raise HyperbolicityError(
+            f"tangent compliance {f:.3e} {why} at sigma={least[1]:.6g} "
+            f"(quadrature point x={least[2]:.6g})")
+    return R + K @ S - load, T + c * K

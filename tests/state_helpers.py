@@ -4,10 +4,10 @@ form (HhtParams.newmark), and the exact discrete solution of the linear
 scheme, mode by mode."""
 import numpy as np
 
-from stresswave.assembly import assemble_stiffness, stage_tangent
+from stresswave.assembly import assemble_stiffness
 from stresswave.integrator import SystemState
 
-from stage_helpers import nodal_stage_points
+from stage_helpers import reference_tangent
 
 
 def zero_state(n_dofs: int, t: float = 0.0) -> SystemState:
@@ -47,9 +47,8 @@ def linear_modal_oracle(space, p, hht, Sigma0, n_steps):
     q_{n+1} and qd_{n+1} the Newmark update of qdd_{n+1}.
     """
     zero = np.zeros(space.n_dofs)
-    K = assemble_stiffness(space).interior().to_dense()
-    M = stage_tangent(space, nodal_stage_points(space, zero, zero, zero, p),
-                      0.0, 0.0, p).interior().to_dense()
+    K = assemble_stiffness(space).to_dense()[1:-1, 1:-1]
+    M = reference_tangent(space, zero, zero, zero, p).to_dense()[1:-1, 1:-1]
     C_inv = np.linalg.inv(np.linalg.cholesky(M))
     lam, V = np.linalg.eigh(C_inv @ K @ C_inv.T)
     phi = C_inv.T @ V  # phi^T M phi = I and phi^T K phi = diag(lam)

@@ -10,12 +10,12 @@ from stresswave.calibration import fit_material, generate_synthetic
 from stresswave.config import parse_config
 from stresswave.constitutive import MaterialParams, strain
 from stresswave.fe_space import build_space
-from stresswave.integrator import (HhtParams, SystemState, run_simulation,
-                                   step_system)
+from stresswave.integrator import HhtParams, SystemState, run_simulation
 from stresswave.postprocess import Samples, reconstruct, sample_solution
 from stresswave.verification import convergence_study, mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
+from stage_helpers import step_system
 
 TABLE_SPATIAL_ERRORS = (1.246e-4, 3.117e-5, 7.793e-6, 1.948e-6)
 

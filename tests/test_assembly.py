@@ -3,20 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresswave.assembly import (BandedMatrix, _scipy_linalg_extension,
-                                 assemble_load_at, assemble_stiffness,
-                                 stage_residual, stage_tangent)
+from stresswave.assembly import (BandedMatrix, StageKernel,
+                                 _scipy_linalg_extension, assemble_load_at,
+                                 assemble_stiffness)
 from stresswave.constitutive import HyperbolicityError, MaterialParams
 from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
-from stresswave.integrator import HhtParams, SystemState, step_system
+from stresswave.integrator import HhtParams, SystemState
 from stresswave.verification import mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
-from stage_helpers import nodal_stage_points
+from stage_helpers import per_cell_stage, step_system
 from state_helpers import newmark_update, zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)
+
+
+def _run_scope():
+    """The error state of a run, in which the stage kernel runs."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _single_cell(h):
@@ -24,16 +29,22 @@ def _single_cell(h):
 
 
 def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):
-    """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I."""
-    pts = nodal_stage_points(space, Sigma, Sigma_dot, Sigma_ddot, p)
-    return stage_residual(space, np.zeros_like(Sigma), pts, p)
+    """Inertial force rho [eps' s_ddot + eps'' s_dot^2] tested against N_I:
+    the residual of the stage kernel at c = c_dot = 0, whose load K S
+    cancels the elastic term exactly."""
+    kernel = StageKernel(space, p)
+    stage = kernel.stage(Sigma, Sigma_dot,
+                         assemble_stiffness(space).matvec(Sigma))
+    return kernel.residual(stage, Sigma_ddot)[1]
 
 
 def _mass(space, Sigma, p):
-    """Mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx."""
+    """Mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx, the tangent of
+    the stage kernel at c = c_dot = 0."""
     zero = np.zeros_like(Sigma)
-    pts = nodal_stage_points(space, Sigma, zero, zero, p)
-    return stage_tangent(space, pts, 0.0, 0.0, p)
+    kernel = StageKernel(space, p)
+    return kernel.tangent(kernel.residual(kernel.stage(Sigma, zero, 0.0),
+                                          zero)[0])
 
 
 def _random_state(rng, n, t=0.0):
@@ -69,7 +80,7 @@ def test_banded_matrix_roundtrip_and_matvec(bw, n, seed):
 def test_banded_interior_solve_matches_dense(bw, n, seed):
     B, dense, rng = _random_banded(n, bw, seed)
     rhs = rng.normal(size=n - 2)
-    np.testing.assert_allclose(B.interior().solve(rhs),
+    np.testing.assert_allclose(B.solve(rhs, interior=True),
                                np.linalg.solve(dense[1:-1, 1:-1], rhs),
                                rtol=1e-10)
 
@@ -161,7 +172,7 @@ def test_inertial_hyperbolicity_error_carries_location():
     space = build_space(1.0, 4, "uniform(1)")
     n = space.n_dofs
     p = MaterialParams(rho=1.0, b=1e200, a=2.0)
-    with pytest.raises(HyperbolicityError) as err:
+    with pytest.raises(HyperbolicityError) as err, _run_scope():
         _inertial(space, np.full(n, 1e200), np.zeros(n), np.ones(n), p)
     assert err.value.x is not None
 
@@ -174,7 +185,7 @@ def test_hyperbolicity_error_location_skips_padded_points():
     Sigma = np.zeros(n)
     Sigma[0] = 1e200  # saturates the first cell only
     p = MaterialParams(rho=1.0, b=1e200, a=2.0)
-    with pytest.raises(HyperbolicityError) as err:
+    with pytest.raises(HyperbolicityError) as err, _run_scope():
         _inertial(space, Sigma, np.zeros(n), np.ones(n), p)
     assert err.value.x in t.x_q[0][t.weights[0] > 0.0]
 
@@ -370,3 +381,64 @@ def test_one_by_one_solve_and_its_zero_pivot(bw):
     ab[bw] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
         BandedMatrix(1, bw, ab).solve(np.array([2.0]))
+
+
+
+_STEP = HhtParams(alpha=-0.05, dt=5e-2).newmark[3:]  # (c, c_dot) of a step
+
+
+def _stage_data(space, seed, big=None):
+    """Random bases, acceleration and load; `big` = (node, stress) sets
+    one node's base stress."""
+    data = 0.3 * np.random.default_rng(seed).normal(size=(4, space.n_dofs))
+    if big is not None:
+        data[0, big[0]] = big[1]
+    return data
+
+
+def _kernel_stage(space, p, c, c_dot, base, base_dot, sdd, load):
+    """(R, dense tangent) of the stage kernel, in a run's error state."""
+    kernel = StageKernel(space, p, c, c_dot)
+    with _run_scope():
+        pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
+        return R, kernel.tangent(pts).to_dense()
+
+
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
+                                    "center_graded"])
+@pytest.mark.parametrize("b", [0.0, 1.0, 5.0])
+def test_stage_kernel_matches_per_cell_loop(policy, b):
+    # residual and tangent of the kernel against a loop over cells that
+    # takes the law at each cell's points, for the (c, c_dot) of a step
+    # and of the t = 0 balance, to 1e-13 of their largest entry
+    space = build_space(1.0, 10, policy)
+    for seed, a in enumerate((0.5, 1.0, 1.5, 2.0, 3.0)):
+        p = MaterialParams(rho=1.3, b=b, a=a)
+        data = _stage_data(space, seed)
+        for c, c_dot in (_STEP, (0.0, 0.0)):
+            got = _kernel_stage(space, p, c, c_dot, *data)
+            ref = per_cell_stage(space, *data, p, c, c_dot)
+            for mine, want in zip(got, ref):
+                assert (np.max(np.abs(mine - want))
+                        <= 1e-13 * np.max(np.abs(want))), (a, c)
+
+
+@pytest.mark.parametrize("policy", ["uniform(2)", "center_graded"])
+@pytest.mark.parametrize("p, stress, why", [
+    # a saturated stage: w = inf at the big node's points, so eps' = 0
+    (MaterialParams(rho=1.0, b=5.0, a=1.5), 1e300, "<= 0 at"),
+    # eps' > 0 everywhere, but rho eps' underflows to 0
+    (MaterialParams(rho=1e-300, b=1e20, a=2.0), 0.3, "underflows to 0 at")])
+@pytest.mark.parametrize("c, c_dot", [_STEP, (0.0, 0.0)])
+def test_stage_kernel_guard_names_the_loops_point(policy, p, stress, why, c,
+                                                   c_dot):
+    # the guard trips where the per-cell loop finds eps' <= 0 or rho eps'
+    # = 0, and names the same first point of least eps'
+    space = build_space(1.0, 10, policy)
+    data = _stage_data(space, 3, big=(space.n_dofs // 2, stress))
+    with pytest.raises(HyperbolicityError) as err:
+        _kernel_stage(space, p, c, c_dot, *data)
+    with pytest.raises(HyperbolicityError) as ref, _run_scope():
+        per_cell_stage(space, *data, p, c, c_dot)
+    assert why in str(err.value)
+    assert str(err.value) == str(ref.value)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stresswave import cli
-from stresswave.assembly import _banded, _matrix, _vector, assemble_stiffness
+from stresswave.assembly import _banded, assemble_stiffness
 from stresswave.config import load_config, parse_config
 from stresswave.fe_space import (FeSpace, build_space, cell_table, gauss_rule,
                                  lagrange_basis)
@@ -236,8 +236,9 @@ def _space(policy):
                                     "center_graded", "graded_edges"])
 @pytest.mark.parametrize("n_extra", [2, 3])
 def test_cell_table_weighted_tables(policy, n_extra):
-    # at_points, _vector, _matrix and the stiffness equal the per-cell
-    # einsum forms over padded per-cell tables
+    # at_points, the integrals of a load vector and of a mass matrix
+    # (integrate against ref and ref_outer, summed into place) and the
+    # stiffness equal the per-cell einsum forms over padded per-cell tables
     space = _space(policy)
     t = cell_table(space, n_extra)
     shape, dshape, wj = _padded_shape(space, n_extra)
@@ -255,10 +256,11 @@ def test_cell_table_weighted_tables(policy, n_extra):
                                    atol=1e-14 * np.max(np.abs(ref)))
 
     close(t.at_points(f)[0], np.einsum("mqi,mi->mq", shape, f[dofs]))
-    close(_vector(space, t, h * t.wj),
+    close(np.bincount(dofs.ravel(), t.integrate(h * t.wj, t.ref).ravel(),
+                      minlength=space.n_dofs),
           np.bincount(dofs.ravel(), np.einsum("mq,mqi->mi", h, wshape).ravel(),
                       minlength=space.n_dofs))
-    close(_matrix(space, t, h * t.wj).ab,
+    close(_banded(space, t, t.integrate(h * t.wj, t.ref_outer)).ab,
           _banded(space, t, np.einsum("mq,mqk->mk", h, wouter)).ab)
     if n_extra == 2:
         close(assemble_stiffness(space).ab,

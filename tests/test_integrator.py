@@ -4,19 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stresswave import integrator
-from stresswave.assembly import (assemble_load_at, assemble_stiffness,
-                                 stage_residual, stage_tangent)
+from stresswave.assembly import assemble_load_at, assemble_stiffness
 from stresswave.config import parse_config
-from stresswave.constitutive import MaterialParams
+from stresswave.constitutive import HyperbolicityError, MaterialParams
 from stresswave.fe_space import build_space
 from stresswave.integrator import (BoundaryDrive, HhtParams,
                                    NewtonDivergedError, NewtonSettings,
                                    SystemState, advance_step,
-                                   initial_acceleration, run_simulation,
-                                   step_system)
+                                   initial_acceleration, run_simulation)
 from stresswave.verification import mms_fields, mms_forcing
 
-from stage_helpers import nodal_stage_points
+from stage_helpers import reference_residual, reference_tangent, step_system
 from state_helpers import (boundary_acceleration, linear_modal_oracle,
                            newmark_update, zero_state)
 
@@ -36,17 +34,18 @@ def _corrected(state_n, sdd, hht):
 def _inline_stage(space, state_n, sdd, hht, p, load):
     """Stage of the trial acceleration sdd, blended explicitly.
 
-    Returns (pts, R, (Sigma, Sigma_dot)): the stage values and residual
+    Returns (stage, R, (Sigma, Sigma_dot)): the nodal stage (S*, Sd*, sdd)
     at S* = (1+alpha) S_{n+1} - alpha S_n (and the same for the rate),
-    with S_{n+1}, Sd_{n+1} the Newmark update of sdd.
+    with S_{n+1}, Sd_{n+1} the Newmark update of sdd, and its reference
+    residual.
     """
     a = hht.alpha
     Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
-    stage = (1 + a) * Sigma - a * state_n.Sigma
-    stage_dot = (1 + a) * Sigma_dot - a * state_n.Sigma_dot
-    pts = nodal_stage_points(space, stage, stage_dot, sdd, p)
-    elastic = assemble_stiffness(space).matvec(stage) - load
-    return pts, stage_residual(space, elastic, pts, p), (Sigma, Sigma_dot)
+    stage = ((1 + a) * Sigma - a * state_n.Sigma,
+             (1 + a) * Sigma_dot - a * state_n.Sigma_dot, sdd)
+    elastic = assemble_stiffness(space).matvec(stage[0]) - load
+    return (stage, reference_residual(space, *stage, p, elastic),
+            (Sigma, Sigma_dot))
 
 
 def _mms_config(overrides=None):
@@ -244,17 +243,35 @@ def test_advance_step_singular_tangent_diverges(monkeypatch):
     from stresswave import assembly
     space = build_space(1.0, 8, "uniform(1)")
 
-    def zero_tangent(space, pts, c_dot, c, p):
+    def zero_tangent(kernel, pts):
         ab = np.zeros((2 * space.bandwidth + 1, space.n_dofs))
         return assembly.BandedMatrix(space.n_dofs, space.bandwidth, ab)
 
-    monkeypatch.setattr(assembly, "stage_tangent", zero_tangent)
+    monkeypatch.setattr(assembly.StageKernel, "tangent", zero_tangent)
     with pytest.raises(NewtonDivergedError, match="singular") as err:
         advance_step(zero_state(space.n_dofs), 1e-3, space,
                      HhtParams(alpha=-0.05, dt=1e-3), P12, NEWTON,
                      BoundaryDrive(A=0.02, omega=2.0 * np.pi).value(1e-3))
     assert err.value.iters == 0
     assert err.value.t == 1e-3
+
+
+def test_hyperbolicity_failure_names_its_time():
+    # the stage guard's error carries the step's time, and 0 for the t = 0
+    # balance; saturated stresses (w = inf) give eps' = 0 everywhere
+    space = build_space(1.0, 8, "uniform(1)")
+    n = space.n_dofs
+    p = MaterialParams(rho=1.0, b=1e200, a=2.0)
+    ones = np.ones(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(HyperbolicityError) as at0:
+            initial_acceleration(space, ones, ones, p)
+        with pytest.raises(HyperbolicityError) as step:
+            advance_step(SystemState(0.0, ones, ones, ones), 1e-3, space,
+                         HhtParams(alpha=-0.05, dt=1e-3), p, NEWTON)
+    assert at0.value.t == 0.0 and str(at0.value).endswith(" at t=0")
+    assert step.value.t == 1e-3 and str(step.value).endswith(" at t=0.001")
+    assert str(step.value).startswith("tangent compliance 0.000e+00 <= 0")
 
 
 def test_advance_step_matches_public_newton_loop():
@@ -282,13 +299,13 @@ def test_advance_step_matches_public_newton_loop():
     c_dot, c = w * hht.gamma_nm * hht.dt, w * hht.beta_nm * hht.dt**2
     history = []
     while True:
-        pts, R, (Sigma, Sigma_dot) = _inline_stage(space, state_n, sdd, hht, p,
-                                                   load)
+        stage, R, (Sigma, Sigma_dot) = _inline_stage(space, state_n, sdd, hht,
+                                                     p, load)
         history.append(np.linalg.norm(R[1:-1]))
         threshold = max(newton.tol * history[0], integrator.NEWTON_ABS_FLOOR)
         if len(history) > 1 and history[-1] <= threshold:
             break
-        S = stage_tangent(space, pts, c_dot, c, p).to_dense()
+        S = reference_tangent(space, *stage, p, c_dot, c).to_dense()
         sdd = sdd.copy()
         sdd[1:-1] -= np.linalg.solve(S[1:-1, 1:-1], R[1:-1])
 
@@ -359,8 +376,7 @@ def test_linear_energy_kept_at_alpha_zero_lost_below(alpha):
     space, p = report.space, cfg.material
     zero = np.zeros(space.n_dofs)
     K = assemble_stiffness(space)
-    M = stage_tangent(space, nodal_stage_points(space, zero, zero, zero, p),
-                      0.0, 0.0, p)
+    M = reference_tangent(space, zero, zero, zero, p)
     E = np.array([0.5 * (s.Sigma_dot @ M.matvec(s.Sigma_dot)
                          + s.Sigma @ K.matvec(s.Sigma)) for s in snaps])
     assert len(E) == 201
@@ -477,9 +493,8 @@ def test_initial_acceleration_solves_t0_balance():
     Sigma0 = 0.3 * np.sin(np.pi * x)
     Sigma_dot0 = 0.1 * np.sin(2 * np.pi * x)
     sdd0 = initial_acceleration(space, Sigma0, Sigma_dot0, P12)
-    pts = nodal_stage_points(space, Sigma0, Sigma_dot0, sdd0, P12)
-    R = stage_residual(space, assemble_stiffness(space).matvec(Sigma0),
-                       pts, P12)
+    R = reference_residual(space, Sigma0, Sigma_dot0, sdd0, P12,
+                           assemble_stiffness(space).matvec(Sigma0))
     np.testing.assert_allclose(R[1:-1], 0.0, atol=1e-12)
     # MMS initial data has zero exact acceleration
     f0 = mms_fields(x, 0.0)
@@ -503,9 +518,8 @@ def test_initial_acceleration_of_driven_run():
     assert s0.t == 0.0
     assert s0.Sigma_ddot[0] == s0.Sigma_ddot[-1] == 0.0
     assert np.max(np.abs(s0.Sigma_ddot)) > 0.1
-    pts = nodal_stage_points(space, s0.Sigma, s0.Sigma_dot, s0.Sigma_ddot, p)
-    R = stage_residual(space, assemble_stiffness(space).matvec(s0.Sigma),
-                       pts, p)
+    R = reference_residual(space, s0.Sigma, s0.Sigma_dot, s0.Sigma_ddot, p,
+                           assemble_stiffness(space).matvec(s0.Sigma))
     np.testing.assert_allclose(R[1:-1], 0.0, atol=1e-12)
 
 
@@ -666,13 +680,13 @@ def test_third_derivative_formed_once_per_tangent(monkeypatch):
     # eps''' is read by a tangent only: a step forms it once per Newton
     # iteration, and no residual forms it (the t = 0 mass matrix is a
     # tangent too, so each run forms it once more)
-    from stresswave import assembly
-    third, step, formed, per_step = (assembly._third_derivative,
-                                     integrator.advance_step, [], [])
+    from stresswave.constitutive import Law
+    third, step, formed, per_step = (Law.third, integrator.advance_step,
+                                     [], [])
 
-    def counting_third(late, p):
+    def counting_third(law, late):
         formed.append(1)
-        return third(late, p)
+        return third(law, late)
 
     def counting_step(*args, **kwargs):
         before = len(formed)
@@ -680,7 +694,7 @@ def test_third_derivative_formed_once_per_tangent(monkeypatch):
         per_step.append((len(formed) - before, report.iters))
         return state, report
 
-    monkeypatch.setattr(assembly, "_third_derivative", counting_third)
+    monkeypatch.setattr(Law, "third", counting_third)
     monkeypatch.setattr(integrator, "advance_step", counting_step)
     _run_mms(_mms_config({"material": {"a": 1.5},
                           "time": {"dt": 1e-5, "t_final": 5e-5}}))
