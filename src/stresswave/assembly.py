@@ -23,12 +23,17 @@ term K S - L is one BLAS gbmv (BandedMatrix.matvec).
 
 Every integral is one matrix product over the space's cell table
 (FeSpace.table, the kernel's reference blocks), whose padded nodes and
-points add zero.  All matrices are stored in LAPACK banded form
-(half-bandwidth = max cell degree); element matrices reach it through the
-table's precomputed scatter index.  The two boundary DoFs always carry
-prescribed values, so the integrator solves only the interior block
-(BandedMatrix.solve with interior=True) by direct banded factorization
-(LAPACK gtsv; gbsv above bandwidth 1 or 1x1).
+points add zero.  On a space of mixed degrees, where that table pads
+each cell to the largest point count, the kernel works on the real
+points only: the law and the integrands are evaluated there, and each
+integrand is written into the real slots of one of the kernel's two
+degree-block arrays, whose padded slots stay zero.  All matrices are
+stored in LAPACK banded form (half-bandwidth = max cell degree); element
+matrices reach it through the table's precomputed scatter index.  The
+two boundary DoFs always carry prescribed values, so the integrator
+solves only the interior block (BandedMatrix.solve with interior=True)
+by direct banded factorization (LAPACK gtsv; gbsv above bandwidth 1 or
+1x1).
 
 The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
 scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
@@ -165,24 +170,41 @@ class StageKernel:
     stage values, and the only reader of eps'''.  c = c_dot = 0 is the
     t = 0 balance, whose tangent is the mass matrix M(S).
 
-    The kernel holds the space's flat DoF index, reference blocks, `pick`
-    and scatter index, K's band and c K, rho wj, the material's Law and
-    c, c_dot and 2 c_dot as 0-d arrays, so an iterate is array operations
-    only.  Its methods run in the caller's error state (a run's one scope).
+    The kernel holds the space's flat DoF index, reference blocks and
+    scatter index, K's band and c K, rho wj, the material's Law and c,
+    c_dot and 2 c_dot as 0-d arrays, so an iterate is array operations
+    only.  On a space of mixed degrees it works on the real quadrature
+    points only (the table's padded points weigh 0): `pick` is their flat
+    index into a cell's degree blocks, rho wj and the points x are theirs,
+    and it owns two zero degree-block arrays, for the residual and the
+    tangent, into whose real slots each integrand is written; the padded
+    slots are never written.  Dropping exact zeros keeps every sum's
+    terms in order, so the results are those of the padded table bit for
+    bit.  Its methods run in the caller's error state (a run's one scope).
     """
 
     def __init__(self, space: FeSpace, p: MaterialParams, c: float = 0.0,
                  c_dot: float = 0.0):
         t = space.table
-        self.table, self.law, self.rho = t, p.law, p.rho
+        self.law, self.rho = p.law, p.rho
         self.n, self.bw = space.n_dofs, space.bandwidth
-        self.dofs, self.flat_dofs, self.pick = t.dofs, t.dofs.ravel(), t.pick
+        self.dofs, self.flat_dofs = t.dofs, t.dofs.ravel()
         self.ref, self.ref_t, self.ref_outer = t.ref, t.ref_t, t.ref_outer
-        self.blocks = (space.n_cells, len(t.ref))  # a cell's degree blocks
         self.scatter, self.band = t.scatter, (2 * self.bw + 1) * self.n
         self.K = assemble_stiffness(space)
         self.cK = c * self.K.ab
-        self.rho_wj = p.rho * t.wj
+        self.rho_wj, self.x_q, self.pick = p.rho * t.wj, t.x_q, None
+        if t.pick is not None:  # mixed degrees: the real points only
+            real = np.flatnonzero(t.weights)  # padded points weigh 0
+            self.pick = t.pick.ravel()[real]
+            self.rho_wj = self.rho_wj.ravel()[real]
+            self.x_q = t.x_q.ravel()[real]
+            # each cell's degree blocks, whose padded slots stay 0, for the
+            # residual and the tangent, and their flat views
+            self.res_block = np.zeros((space.n_cells, len(t.ref)))
+            self.tan_block = np.zeros_like(self.res_block)
+            self.res_flat = self.res_block.reshape(-1)
+            self.tan_flat = self.tan_block.reshape(-1)
         self.c_scale = c  # the gbmv scale
         self.c, self.c_dot, self.c_dot2 = (np.array(v) for v in
                                            (c, c_dot, c_dot * 2.0))
@@ -191,8 +213,10 @@ class StageKernel:
               load: np.ndarray | float, t: float | None = None) -> tuple:
         """(base and base_dot at the points, K base - load, t) of the step
         to time t, which the guard's error names (None: no time)."""
-        base_q, base_dot_q = self.table.at_points(base, base_dot)
-        return base_q, base_dot_q, self.K.matvec(base) - load, t
+        q = [f[self.dofs].dot(self.ref_t) for f in (base, base_dot)]
+        if self.pick is not None:
+            q = [v.ravel()[self.pick] for v in q]
+        return q[0], q[1], self.K.matvec(base) - load, t
 
     def residual(self, stage: tuple, sdd: np.ndarray) -> tuple:
         """(pts, R): the stage values at the points, (sigma_dot,
@@ -213,9 +237,8 @@ class StageKernel:
         h += fpp * sigd2
         h *= self.rho_wj
         if self.pick is not None:  # each cell's values in its degree block
-            full = np.zeros(self.blocks)
-            full.reshape(-1)[self.pick] = h
-            h = full
+            self.res_flat[self.pick] = h
+            h = self.res_block
         R = np.bincount(self.flat_dofs, weights=h.dot(self.ref).ravel(),
                         minlength=self.n)
         R += self.K.matvec(sdd, self.c_scale, rest)
@@ -234,9 +257,8 @@ class StageKernel:
         h += k_sig
         h *= self.rho_wj
         if self.pick is not None:
-            full = np.zeros(self.blocks)
-            full.reshape(-1)[self.pick] = h
-            h = full
+            self.tan_flat[self.pick] = h
+            h = self.tan_block
         ab = np.bincount(self.scatter, weights=h.dot(self.ref_outer).ravel(),
                          minlength=self.band).reshape(self.n, -1).T
         ab += self.cK
@@ -244,12 +266,11 @@ class StageKernel:
 
     def _lost(self, fp: np.ndarray, sig_q: np.ndarray,
               t: float | None) -> HyperbolicityError:
-        """The error naming the point of least eps' (padded points
-        interpolate to 0, where eps' = 1, so it is a real one) and t."""
+        """The error naming the first point of least eps' and t."""
         i = np.unravel_index(np.argmin(fp), fp.shape)
         why = ("<= 0" if fp[i] <= 0.0
                else f"times rho={self.rho:.3e} underflows to 0")
-        x = self.table.x_q[i]
+        x = self.x_q[i]
         when = "" if t is None else f" at t={t:.6g}"
         return HyperbolicityError(
             f"tangent compliance {fp[i]:.3e} {why} at sigma={sig_q[i]:.6g} "

@@ -10,26 +10,26 @@ Subcommands:
     gen-data      generate a synthetic stress-strain dataset
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 I/O failure.
+
+Start-up loads the solver only.  A subcommand imports its own machinery
+when it runs: the mms studies the verification module, fit and gen-data
+the calibration module, and sweep --jobs N > 1 the process pool.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import (fit_material, generate_synthetic, load_dataset,
-                          write_fit_csv)
 from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
 from .constitutive import HyperbolicityError, wave_speed
 from .integrator import NewtonDivergedError, run_simulation, snapshot_schedule
 from .postprocess import (BLOCK_ROWS, reconstruct, sample_solution,
                           snapshot_filename, write_snapshot)
-from .verification import convergence_study
 
 # Constitutive setting of the published convergence tables.
 MMS_BASE_MAPPING = {
@@ -146,6 +146,7 @@ def _mms_preset(kind: str) -> dict:
 
 
 def cmd_mms(args, kind: str) -> int:
+    from .verification import convergence_study
     config = parse_config(_config_mapping(args, preset=_mms_preset(kind)))
     table = convergence_study(kind, config)
     out = _out_dir(args, config)
@@ -183,6 +184,7 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         results = [_sweep_member(base, b, a, str(out)) for b, a in members]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_sweep_member, base, b, a, str(out))
                        for b, a in members]
@@ -204,6 +206,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .calibration import fit_material, load_dataset, write_fit_csv
     try:
         data = load_dataset(args.dataset)
         result = fit_material(data, init=(args.init_b, args.init_a),
@@ -221,6 +224,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    from .calibration import generate_synthetic
     try:
         data = generate_synthetic(b=args.b, a=args.a, n_points=args.n,
                                   sigma_max=args.sigma_max, noise=args.noise,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from stresswave.assembly import (BandedMatrix, StageKernel,
                                  _scipy_linalg_extension, assemble_load_at,
                                  assemble_stiffness)
-from stresswave.constitutive import HyperbolicityError, MaterialParams
+from stresswave.constitutive import HyperbolicityError, Law, MaterialParams
 from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
 from stresswave.integrator import HhtParams, SystemState
 from stresswave.verification import mms_fields, mms_forcing
@@ -421,6 +421,23 @@ def test_stage_kernel_matches_per_cell_loop(policy, b):
             for mine, want in zip(got, ref):
                 assert (np.max(np.abs(mine - want))
                         <= 1e-13 * np.max(np.abs(want))), (a, c)
+
+
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
+                                    "center_graded"])
+def test_stage_kernel_evaluates_the_law_at_real_points_only(policy,
+                                                            monkeypatch):
+    # a mixed-degree table pads each cell to the largest point count; the
+    # kernel takes the law at each cell's p + 2 points and no padded slot
+    space = build_space(1.0, 10, policy)
+    seen = []
+    derivatives, third = Law.derivatives, Law.third
+    monkeypatch.setattr(Law, "derivatives", lambda law, s: (
+        seen.append(s.size), derivatives(law, s))[1])
+    monkeypatch.setattr(Law, "third", lambda law, late: (
+        seen.append(late[0].size), third(law, late))[1])
+    _kernel_stage(space, P12, *_STEP, *_stage_data(space, 0))
+    assert seen == [int(np.sum(space.degrees + 2))] * 2
 
 
 @pytest.mark.parametrize("policy", ["uniform(2)", "center_graded"])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -418,7 +419,7 @@ def _recording_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return workers
 
 
@@ -486,6 +487,23 @@ def test_import_leaves_scipy_optimize_unloaded():
                   "assert 'scipy.optimize' not in sys.modules; "
                   "loaded = {'scipy.linalg', 'numpy.f2py', 'numpy.testing', "
                   "'yaml'} & set(sys.modules); assert not loaded, loaded")
+
+
+def test_import_leaves_subcommand_machinery_unloaded(tmp_path):
+    # start-up loads the solver only; the process pool, calibration and
+    # verification come with the subcommands that use them
+    out = _fresh_python(f"""
+import sys
+import stresswave.cli
+deferred = {{'concurrent.futures', 'multiprocessing', 'stresswave.calibration',
+            'stresswave.verification'}}
+loaded = deferred & set(sys.modules)
+assert not loaded, loaded
+assert stresswave.cli.main(["gen-data", {str(tmp_path / "d.csv")!r},
+                            "--b", "1", "--a", "1.5", "--quiet"]) == 0
+print("stresswave.calibration" in sys.modules)
+""")
+    assert out.strip() == "True"
 
 
 def test_runs_import_nothing(tmp_path):
