@@ -14,12 +14,13 @@ A stage is one such set of vectors, and its residual and tangent are
 
 where M(S) = integral rho eps'(s) N_I N_J dx and the stage stress and
 rate move with the acceleration as dS = c dSdd, dSd = c_dot dSdd.  The
-time scheme that picks the stage, c and c_dot lives in the integrator;
-this module only integrates in space, in one StageKernel per space,
-material and (c, c_dot), built once per step size with every per-run
-constant bound.  Residual and tangent share one evaluation of the stage
-at the points (eps''' is formed in the tangent only), and its elastic
-term K S - L is one BLAS gbmv (BandedMatrix.matvec).
+time scheme that picks the stage, c and c_dot lives in the integrator,
+which builds one StageKernel per step size; this module only integrates
+in space, in a kernel that binds every per-run constant of its space,
+material and (c, c_dot) once, its own stiffness K included.  Residual
+and tangent share one evaluation of the stage at the points (eps''' is
+formed in the tangent only), and its elastic term K S - L is one BLAS
+gbmv (BandedMatrix.matvec).
 
 Every integral is one matrix product over the space's cell table
 (FeSpace.table, the kernel's reference blocks), whose padded nodes and
@@ -48,12 +49,11 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from functools import lru_cache
 
 import numpy as np
 import scipy
 
-from .constitutive import HyperbolicityError, MaterialParams
+from .constitutive import MaterialParams
 from .fe_space import CellTable, FeSpace
 
 
@@ -136,14 +136,11 @@ def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
     return BandedMatrix(n, bw, ab.reshape(n, 2 * bw + 1).T)
 
 
-@lru_cache(maxsize=1)  # a run assembles with one space
 def assemble_stiffness(space: FeSpace) -> BandedMatrix:
-    """Constant stiffness K_IJ = integral N_I' N_J' dx (cached, read-only)."""
+    """Constant stiffness K_IJ = integral N_I' N_J' dx."""
     t = space.table  # dN/dx = dN/d xi / jac
-    K = _banded(space, t, t.integrate(t.jac[:, None] ** -2.0 * t.wj,
-                                      t.dref_outer))
-    K.ab.flags.writeable = False
-    return K
+    return _banded(space, t, t.integrate(t.jac[:, None] ** -2.0 * t.wj,
+                                         t.dref_outer))
 
 
 def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
@@ -231,7 +228,9 @@ class StageKernel:
         sigd_q = base_dot_q + self.c_dot * sdd_q
         fp, fpp, fp_min, late = self.law.derivatives(sig_q)
         if self.rho * fp_min <= 0.0:  # eps' <= 0, or rho eps' underflows
-            raise self._lost(fp, sig_q, t)
+            i = np.argmin(fp)  # flat index of the first point of least eps'
+            raise self.law.lost(fp.flat[i], float(sig_q.flat[i]),
+                                float(self.x_q.flat[i]), t)
         sigd2 = sigd_q**2
         h = fp * sdd_q
         h += fpp * sigd2
@@ -263,16 +262,3 @@ class StageKernel:
                          minlength=self.band).reshape(self.n, -1).T
         ab += self.cK
         return BandedMatrix(self.n, self.bw, ab)
-
-    def _lost(self, fp: np.ndarray, sig_q: np.ndarray,
-              t: float | None) -> HyperbolicityError:
-        """The error naming the first point of least eps' and t."""
-        i = np.unravel_index(np.argmin(fp), fp.shape)
-        why = ("<= 0" if fp[i] <= 0.0
-               else f"times rho={self.rho:.3e} underflows to 0")
-        x = self.x_q[i]
-        when = "" if t is None else f" at t={t:.6g}"
-        return HyperbolicityError(
-            f"tangent compliance {fp[i]:.3e} {why} at sigma={sig_q[i]:.6g} "
-            f"(quadrature point x={x:.6g}){when}", sigma=float(sig_q[i]),
-            x=float(x), t=t)

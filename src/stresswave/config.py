@@ -133,7 +133,8 @@ def _merged_sections(mapping: Mapping) -> dict:
 def _validated(merged: dict) -> ScenarioConfig:
     m, t = merged["material"], merged["time"]
     d, o = merged["drive"], merged["output"]
-    if m["reg_eta"] == 0.0 and m["a"] < 2.0:
+    # the law squares reg_eta, so a square that underflows is a width of 0
+    if m["reg_eta"] * m["reg_eta"] == 0.0 and m["a"] < 2.0:
         raise ConfigError("material.reg_eta: must be positive when a < 2, "
                           "where eps''' is infinite at sigma = 0")
     if t["dt"] <= 0:

@@ -209,8 +209,17 @@ class Law:
         bad = m <= 0.0
         if bad.any():
             i = np.argmax(bad)  # flat index of the first
-            f, sig = fp.flat[i], float(s.flat[i])
-            why = "<= 0" if f <= 0.0 else f"times rho={self.rho:.3e} underflows to 0"
-            raise HyperbolicityError(
-                f"tangent compliance {f:.3e} {why} at sigma={sig:.6g}", sigma=sig)
+            raise self.lost(fp.flat[i], float(s.flat[i]))
         return 1.0 / np.sqrt(m)
+
+    def lost(self, fp: float, sigma: float, x: float | None = None,
+             t: float | None = None) -> HyperbolicityError:
+        """The error of eps' = fp at the stress sigma, where fp <= 0 or
+        rho fp underflows to 0, naming the quadrature point x and the
+        time t where given."""
+        why = "<= 0" if fp <= 0.0 else f"times rho={self.rho:.3e} underflows to 0"
+        where = "" if x is None else f" (quadrature point x={x:.6g})"
+        when = "" if t is None else f" at t={t:.6g}"
+        return HyperbolicityError(f"tangent compliance {fp:.3e} {why} at "
+                                  f"sigma={sigma:.6g}{where}{when}",
+                                  sigma=sigma, x=x, t=t)

@@ -124,7 +124,7 @@ class CellTable:
 class FeSpace:
     """Mesh + DoF map for 1D C0 Lagrange elements, complete when built;
     nothing writes to a space afterwards.  Spaces hash by identity, which
-    the per-space caches of assembly and postprocess rely on.
+    the sampler cache of postprocess relies on.
 
     Attributes
     ----------

@@ -60,11 +60,13 @@ stage weighting:
     dR/dSdd = M(S*) + (1+alpha) { gamma dt C_nl + beta dt^2 [K + K_sig] }
 
 with C_nl and K_sig the stage integrals of assembly.  Both come from one
-assembly.StageKernel per step size (HhtParams.kernel): the run's dt and a
-short last step, plus c = c_dot = 0 for the t = 0 balance, whose tangent
-is the mass matrix M(S0) that initial_acceleration solves.  The kernel
-binds every per-run constant once.  A step forms its bases, their values
-at the quadrature points and its elastic term K base - L once.  Each
+assembly.StageKernel per step size, which run_simulation builds by
+HhtParams.kernel before its first step (dt) and at a short last step,
+together with that size's Newmark pair, and hands to advance_step; the
+t = 0 balance has its own at c = c_dot = 0, whose tangent is the mass
+matrix M(S0) that initial_acceleration solves.  The kernel binds every
+per-run constant once.  A step forms its bases, their values at the
+quadrature points and its elastic term K base - L once.  Each
 Newton iterate is then array operations only: it interpolates its
 acceleration, evaluates the law at the points once for both residual and
 tangent (eps''' only in a tangent), adds c K Sdd_{n+1} to the elastic
@@ -135,19 +137,11 @@ class HhtParams:
             m.flags.writeable = False
         return Cp, Cs, corr, w * beta * dt**2, w * gamma * dt
 
-    def kernel(self, space: FeSpace,
-               p: MaterialParams) -> assembly.StageKernel:
-        """The stage kernel of a step of dt on `space` and material `p`,
-        built when either changes: once per run that uses this step size."""
-        last = self._kernel
-        if last[0] is not space or last[1] is not p:
-            last[:] = space, p, assembly.StageKernel(space, p, *self.newmark[3:])
-        return last[2]
-
-    @cached_property
-    def _kernel(self) -> list:
-        """[space, p, kernel] of the last kernel built."""
-        return [None, None, None]
+    def kernel(self, space: FeSpace, p: MaterialParams) -> tuple:
+        """(kernel, newmark): a new stage kernel of a step of dt on `space`
+        and material `p`, with this step size's Newmark pair, the one value
+        advance_step takes for both."""
+        return assembly.StageKernel(space, p, *self.newmark[3:]), self.newmark
 
 
 class SystemState:
@@ -234,20 +228,20 @@ class NewtonDivergedError(RuntimeError):
         self.history = history
 
 
-def advance_step(state_n: SystemState, t_next: float, space: FeSpace,
-                 hht: HhtParams, p: MaterialParams, newton: NewtonSettings,
-                 bc: float = 0.0, load: np.ndarray | float = 0.0,
+def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
+                 newton: NewtonSettings, bc: float = 0.0,
+                 load: np.ndarray | float = 0.0,
                  ) -> tuple[SystemState, NewtonReport]:
     """Advance one HHT-alpha step by Newton iteration on the acceleration.
 
-    hht.dt is the step length to t_next, `bc` the stress at x = L then and
-    `load` the assembled stage load (1+alpha) L_{n+1} - alpha L_n (0.0
-    means none).  The boundary accelerations are fixed before the first
-    iterate, so Newton updates only the interior DoFs, in place in the next
-    state's acceleration row.  A HyperbolicityError names t_next.
+    `stepper` is HhtParams.kernel of the step length to t_next, `bc` the
+    stress at x = L then and `load` the assembled stage load
+    (1+alpha) L_{n+1} - alpha L_n (0.0 means none).  The boundary
+    accelerations are fixed before the first iterate, so Newton updates
+    only the interior DoFs, in place in the next state's acceleration row.
+    A HyperbolicityError names t_next.
     """
-    kernel = hht.kernel(space, p)
-    Cp, Cs, corr, _, _ = hht.newmark
+    kernel, (Cp, Cs, corr, _, _) = stepper
     pred = Cp.dot(state_n.X)  # pred, pred_dot
     X = state_n.X.copy()
     sdd = X[2]
@@ -386,6 +380,7 @@ def run_simulation(config: "ScenarioConfig",
                                            0.0 if L is None else L[0])
         state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
         snapshots, newton_iters, histories = [state], [], []
+        stepper = hht.kernel(space, p)
         t_start = _time.perf_counter()
         for lo in range(0, n_steps, LOAD_BLOCK):
             # t_k = min(k dt, t_final) for k = lo..hi, where step k ends
@@ -399,11 +394,11 @@ def run_simulation(config: "ScenarioConfig",
             for t_next, h, bc, load in zip(
                     times[1:].tolist(), np.diff(times).tolist(),
                     drive.value(times[1:]).tolist(), loads):
-                # only the last step, cut to t_final, is off dt by more
-                step_hht = (hht if abs(h - dt) <= 1e-12 * max(t_final, 1.0)
-                            else HhtParams(alpha=hht.alpha, dt=h))
-                state, report = advance_step(state, t_next, space, step_hht,
-                                             p, newton, bc, load)
+                if abs(h - dt) > 1e-12 * max(t_final, 1.0):
+                    # only the last step, cut to t_final, is off dt by more
+                    stepper = HhtParams(alpha=hht.alpha, dt=h).kernel(space, p)
+                state, report = advance_step(state, t_next, stepper, newton,
+                                             bc, load)
                 newton_iters.append(report.iters)
                 histories.append(report.history)
                 if len(newton_iters) in keep:

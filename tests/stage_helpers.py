@@ -13,8 +13,8 @@ def step_system(state_n, space, hht, p, load=0.0):
     """(residual, tangent) of one step through the integrator's stage
     kernel: residual(sdd) is (pts, R) and tangent(pts) the BandedMatrix
     dR/dSdd.  `load` is the stage load (1+alpha) L_{n+1} - alpha L_n."""
-    kernel = hht.kernel(space, p)
-    stage = kernel.stage(*hht.newmark[1].dot(state_n.X), load)
+    kernel, (_, Cs, *_) = hht.kernel(space, p)
+    stage = kernel.stage(*Cs.dot(state_n.X), load)
     return (lambda sdd: kernel.residual(stage, sdd)), kernel.tangent
 
 

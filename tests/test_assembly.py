@@ -125,15 +125,6 @@ def test_stiffness_symmetric_zero_rowsum_psd():
         assert np.min(np.linalg.eigvalsh(K)) > -1e-12
 
 
-def test_stiffness_cached_per_space():
-    space = build_space(1.0, 4, "uniform(2)")
-    assert assemble_stiffness(space) is assemble_stiffness(space)
-    # every later stage on the space reads the cached storage
-    with pytest.raises(ValueError):
-        assemble_stiffness(space).ab[:] = 0.0
-    assert assemble_stiffness(space).ab.max() > 0.0
-
-
 def test_mass_linear_material_hand_value():
     h = 0.4
     space = _single_cell(h)

@@ -88,6 +88,7 @@ def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
     ("material: {b: 1.0}\noutput: {snapshot_interval: .inf}",
      "output.snapshot_interval"),
     ("material: {b: 1.0, a: 1.5, reg_eta: 0.0}", "material.reg_eta"),
+    ("material: {b: 1.0, a: 1.5, reg_eta: 1.0e-200}", "material.reg_eta"),
     ("material: {b: 1.0}\ntime: {dt: 'nan'}", "time.dt"),
     pytest.param(f"material: {{b: 1.0}}\nmesh: {{L: {10**400}}}", "mesh.L",
                  id="integer-L-beyond-float64"),

@@ -140,14 +140,15 @@ def test_newmark_stage_rows():
 def test_boundary_acceleration_zero_cases():
     hht = HhtParams(alpha=-0.05, dt=0.01)
     space = build_space(1.0, 4, "uniform(1)")
-    got, _ = advance_step(zero_state(5), 0.01, space, hht, LINEAR, NEWTON)
+    stepper = hht.kernel(space, LINEAR)
+    got, _ = advance_step(zero_state(5), 0.01, stepper, NEWTON)
     assert got.Sigma_ddot[0] == got.Sigma_ddot[-1] == 0.0
     # a boundary value equal to the predictor needs no correction
     rng = np.random.default_rng(1)
     state = SystemState(0.0, rng.normal(size=5), rng.normal(size=5),
                         rng.normal(size=5))
     pred = hht.newmark[0].dot(state.X)[0]
-    got, _ = advance_step(state, 0.01, space, hht, LINEAR, NEWTON, pred[-1])
+    got, _ = advance_step(state, 0.01, stepper, NEWTON, pred[-1])
     assert got.Sigma_ddot[-1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -158,7 +159,7 @@ def test_boundary_acceleration_roundtrip():
     space = build_space(1.0, 3, "uniform(1)")
     state = SystemState(0.3, rng.normal(size=4), rng.normal(size=4),
                         rng.normal(size=4))
-    got, _ = advance_step(state, 0.32, space, hht, LINEAR, NEWTON,
+    got, _ = advance_step(state, 0.32, hht.kernel(space, LINEAR), NEWTON,
                           drive.value(0.32))
     assert got.t == 0.32
     assert got.Sigma[-1] == pytest.approx(drive.value(0.32), abs=1e-14)
@@ -194,8 +195,8 @@ def test_step_algebra_matches_newmark_formulas(seed, alpha, dt):
     state_n = SystemState(0.3, 0.2 * rng.normal(size=n), rng.normal(size=n),
                           rng.normal(size=n))
     bc = drive.value(0.3 + dt)
-    got, _ = advance_step(state_n, 0.3 + dt, space, hht,
-                          MaterialParams(rho=1.3, b=1.0, a=1.5), NEWTON, bc,
+    p = MaterialParams(rho=1.3, b=1.0, a=1.5)
+    got, _ = advance_step(state_n, 0.3 + dt, hht.kernel(space, p), NEWTON, bc,
                           rng.normal(size=n))
     _assert_newmark_step(state_n, got, hht, bc)
 
@@ -220,8 +221,8 @@ def test_shortened_last_step_matches_newmark_formulas(alpha):
 def test_advance_step_zero_data_one_iteration():
     space = build_space(1.0, 8, "uniform(1)")
     hht = HhtParams(alpha=-0.05, dt=1e-3)
-    state, report = advance_step(zero_state(space.n_dofs), 1e-3, space, hht,
-                                 P12, NEWTON)
+    state, report = advance_step(zero_state(space.n_dofs), 1e-3,
+                                 hht.kernel(space, P12), NEWTON)
     assert report.iters == 1
     np.testing.assert_array_equal(state.Sigma, 0.0)
     np.testing.assert_array_equal(state.Sigma_dot, 0.0)
@@ -233,8 +234,9 @@ def test_advance_step_nan_load_diverges_at_once():
     space = build_space(1.0, 8, "uniform(1)")
     nan = np.full(space.n_dofs, np.nan)
     with pytest.raises(NewtonDivergedError) as err:
-        advance_step(zero_state(space.n_dofs), 1e-3, space,
-                     HhtParams(alpha=-0.05, dt=1e-3), P12, NEWTON, load=nan)
+        advance_step(zero_state(space.n_dofs), 1e-3,
+                     HhtParams(alpha=-0.05, dt=1e-3).kernel(space, P12),
+                     NEWTON, load=nan)
     assert err.value.iters == 0
     assert err.value.t == 1e-3
 
@@ -249,8 +251,9 @@ def test_advance_step_singular_tangent_diverges(monkeypatch):
 
     monkeypatch.setattr(assembly.StageKernel, "tangent", zero_tangent)
     with pytest.raises(NewtonDivergedError, match="singular") as err:
-        advance_step(zero_state(space.n_dofs), 1e-3, space,
-                     HhtParams(alpha=-0.05, dt=1e-3), P12, NEWTON,
+        advance_step(zero_state(space.n_dofs), 1e-3,
+                     HhtParams(alpha=-0.05, dt=1e-3).kernel(space, P12),
+                     NEWTON,
                      BoundaryDrive(A=0.02, omega=2.0 * np.pi).value(1e-3))
     assert err.value.iters == 0
     assert err.value.t == 1e-3
@@ -267,8 +270,9 @@ def test_hyperbolicity_failure_names_its_time():
         with pytest.raises(HyperbolicityError) as at0:
             initial_acceleration(space, ones, ones, p)
         with pytest.raises(HyperbolicityError) as step:
-            advance_step(SystemState(0.0, ones, ones, ones), 1e-3, space,
-                         HhtParams(alpha=-0.05, dt=1e-3), p, NEWTON)
+            advance_step(SystemState(0.0, ones, ones, ones), 1e-3,
+                         HhtParams(alpha=-0.05, dt=1e-3).kernel(space, p),
+                         NEWTON)
     assert at0.value.t == 0.0 and str(at0.value).endswith(" at t=0")
     assert step.value.t == 1e-3 and str(step.value).endswith(" at t=0.001")
     assert str(step.value).startswith("tangent compliance 0.000e+00 <= 0")
@@ -289,7 +293,7 @@ def test_advance_step_matches_public_newton_loop():
                           rng.normal(size=n))
     load = rng.normal(size=n)
     t_next = 0.21
-    got, report = advance_step(state_n, t_next, space, hht, p, newton,
+    got, report = advance_step(state_n, t_next, hht.kernel(space, p), newton,
                                drive.value(t_next), load)
 
     sdd = state_n.Sigma_ddot.copy()
@@ -343,11 +347,11 @@ def test_float_load_is_a_constant_vector():
     rng = np.random.default_rng(7)
     state = SystemState(0.1, 0.2 * rng.normal(size=n), rng.normal(size=n),
                         rng.normal(size=n))
-    got, _ = advance_step(state, 0.11, space, hht, P12, NEWTON, 0.0, 0.7)
-    ref, _ = advance_step(state, 0.11, space, hht, P12, NEWTON, 0.0,
-                          np.full(n, 0.7))
+    stepper = hht.kernel(space, P12)
+    got, _ = advance_step(state, 0.11, stepper, NEWTON, 0.0, 0.7)
+    ref, _ = advance_step(state, 0.11, stepper, NEWTON, 0.0, np.full(n, 0.7))
     np.testing.assert_array_equal(got.X, ref.X)
-    nil, _ = advance_step(state, 0.11, space, hht, P12, NEWTON)
+    nil, _ = advance_step(state, 0.11, stepper, NEWTON)
     assert not np.array_equal(got.Sigma_ddot, nil.Sigma_ddot)
 
 
@@ -615,6 +619,35 @@ def test_run_simulation_steps_through_module_advance_step(monkeypatch):
     _, report = run_simulation(cfg)
     assert len(seen) == len(report.newton_iters) == 21
     assert seen == report.newton_iters and max(seen) >= 2
+
+
+def test_run_builds_one_stage_kernel_per_step_size(monkeypatch):
+    # t_final = 2.5 dt: the run builds the kernels of the t = 0 balance, of
+    # dt before the first step and of the short last step, and no step
+    # builds one
+    from stresswave import assembly
+    built, per_step = [], []
+    init, step = assembly.StageKernel.__init__, integrator.advance_step
+
+    def counting_init(kernel, space, p, c=0.0, c_dot=0.0):
+        built.append(c)
+        init(kernel, space, p, c, c_dot)
+
+    def counting_step(*args):
+        before = len(built)
+        out = step(*args)
+        per_step.append(len(built) - before)
+        return out
+
+    monkeypatch.setattr(assembly.StageKernel, "__init__", counting_init)
+    monkeypatch.setattr(integrator, "advance_step", counting_step)
+    run_simulation(parse_config({"material": {"b": 5.0, "a": 1.5},
+                                 "mesh": {"n_cells": 8},
+                                 "time": {"dt": 1e-2, "t_final": 0.025},
+                                 "output": {"snapshot_interval": 0.0}}))
+    c = [HhtParams(alpha=-0.05, dt=dt).newmark[3] for dt in (1e-2, 5e-3)]
+    assert built == pytest.approx([0.0] + c, rel=1e-12)
+    assert per_step == [0, 0, 0]
 
 
 def test_temporal_accuracy_pair():
