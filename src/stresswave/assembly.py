@@ -17,24 +17,25 @@ rate move with the acceleration as dS = c dSdd, dSd = c_dot dSdd.  The
 time scheme that picks the stage, c and c_dot lives in the integrator,
 which builds one StageKernel per step size; this module only integrates
 in space, in a kernel that binds every per-run constant of its space,
-material and (c, c_dot) once, its own stiffness K included.  Residual
-and tangent share one evaluation of the stage at the points (eps''' is
-formed in the tangent only), and its elastic term K S - L is one BLAS
-gbmv (BandedMatrix.matvec).
+material and (c, c_dot) once, its own stiffness K included, and owns
+an array for every value an iterate forms at the points or per cell.
+Residual and tangent share one evaluation of the stage at the points
+(eps''' is formed in the tangent only), and its elastic term K S - L is
+one BLAS gbmv.
 
 Every integral is one matrix product over the space's cell table
 (FeSpace.table, the kernel's reference blocks), whose padded nodes and
 points add zero.  On a space of mixed degrees, where that table pads
 each cell to the largest point count, the kernel works on the real
 points only: the law and the integrands are evaluated there, and each
-integrand is written into the real slots of one of the kernel's two
-degree-block arrays, whose padded slots stay zero.  All matrices are
-stored in LAPACK banded form (half-bandwidth = max cell degree); element
+integrand is written into the real slots of the kernel's degree-block
+array, whose padded slots stay zero.  All matrices are stored in
+LAPACK banded form (half-bandwidth = max cell degree); element
 matrices reach it through the table's precomputed scatter index.  The
 two boundary DoFs always carry prescribed values, so the integrator
 solves only the interior block (BandedMatrix.solve with interior=True)
 by direct banded factorization (LAPACK gtsv; gbsv above bandwidth 1 or
-1x1).
+1x1), which above bandwidth 1 factors the kernel's tangent in place.
 
 The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
 scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
@@ -80,41 +81,61 @@ _gtsv, _gbsv = _flapack.dgtsv, _flapack.dgbsv
 _gbmv = _scipy_linalg_extension("_fblas").dgbmv
 
 
+def _dense_gbmv(m, n, kl, ku, alpha, a, x, incx=1, offx=0, beta=0.0,
+                y=None):
+    """alpha A x + beta y as _gbmv(m, n, kl, ku, alpha, a, x, incx, offx,
+    beta, y) gives it for a square A (kl = ku, incx 1, offx 0), through
+    the dense matrix."""
+    ax = alpha * (BandedMatrix(n, ku, a).to_dense() @ x)
+    return ax if y is None else ax + beta * y
+
+
+def _gbmv_for(n: int, bw: int):
+    """_gbmv for n x n band matrices of half-bandwidth bw, or _dense_gbmv
+    below the size the gbmv wrapper accepts (n < 2 bw + 1), which only
+    hand-built spaces have."""
+    return _gbmv if n >= 2 * bw + 1 else _dense_gbmv
+
+
 class BandedMatrix:
     """Square matrix in diagonal-ordered banded storage.
 
     Entry (i, j) with |i - j| <= bandwidth lives at ab[bandwidth + i - j, j],
-    LAPACK's band layout with kl = ku = bandwidth (less gbsv's fill-in rows);
-    assembled matrices store ab column-major, as BLAS reads it.
+    LAPACK's band layout with kl = ku = bandwidth; assembled matrices store
+    ab column-major, as BLAS reads it.  The storage given may also be
+    gbsv's: bandwidth zero rows more on top, for the fill-in of its
+    factorization, with ab the rows below them.  `solve` factors such a
+    matrix in place, and it is spent: its storage then holds the factors.
     """
 
     def __init__(self, n: int, bandwidth: int, ab: np.ndarray):
         self.n = n
         self.bandwidth = bandwidth
-        self.ab = ab
+        self.lab = ab if len(ab) == 3 * bandwidth + 1 else None
+        self.ab = ab if self.lab is None else ab[bandwidth:]
 
-    def matvec(self, x: np.ndarray, scale: float = 1.0,
-               add: np.ndarray | None = None) -> np.ndarray:
-        """scale A x + add (add itself is left intact), one BLAS gbmv."""
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x, one BLAS gbmv."""
         n, bw = self.n, self.bandwidth
-        if n < 2 * bw + 1:  # below the size the gbmv wrapper accepts
-            return scale * (self.to_dense() @ x) + (0.0 if add is None else add)
-        return _gbmv(n, n, bw, bw, scale, self.ab, x,
-                     beta=0.0 if add is None else 1.0, y=add)
+        return _gbmv_for(n, bw)(n, n, bw, bw, 1.0, self.ab, x)
 
     def solve(self, rhs: np.ndarray, interior: bool = False) -> np.ndarray:
         """x with A x = rhs, or with the interior block of A (without its
         first and last rows and columns); np.linalg.LinAlgError if that is
         singular.  Dropping the end columns of the storage leaves the
-        couplings to the end rows in slots that the solver never reads."""
-        n, bw, ab = self.n, self.bandwidth, self.ab
+        couplings to the end rows in slots that the solver never reads.
+        In gbsv's storage the (interior) matrix is factored in place; in
+        the band's, a copy with fill-in rows is, and A stays intact."""
+        n, bw, ab, lab = self.n, self.bandwidth, self.ab, self.lab
         if interior:
             n, ab = n - 2, ab[:, 1:-1]
+            lab = None if lab is None else lab[:, 1:-1]
         if bw == 1 and n > 1:  # gtsv rejects a 1x1 system's empty bands
             *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
         else:
-            lab = np.zeros((3 * bw + 1, n), order="F")  # + fill-in rows
-            lab[bw:] = ab
+            if lab is None:
+                lab = np.zeros((3 * bw + 1, n), order="F")  # + fill-in rows
+                lab[bw:] = ab
             *_, x, info = _gbsv(bw, bw, lab, rhs, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
@@ -169,39 +190,64 @@ class StageKernel:
 
     The kernel holds the space's flat DoF index, reference blocks and
     scatter index, K's band and c K, rho wj, the material's Law and c,
-    c_dot and 2 c_dot as 0-d arrays, so an iterate is array operations
-    only.  On a space of mixed degrees it works on the real quadrature
-    points only (the table's padded points weigh 0): `pick` is their flat
-    index into a cell's degree blocks, rho wj and the points x are theirs,
-    and it owns two zero degree-block arrays, for the residual and the
-    tangent, into whose real slots each integrand is written; the padded
-    slots are never written.  Dropping exact zeros keeps every sum's
-    terms in order, so the results are those of the padded table bit for
-    bit.  Its methods run in the caller's error state (a run's one scope).
+    c_dot and 2 c_dot as 0-d arrays, and owns an array for every value
+    that `residual` and `tangent` form at the points or per cell, which
+    each operation writes into: an iterate allocates only R, the
+    tangent's band and gbmv's result.  So `pts` are the kernel's arrays,
+    valid until its next `residual` (a Newton iterate's tangent reads
+    them first); `stage` returns new arrays, which last through a step.
+    Above half-bandwidth 1 the tangent is assembled in gbsv's storage,
+    fill-in rows included, and its interior solve factors it in place.
+
+    On a space of mixed degrees it works on the real quadrature points
+    only (the table's padded points weigh 0): `pick` is their flat index
+    into a cell's degree blocks, rho wj and the points x are theirs, and
+    it owns a zero degree-block array, into whose real slots each
+    integrand is written; the padded slots are never written.  Dropping
+    exact zeros keeps every sum's terms in order, so the results are
+    those of the padded table bit for bit.  Its methods run in the
+    caller's error state (a run's one scope).
     """
 
     def __init__(self, space: FeSpace, p: MaterialParams, c: float = 0.0,
                  c_dot: float = 0.0):
         t = space.table
         self.law, self.rho = p.law, p.rho
-        self.n, self.bw = space.n_dofs, space.bandwidth
+        n, bw = self.n, self.bw = space.n_dofs, space.bandwidth
         self.dofs, self.flat_dofs = t.dofs, t.dofs.ravel()
         self.ref, self.ref_t, self.ref_outer = t.ref, t.ref_t, t.ref_outer
-        self.scatter, self.band = t.scatter, (2 * self.bw + 1) * self.n
-        self.K = assemble_stiffness(space)
-        self.cK = c * self.K.ab
+        self.K, self.gbmv = assemble_stiffness(space), _gbmv_for(n, bw)
+        # the tangent's storage: above bandwidth 1 gbsv's, whose top bw
+        # rows hold the fill-in of its factorization
+        fill = bw if bw > 1 else 0
+        rows = 2 * bw + 1 + fill
+        col, row = np.divmod(t.scatter, 2 * bw + 1)
+        self.scatter, self.band = col * rows + fill + row, rows * n
+        self.cK = np.zeros((rows, n), order="F")  # as the band: column-major
+        self.cK[fill:] = c * self.K.ab
         self.rho_wj, self.x_q, self.pick = p.rho * t.wj, t.x_q, None
+        shape = t.x_q.shape
         if t.pick is not None:  # mixed degrees: the real points only
             real = np.flatnonzero(t.weights)  # padded points weigh 0
             self.pick = t.pick.ravel()[real]
             self.rho_wj = self.rho_wj.ravel()[real]
-            self.x_q = t.x_q.ravel()[real]
-            # each cell's degree blocks, whose padded slots stay 0, for the
-            # residual and the tangent, and their flat views
-            self.res_block = np.zeros((space.n_cells, len(t.ref)))
-            self.tan_block = np.zeros_like(self.res_block)
-            self.res_flat = self.res_block.reshape(-1)
-            self.tan_flat = self.tan_block.reshape(-1)
+            self.x_q, shape = t.x_q.ravel()[real], real.shape
+            # each cell's degree blocks: values at all their points, and
+            # the integrand, whose padded slots stay 0
+            self.at_blocks = np.empty((space.n_cells, len(t.ref)))
+            self.block = np.zeros_like(self.at_blocks)
+            self.at_flat, self.block_flat = (
+                self.at_blocks.reshape(-1), self.block.reshape(-1))
+        # the work arrays: the stage at the points (sigma_ddot, sigma,
+        # sigma_dot, sigma_dot^2), the integrands h and k_sig, eps''', a
+        # scratch, the law's factors; per cell, Sdd at the nodes and the
+        # element blocks of the residual and the tangent
+        (self.sdd_q, self.sig_q, self.sigd_q, self.sigd2, self.h, self.k_sig,
+         fppp, self.tmp, *law) = np.empty((15,) + shape)
+        self.law_out, self.third_out = law + [self.tmp], [fppp, self.tmp]
+        self.cell_sdd, self.fe = np.empty((2,) + t.dofs.shape)
+        self.te = np.empty((len(t.dofs), t.ref_outer.shape[1]))
+        self.fe_flat, self.te_flat = self.fe.reshape(-1), self.te.reshape(-1)
         self.c_scale = c  # the gbmv scale
         self.c, self.c_dot, self.c_dot2 = (np.array(v) for v in
                                            (c, c_dot, c_dot * 2.0))
@@ -210,10 +256,13 @@ class StageKernel:
               load: np.ndarray | float, t: float | None = None) -> tuple:
         """(base and base_dot at the points, K base - load, t) of the step
         to time t, which the guard's error names (None: no time)."""
-        q = [f[self.dofs].dot(self.ref_t) for f in (base, base_dot)]
+        q = [f.take(self.dofs).dot(self.ref_t) for f in (base, base_dot)]
         if self.pick is not None:
             q = [v.ravel()[self.pick] for v in q]
-        return q[0], q[1], self.K.matvec(base) - load, t
+        n, bw = self.n, self.bw
+        rest = self.gbmv(n, n, bw, bw, 1.0, self.K.ab, base)
+        rest -= load
+        return q[0], q[1], rest, t
 
     def residual(self, stage: tuple, sdd: np.ndarray) -> tuple:
         """(pts, R): the stage values at the points, (sigma_dot,
@@ -221,44 +270,57 @@ class StageKernel:
         R = F_inrt(pts) + K (base + c sdd) - load.  Raises
         HyperbolicityError where eps' <= 0 or rho eps' underflows to 0."""
         base_q, base_dot_q, rest, t = stage
-        sdd_q = sdd[self.dofs].dot(self.ref_t)
-        if self.pick is not None:
-            sdd_q = sdd_q.ravel()[self.pick]
-        sig_q = base_q + self.c * sdd_q
-        sigd_q = base_dot_q + self.c_dot * sdd_q
-        fp, fpp, fp_min, late = self.law.derivatives(sig_q)
+        sdd_q, sig_q, sigd_q, sigd2, h, tmp = (
+            self.sdd_q, self.sig_q, self.sigd_q, self.sigd2, self.h, self.tmp)
+        sdd.take(self.dofs, None, self.cell_sdd, "clip")
+        if self.pick is None:
+            self.cell_sdd.dot(self.ref_t, sdd_q)
+        else:
+            self.cell_sdd.dot(self.ref_t, self.at_blocks)
+            self.at_flat.take(self.pick, None, sdd_q, "clip")
+        np.multiply(self.c, sdd_q, sig_q)
+        sig_q += base_q
+        np.multiply(self.c_dot, sdd_q, sigd_q)
+        sigd_q += base_dot_q
+        fp, fpp, fp_min, late = self.law.derivatives(sig_q, self.law_out)
         if self.rho * fp_min <= 0.0:  # eps' <= 0, or rho eps' underflows
             i = np.argmin(fp)  # flat index of the first point of least eps'
             raise self.law.lost(fp.flat[i], float(sig_q.flat[i]),
                                 float(self.x_q.flat[i]), t)
-        sigd2 = sigd_q**2
-        h = fp * sdd_q
-        h += fpp * sigd2
+        np.square(sigd_q, sigd2)
+        np.multiply(fp, sdd_q, h)
+        h += np.multiply(fpp, sigd2, tmp)
         h *= self.rho_wj
         if self.pick is not None:  # each cell's values in its degree block
-            self.res_flat[self.pick] = h
-            h = self.res_block
-        R = np.bincount(self.flat_dofs, weights=h.dot(self.ref).ravel(),
-                        minlength=self.n)
-        R += self.K.matvec(sdd, self.c_scale, rest)
+            self.block_flat[self.pick] = h
+            h = self.block
+        h.dot(self.ref, self.fe)
+        n, bw = self.n, self.bw
+        R = np.bincount(self.flat_dofs, self.fe_flat, n)
+        R += self.gbmv(n, n, bw, bw, self.c_scale, self.K.ab, sdd, 1, 0, 1.0,
+                       rest)
         return (sigd_q, sigd2, sdd_q, fp, fpp, late), R
 
     def tangent(self, pts: tuple) -> BandedMatrix:
         """dR/d(Sdd) = M + c_dot C_nl + c (K + K_sig) at the stage values
         `pts` of `residual`, forming eps''' from them."""
         sigd_q, sigd2, sigdd_q, fp, fpp, late = pts
-        h = self.c_dot2 * fpp
+        h, k_sig = self.h, self.k_sig
+        np.multiply(self.c_dot2, fpp, h)
         h *= sigd_q
         h += fp
-        k_sig = fpp * sigdd_q
-        k_sig += self.law.third(late) * sigd2
+        np.multiply(fpp, sigdd_q, k_sig)
+        fppp = self.law.third(late, self.third_out)
+        fppp *= sigd2
+        k_sig += fppp
         k_sig *= self.c
         h += k_sig
         h *= self.rho_wj
         if self.pick is not None:
-            self.tan_flat[self.pick] = h
-            h = self.tan_block
-        ab = np.bincount(self.scatter, weights=h.dot(self.ref_outer).ravel(),
-                         minlength=self.band).reshape(self.n, -1).T
+            self.block_flat[self.pick] = h
+            h = self.block
+        h.dot(self.ref_outer, self.te)
+        ab = np.bincount(self.scatter, self.te_flat,
+                         self.band).reshape(self.n, -1).T
         ab += self.cK
         return BandedMatrix(self.n, self.bw, ab)

@@ -126,13 +126,40 @@ def _evaluate(kernel, sigma):
     return out if s.ndim else tuple(float(v[0]) for v in out)
 
 
+def _arrays(s: np.ndarray, out: list | None, k: int) -> list:
+    """`out`, or k new arrays of the shape of s."""
+    return out if out is not None else [np.empty_like(s) for _ in range(k)]
+
+
+def _ones(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out.fill(1.0)  # x ** 0 is 1 for every x, NaN included
+    return out
+
+
+# the exponents that ndarray ** e takes by another ufunc than np.power
+# (fast_scalar_power, numpy/_core/src/multiarray/number.c)
+_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive,
+                -1.0: np.reciprocal, 0.0: _ones}
+
+
+def _power(e: float):
+    """The function (x, out) that writes x ** e into out and returns it,
+    by the ufunc that ndarray ** e calls for a float e, so bit for bit:
+    square, sqrt, positive, reciprocal or ones for e = 2, 0.5, 1, -1 or
+    0, np.power otherwise.  A direct call costs less than the operator."""
+    return _FAST_POWERS.get(e) or (lambda x, out: np.power(x, e, out))
+
+
 class Law:
     """The law of one material, its constants bound once.
 
     b, 1, -(a+1) b^a, a-1, a+2 and reg_eta^2 are 0-d arrays, which a ufunc
     takes for less than a float; the exponents stay floats, since a 0-d
     exponent costs more.  Each method takes arrays and runs in the
-    caller's error state: a run's one scope, or _evaluate's.
+    caller's error state: a run's one scope, or _evaluate's.  compliance,
+    derivatives and third write each value, by one ufunc call with
+    positional out (powers by `_power`), into arrays the caller passes
+    (the stage kernel's) or into new ones.
     """
 
     def __init__(self, p: MaterialParams):
@@ -146,52 +173,76 @@ class Law:
         # the exponents of D in eps' and eps, and of |s| in eps'' and eps'''
         self.e_fp, self.e_eps = -(1.0 + 1.0 / a), -1.0 / a
         self.e1, self.e2 = a - 1.0, a - 2.0
+        self.pow_a, self.pow_fp, self.pow_e1, self.pow_e2 = map(
+            _power, (a, self.e_fp, self.e1, self.e2))
 
-    def compliance(self, s: np.ndarray) -> tuple:
-        """(|s|, w, D, eps') of s for b > 0: the one place that forms
-        w = (b|s|)^a and D = 1 + w."""
-        mag = np.abs(s)
-        w = (self.b * mag) ** self.a
-        d = self.one + w
-        return mag, w, d, d ** self.e_fp
+    def compliance(self, s: np.ndarray, out: list | None = None) -> list:
+        """[|s|, w, D, eps'] of s for b > 0: the one place that forms
+        w = (b|s|)^a and D = 1 + w.  They are written into `out`, four
+        arrays of the shape of s, or into new ones (None)."""
+        mag, w, d, fp = out = _arrays(s, out, 4)
+        np.abs(s, mag)
+        self.pow_a(np.multiply(self.b, mag, w), w)
+        self.pow_fp(np.add(self.one, w, d), fp)
+        return out
 
-    def derivatives(self, s: np.ndarray) -> tuple:
+    def derivatives(self, s: np.ndarray, out: list | None = None) -> tuple:
         """(eps', eps'', min(eps'), late) of s.  The min is the saturation
         guard's (1.0 for b = 0); `late` holds the factors that `third` forms
         eps''' from, and only that needs the regularized |s| (reg) for
         1 <= a < 2.  reg_eta^2 is a float64: a width whose square overflows
-        gives reg = inf and 0 for its powers."""
+        gives reg = inf and 0 for its powers.  Every array is written into
+        `out`, eight arrays of the shape of s (|s|, w, D, eps', g, r, eps''
+        and a scratch), or into new ones (None)."""
+        mag, w, d, fp, g, r, fpp, tmp = _arrays(s, out, 8)
         if self.linear:
-            return np.ones_like(s), np.zeros_like(s), 1.0, (s, None)
-        mag, w, d, fp = self.compliance(s)
-        g = self.g * fp / d
+            fp.fill(1.0)
+            fpp.fill(0.0)
+            return fp, fpp, 1.0, (s, None)
+        self.compliance(s, [mag, w, d, fp])
+        np.multiply(self.g, fp, g)
+        g /= d
         if self.a >= 2.0:  # reg = |s|: r = |s|^(a-2) serves both orders
-            r = mag ** self.e2
-            fpp = g * (s * r)
+            np.multiply(s, self.pow_e2(mag, r), fpp)
+            fpp *= g
         else:  # r = reg for a < 1; formed late for a >= 1
-            r = self.regularized(s) if self.a < 1.0 else None
-            fpp = g * (mag if r is None else r) ** self.e1
-            fpp *= np.sign(s)
-        fp_min = np.minimum.reduce(fp, axis=None, initial=np.inf)
+            r = self.regularized(s, r) if self.a < 1.0 else None
+            self.pow_e1(mag if r is None else r, fpp)
+            fpp *= g
+            fpp *= np.sign(s, tmp)
+        # argmin costs less than a min reduction; it too finds a NaN
+        fp_min = fp.item(fp.argmin()) if fp.size else np.inf
         if not fp_min > 0.0:  # saturated: w = inf, eps' = 0
-            fpp = np.where(np.isinf(w), 0.0, fpp)
+            fpp[np.isinf(w)] = 0.0
         return fp, fpp, fp_min, (s, g, w, d, fp_min, r)
 
-    def regularized(self, s: np.ndarray) -> np.ndarray:
-        return np.sqrt(s * s + self.eta2)
+    def regularized(self, s: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """sqrt(s^2 + reg_eta^2), written into `out` (None: a new array)."""
+        out = np.multiply(s, s, out)
+        out += self.eta2
+        return np.sqrt(out, out)
 
-    def third(self, late: tuple) -> np.ndarray:
+    def third(self, late: tuple, out: list | None = None) -> np.ndarray:
         """eps''' from the `late` factors of `derivatives`, by the operations
-        of one eager evaluation in their order."""
+        of one eager evaluation in their order, written into the first of
+        `out`, two arrays of the shape of s (eps''' and a scratch), or into
+        a new array (None)."""
+        fppp, tmp = _arrays(late[0], out, 2)
         if late[1] is None:  # b = 0
-            return np.zeros_like(late[0])
+            fppp.fill(0.0)
+            return fppp
         s, g, w, d, fp_min, r = late
         if self.a < 2.0:
-            r = (self.regularized(s) if r is None else r) ** self.e2
-        fppp = g * r
-        fppp *= self.am1 - self.ap2 * w
+            r = self.pow_e2(self.regularized(s, tmp) if r is None else r, tmp)
+        np.multiply(g, r, fppp)
+        np.multiply(self.ap2, w, tmp)
+        np.subtract(self.am1, tmp, tmp)
+        fppp *= tmp
         fppp /= d
-        return fppp if fp_min > 0.0 else np.where(np.isinf(w), 0.0, fppp)
+        if not fp_min > 0.0:
+            fppp[np.isinf(w)] = 0.0
+        return fppp
 
     def strain(self, s: np.ndarray) -> tuple:
         """(eps, eps') of s; where w overflowed the law has saturated at the

@@ -228,6 +228,22 @@ class NewtonDivergedError(RuntimeError):
         self.history = history
 
 
+def _interior_norm(R: np.ndarray) -> float:
+    """Euclidean norm of R without its two boundary entries.  Where the
+    sum of squares overflows while every entry is finite, the entries
+    are scaled by the largest |R| first, so that only a residual with an
+    inf or NaN entry, or a norm above the float range, reads as inf or
+    NaN; the one dot of the usual case is unchanged."""
+    r = R[1:-1]
+    sq = r @ r
+    if not math.isfinite(sq):
+        big = float(np.max(np.abs(r), initial=0.0))
+        if 0.0 < big < math.inf:  # no inf or NaN entry
+            r = r / big
+            return big * math.sqrt(r @ r)
+    return math.sqrt(sq)
+
+
 def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
                  newton: NewtonSettings, bc: float = 0.0,
                  load: np.ndarray | float = 0.0,
@@ -250,7 +266,7 @@ def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
     sdd[-1] = (bc - pred[0, -1]) / k
     stage = kernel.stage(*Cs.dot(state_n.X), load, t_next)
     pts, R = kernel.residual(stage, sdd)
-    ref_norm = math.sqrt(R[1:-1] @ R[1:-1])
+    ref_norm = _interior_norm(R)
     threshold = max(newton.tol * ref_norm, NEWTON_ABS_FLOOR)
     history = [ref_norm]
     iters = 0
@@ -277,7 +293,7 @@ def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
                 t=t_next, iters=iters, history=history) from exc
         iters += 1
         pts, R = kernel.residual(stage, sdd)
-        history.append(math.sqrt(R[1:-1] @ R[1:-1]))
+        history.append(_interior_norm(R))
 
     np.multiply(corr, sdd, out=X[:2])
     X[:2] += pred

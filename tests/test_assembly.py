@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -423,10 +425,10 @@ def test_stage_kernel_evaluates_the_law_at_real_points_only(policy,
     space = build_space(1.0, 10, policy)
     seen = []
     derivatives, third = Law.derivatives, Law.third
-    monkeypatch.setattr(Law, "derivatives", lambda law, s: (
-        seen.append(s.size), derivatives(law, s))[1])
-    monkeypatch.setattr(Law, "third", lambda law, late: (
-        seen.append(late[0].size), third(law, late))[1])
+    monkeypatch.setattr(Law, "derivatives", lambda law, s, *out: (
+        seen.append(s.size), derivatives(law, s, *out))[1])
+    monkeypatch.setattr(Law, "third", lambda law, late, *out: (
+        seen.append(late[0].size), third(law, late, *out))[1])
     _kernel_stage(space, P12, *_STEP, *_stage_data(space, 0))
     assert seen == [int(np.sum(space.degrees + 2))] * 2
 
@@ -450,3 +452,26 @@ def test_stage_kernel_guard_names_the_loops_point(policy, p, stress, why, c,
         per_cell_stage(space, *data, p, c, c_dot)
     assert why in str(err.value)
     assert str(err.value) == str(ref.value)
+
+
+def test_warm_iterate_allocates_no_point_sized_array():
+    # the kernel owns an array for every value at the points and per
+    # cell: one residual and tangent of the 128-cell uniform(1) MMS rung
+    # allocate R and the tangent's band (and gbmv's result, freed before
+    # the tangent), less than one array of the 384 point values beyond them
+    space = build_space(1.0, 128, "uniform(1)")
+    kernel, (_, Cs, *_) = HhtParams(alpha=-0.05, dt=1e-5).kernel(space, P12)
+    f = mms_fields(space.dof_coords, 0.0)
+    X = np.array([f.sigma, f.sigma_t, -f.sigma])
+    with _run_scope():
+        stage = kernel.stage(*Cs.dot(X), 0.0)
+        kernel.tangent(kernel.residual(stage, X[2])[0])  # warm
+        tracemalloc.start()
+        try:
+            pts, R = kernel.residual(stage, X[2])
+            tangent = kernel.tangent(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    results = R.nbytes + tangent.ab.nbytes
+    assert peak < results + pts[0].nbytes, (peak, results)

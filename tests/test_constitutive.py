@@ -284,6 +284,17 @@ def _eager_derivatives(s, p, two_power=False):
     return fp, np.where(saturated, 0.0, fpp), np.where(saturated, 0.0, fppp)
 
 
+def _assert_same_into_given_arrays(sigma, p, got):
+    """The law written into arrays the caller owns, as the stage kernel
+    has it, equals `got`, the public derivatives of sigma, bit for bit."""
+    work = list(np.empty((10,) + sigma.shape))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fp, fpp, _, late = p.law.derivatives(sigma, work[:8])
+        into = fp, fpp, p.law.third(late, work[8:])
+    np.testing.assert_array_equal(np.array(into).view(np.int64),
+                                  np.array(got).view(np.int64))
+
+
 @pytest.mark.parametrize("a", [2.0, 3.0, 2.5, 5.0, 10.0])
 @pytest.mark.parametrize("b", [0.7, 5.0])
 def test_one_power_matches_two_power_form(a, b):
@@ -296,6 +307,7 @@ def test_one_power_matches_two_power_form(a, b):
     sigma = np.concatenate([[0.0, -0.0, 1e-300, -1e-300], ordinary, -ordinary,
                             np.array([1e200, 3e250, 1e300]) / b, [-1e300]])
     got, ref = derivatives(sigma, p), _eager_derivatives(sigma, p, True)
+    _assert_same_into_given_arrays(sigma, p, got)
     for k in range(3):
         assert np.all(np.isfinite(got[k]))
         if a in (2.0, 3.0):
@@ -305,13 +317,16 @@ def test_one_power_matches_two_power_form(a, b):
 
 
 @pytest.mark.parametrize("reg_eta", [1e-8, 1e300])
-@pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
 @pytest.mark.parametrize("b", [0.0, 0.7, 1e50])
 def test_late_third_derivative_equals_eager_form(b, a, reg_eta):
     # eps''' formed late from the factors of _derivatives, with the
     # regularized |s| formed there only for 1 <= a < 2, keeps every bit
     # of the eager form (== counts -0 and +0 as equal); b = 1e50
-    # saturates the law (w = inf) at the largest stresses
+    # saturates the law (w = inf) at the largest stresses.  With a = 1,
+    # 2 and 3 (and 0.5 and 1.5) every exponent that ndarray ** takes by
+    # another ufunc than np.power occurs: 0.5 and 1 in w, 0, 0.5, 1 and 2
+    # in eps'', -1, 0 and 1 in eps'''.
     p = MaterialParams(rho=1.0, b=b, a=a, reg_eta=reg_eta)
     ordinary = np.concatenate([np.linspace(-4.0, 4.0, 81),
                                np.geomspace(1e-30, 1e3, 34)])
@@ -320,6 +335,7 @@ def test_late_third_derivative_equals_eager_form(b, a, reg_eta):
     got, ref = derivatives(sigma, p), _eager_derivatives(sigma, p)
     for k in range(3):
         assert np.all(np.isfinite(got[k])) and np.all(got[k] == ref[k])
+    _assert_same_into_given_arrays(sigma, p, got)
     # a float takes the array loop: equal to its entry of the array result
     for i in (0, 1, 50, -1):
         assert derivatives(float(sigma[i]), p) == tuple(float(g[i]) for g in got)

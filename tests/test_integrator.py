@@ -241,6 +241,33 @@ def test_advance_step_nan_load_diverges_at_once():
     assert err.value.t == 1e-3
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_advance_step_large_residual_with_a_bad_entry_diverges(bad):
+    # a load of 1e300 makes the squares of the residual overflow, which
+    # the norm scales away; one inf or NaN entry among them is still not
+    # finite (in a run's error state)
+    space = build_space(1.0, 8, "uniform(1)")
+    load = np.full(space.n_dofs, 1e300)
+    load[4] = bad
+    with pytest.raises(NewtonDivergedError, match="not finite") as err, \
+            np.errstate(over="ignore", invalid="ignore"):
+        advance_step(zero_state(space.n_dofs), 1e-3,
+                     HhtParams(alpha=-0.05, dt=1e-3).kernel(space, P12),
+                     NEWTON, load=load)
+    assert err.value.iters == 0
+
+
+def test_interior_norm_scales_only_a_finite_residual_that_overflows():
+    norm = integrator._interior_norm
+    assert norm(np.array([np.nan, 3.0, 4.0, np.inf])) == 5.0  # ends dropped
+    with np.errstate(over="ignore", invalid="ignore"):  # a run's
+        assert norm(np.array([0.0, 3e300, -4e300, 0.0])) == pytest.approx(
+            5e300, rel=1e-15)
+        assert norm(np.array([0.0, 1e300, np.inf, 0.0])) == np.inf
+        assert np.isnan(norm(np.array([0.0, 1e300, np.nan, 0.0])))
+        assert norm(np.full(4, 1.5e308)) == np.inf  # beyond the float range
+
+
 def test_advance_step_singular_tangent_diverges(monkeypatch):
     from stresswave import assembly
     space = build_space(1.0, 8, "uniform(1)")
@@ -717,9 +744,9 @@ def test_third_derivative_formed_once_per_tangent(monkeypatch):
     third, step, formed, per_step = (Law.third, integrator.advance_step,
                                      [], [])
 
-    def counting_third(law, late):
+    def counting_third(law, late, *out):
         formed.append(1)
-        return third(law, late)
+        return third(law, late, *out)
 
     def counting_step(*args, **kwargs):
         before = len(formed)
