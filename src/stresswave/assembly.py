@@ -35,7 +35,8 @@ matrices reach it through the table's precomputed scatter index.  The
 two boundary DoFs always carry prescribed values, so the integrator
 solves only the interior block (BandedMatrix.solve with interior=True)
 by direct banded factorization (LAPACK gtsv; gbsv above bandwidth 1 or
-1x1), which above bandwidth 1 factors the kernel's tangent in place.
+1x1).  The kernel assembles its tangent in the storage of the routine
+that factors it, which factors it in place at every bandwidth.
 
 The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
 scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
@@ -101,12 +102,20 @@ class BandedMatrix:
     """Square matrix in diagonal-ordered banded storage.
 
     Entry (i, j) with |i - j| <= bandwidth lives at ab[bandwidth + i - j, j],
-    LAPACK's band layout with kl = ku = bandwidth; assembled matrices store
-    ab column-major, as BLAS reads it.  The storage given may also be
+    LAPACK's band layout with kl = ku = bandwidth; K stores ab
+    column-major, as BLAS reads it.  The storage given may also be
     gbsv's: bandwidth zero rows more on top, for the fill-in of its
-    factorization, with ab the rows below them.  `solve` factors such a
-    matrix in place, and it is spent: its storage then holds the factors.
+    factorization, with ab the rows below them.
+
+    `solve` changes no matrix but one its maker marks spendable (the
+    private `_spendable`): a stage kernel's tangent, at every bandwidth,
+    which the kernel assembles in the storage of the routine that factors
+    it (three C-contiguous rows for gtsv at bandwidth 1, gbsv's storage
+    above).  That routine factors it in place: it is spent by its solve,
+    and its storage then holds the factors.
     """
+
+    _spendable = False
 
     def __init__(self, n: int, bandwidth: int, ab: np.ndarray):
         self.n = n
@@ -123,17 +132,20 @@ class BandedMatrix:
         """x with A x = rhs, or with the interior block of A (without its
         first and last rows and columns); np.linalg.LinAlgError if that is
         singular.  Dropping the end columns of the storage leaves the
-        couplings to the end rows in slots that the solver never reads.
-        In gbsv's storage the (interior) matrix is factored in place; in
-        the band's, a copy with fill-in rows is, and A stays intact."""
+        couplings to the end rows in slots that the solver never reads.  A
+        spendable matrix is factored in place (gtsv's diagonals at
+        bandwidth 1, gbsv's storage above); otherwise the routine factors
+        a copy, one with fill-in rows for gbsv, and A stays intact."""
         n, bw, ab, lab = self.n, self.bandwidth, self.ab, self.lab
+        spend = self._spendable
         if interior:
             n, ab = n - 2, ab[:, 1:-1]
             lab = None if lab is None else lab[:, 1:-1]
         if bw == 1 and n > 1:  # gtsv rejects a 1x1 system's empty bands
-            *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+            *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, spend,
+                                spend, spend)
         else:
-            if lab is None:
+            if lab is None or not spend:
                 lab = np.zeros((3 * bw + 1, n), order="F")  # + fill-in rows
                 lab[bw:] = ab
             *_, x, info = _gbsv(bw, bw, lab, rhs, overwrite_ab=True)
@@ -196,8 +208,10 @@ class StageKernel:
     tangent's band and gbmv's result.  So `pts` are the kernel's arrays,
     valid until its next `residual` (a Newton iterate's tangent reads
     them first); `stage` returns new arrays, which last through a step.
-    Above half-bandwidth 1 the tangent is assembled in gbsv's storage,
-    fill-in rows included, and its interior solve factors it in place.
+    The tangent is assembled in the storage of the routine that factors
+    it and marked spendable (see BandedMatrix), so its interior solve
+    factors it in place.  `worst_node` names, from the node coordinates
+    the kernel holds, where a failing iterate's residual is worst.
 
     On a space of mixed degrees it works on the real quadrature points
     only (the table's padded points weigh 0): `pick` is their flat index
@@ -217,15 +231,20 @@ class StageKernel:
         self.dofs, self.flat_dofs = t.dofs, t.dofs.ravel()
         self.ref, self.ref_t, self.ref_outer = t.ref, t.ref_t, t.ref_outer
         self.K, self.gbmv = assemble_stiffness(space), _gbmv_for(n, bw)
-        # the tangent's storage: above bandwidth 1 gbsv's, whose top bw
-        # rows hold the fill-in of its factorization
-        fill = bw if bw > 1 else 0
-        rows = 2 * bw + 1 + fill
+        # the tangent's storage, that of the routine that factors it: at
+        # bandwidth 1 gtsv's three diagonals, each a C-contiguous row;
+        # above, gbsv's column-major band, whose top bw rows hold the
+        # fill-in of its factorization
+        fill, self.order = (0, "C") if bw == 1 else (bw, "F")
+        self.shape = (2 * bw + 1 + fill, n)
         col, row = np.divmod(t.scatter, 2 * bw + 1)
-        self.scatter, self.band = col * rows + fill + row, rows * n
-        self.cK = np.zeros((rows, n), order="F")  # as the band: column-major
+        self.scatter = np.ravel_multi_index((row + fill, col), self.shape,
+                                            order=self.order)
+        self.band = self.shape[0] * n
+        self.cK = np.zeros(self.shape, order=self.order)
         self.cK[fill:] = c * self.K.ab
         self.rho_wj, self.x_q, self.pick = p.rho * t.wj, t.x_q, None
+        self.x_nodes = space.dof_coords
         shape = t.x_q.shape
         if t.pick is not None:  # mixed degrees: the real points only
             real = np.flatnonzero(t.weights)  # padded points weigh 0
@@ -301,6 +320,15 @@ class StageKernel:
                        rest)
         return (sigd_q, sigd2, sdd_q, fp, fpp, late), R
 
+    def worst_node(self, R: np.ndarray) -> float:
+        """The x of the interior node where the residual R is worst: its
+        first entry that is not finite, else its largest |R|.  Formed for
+        a failing Newton iterate's message only."""
+        r = R[1:-1]
+        bad = ~np.isfinite(r)
+        i = np.argmax(bad) if bad.any() else np.argmax(np.abs(r))
+        return float(self.x_nodes[1 + i])
+
     def tangent(self, pts: tuple) -> BandedMatrix:
         """dR/d(Sdd) = M + c_dot C_nl + c (K + K_sig) at the stage values
         `pts` of `residual`, forming eps''' from them."""
@@ -321,6 +349,8 @@ class StageKernel:
             h = self.block
         h.dot(self.ref_outer, self.te)
         ab = np.bincount(self.scatter, self.te_flat,
-                         self.band).reshape(self.n, -1).T
+                         self.band).reshape(self.shape, order=self.order)
         ab += self.cK
-        return BandedMatrix(self.n, self.bw, ab)
+        tangent = BandedMatrix(self.n, self.bw, ab)
+        tangent._spendable = True
+        return tangent

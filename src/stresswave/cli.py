@@ -161,13 +161,17 @@ def cmd_mms(args, kind: str) -> int:
     return 0
 
 
-def _sweep_member(mapping: dict, b: float, a: float, out_dir: str) -> dict:
+def _sweep_member(mapping: dict, b: float, a: float, out_dir: str) -> tuple:
+    """(label, the run's metrics or its solver failure) of one member."""
     config = parse_config({**mapping,
                            "material": {**mapping["material"], "b": b, "a": a}})
     label = f"b{b:g}_a{a:g}"
-    metrics = run_scenario(config, Path(out_dir) / label)
+    try:
+        metrics = run_scenario(config, Path(out_dir) / label)
+    except (HyperbolicityError, NewtonDivergedError) as exc:
+        return label, exc
     metrics["label"] = label
-    return metrics
+    return label, metrics
 
 
 def cmd_sweep(args) -> int:
@@ -186,13 +190,14 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     jobs = min(args.jobs, len(members))
     if jobs == 1:
-        results = [_sweep_member(base, b, a, str(out)) for b, a in members]
+        outcomes = [_sweep_member(base, b, a, str(out)) for b, a in members]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_sweep_member, base, b, a, str(out))
                        for b, a in members]
-            results = [f.result() for f in futures]
+            outcomes = [f.result() for f in futures]
+    results = [r for _, r in outcomes if isinstance(r, dict)]
 
     summary = out / "sweep_summary.csv"
     with open(summary, "w") as fh:
@@ -206,7 +211,10 @@ def cmd_sweep(args) -> int:
         _say(args, f"{r['label']:>10}: max|c-1| = {r['max_abs_c_minus_1']:.3e}, "
                    f"max Newton iters = {r['max_newton_iters']}")
     _say(args, f"summary written to {summary}")
-    return 0
+    failed = [(label, r) for label, r in outcomes if not isinstance(r, dict)]
+    for label, exc in failed:
+        print(f"solver failure: sweep member {label}: {exc}", file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_fit(args) -> int:

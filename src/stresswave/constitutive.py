@@ -131,22 +131,20 @@ def _arrays(s: np.ndarray, out: list | None, k: int) -> list:
     return out if out is not None else [np.empty_like(s) for _ in range(k)]
 
 
-def _ones(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    out.fill(1.0)  # x ** 0 is 1 for every x, NaN included
-    return out
-
-
 # the exponents that ndarray ** e takes by another ufunc than np.power
-# (fast_scalar_power, numpy/_core/src/multiarray/number.c)
-_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive,
-                -1.0: np.reciprocal, 0.0: _ones}
+# (fast_scalar_power, numpy/_core/src/multiarray/number.c), less the
+# identities 1 and 0, which `_power` forms by no call
+_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, -1.0: np.reciprocal,
+                1.0: lambda x, out: x, 0.0: lambda x, out: None}
 
 
 def _power(e: float):
-    """The function (x, out) that writes x ** e into out and returns it,
-    by the ufunc that ndarray ** e calls for a float e, so bit for bit:
-    square, sqrt, positive, reciprocal or ones for e = 2, 0.5, 1, -1 or
-    0, np.power otherwise.  A direct call costs less than the operator."""
+    """The function (x, out) that returns x ** e as ndarray ** e gives it
+    for a float e, bit for bit: written into out by the ufunc that
+    operator calls (square, sqrt or reciprocal for e = 2, 0.5 or -1,
+    np.power otherwise), except the identity powers, which form nothing:
+    x itself for e = 1, and None, the factor 1, for e = 0.  A direct call
+    costs less than the operator."""
     return _FAST_POWERS.get(e) or (lambda x, out: np.power(x, e, out))
 
 
@@ -159,7 +157,12 @@ class Law:
     caller's error state: a run's one scope, or _evaluate's.  compliance,
     derivatives and third write each value, by one ufunc call with
     positional out (powers by `_power`), into arrays the caller passes
-    (the stage kernel's) or into new ones.
+    (the stage kernel's) or into new ones.  They form no identity power
+    and multiply by none: w is b|s| itself for a = 1, eps'' is g sign(s)
+    for a = 1 and s g for a = 2, and r = |s|^(a-2) is the |s| array for
+    a = 3 and is not formed for a = 2, where eps''' is g ((a-1) - (a+2) w)
+    / D.  Each drops a factor 1 from a product, so every bit is that of
+    the full form.
     """
 
     def __init__(self, p: MaterialParams):
@@ -189,9 +192,9 @@ class Law:
     def derivatives(self, s: np.ndarray, out: list | None = None) -> tuple:
         """(eps', eps'', min(eps'), late) of s.  The min is the saturation
         guard's (1.0 for b = 0); `late` holds the factors that `third` forms
-        eps''' from, and only that needs the regularized |s| (reg) for
-        1 <= a < 2.  reg_eta^2 is a float64: a width whose square overflows
-        gives reg = inf and 0 for its powers.  Every array is written into
+        eps''' from (r None for a = 2), and only that needs the regularized
+        |s| (reg) for 1 <= a < 2.  reg_eta^2 is a float64: a width whose
+        square overflows gives reg = inf and 0 for its powers.  Every array is written into
         `out`, eight arrays of the shape of s (|s|, w, D, eps', g, r, eps''
         and a scratch), or into new ones (None)."""
         mag, w, d, fp, g, r, fpp, tmp = _arrays(s, out, 8)
@@ -203,13 +206,19 @@ class Law:
         np.multiply(self.g, fp, g)
         g /= d
         if self.a >= 2.0:  # reg = |s|: r = |s|^(a-2) serves both orders
-            np.multiply(s, self.pow_e2(mag, r), fpp)
-            fpp *= g
+            r = self.pow_e2(mag, r)  # None (1) for a = 2, |s| for a = 3
+            if r is None:
+                np.multiply(s, g, fpp)
+            else:
+                np.multiply(s, r, fpp)
+                fpp *= g
         else:  # r = reg for a < 1; formed late for a >= 1
             r = self.regularized(s, r) if self.a < 1.0 else None
-            self.pow_e1(mag if r is None else r, fpp)
-            fpp *= g
-            fpp *= np.sign(s, tmp)
+            if self.pow_e1(mag if r is None else r, fpp) is None:  # a = 1
+                np.multiply(g, np.sign(s, tmp), fpp)
+            else:
+                fpp *= g
+                fpp *= np.sign(s, tmp)
         # argmin costs less than a min reduction; it too finds a NaN
         fp_min = fp.item(fp.argmin()) if fp.size else np.inf
         if not fp_min > 0.0:  # saturated: w = inf, eps' = 0
@@ -233,12 +242,16 @@ class Law:
             fppp.fill(0.0)
             return fppp
         s, g, w, d, fp_min, r = late
-        if self.a < 2.0:
-            r = self.pow_e2(self.regularized(s, tmp) if r is None else r, tmp)
-        np.multiply(g, r, fppp)
+        if self.a < 2.0:  # r = reg^(a-2), formed in fppp
+            r = self.pow_e2(self.regularized(s, fppp) if r is None else r,
+                            fppp)
         np.multiply(self.ap2, w, tmp)
         np.subtract(self.am1, tmp, tmp)
-        fppp *= tmp
+        if r is None:  # a = 2: the factor |s|^0 = 1 is not formed
+            np.multiply(g, tmp, fppp)
+        else:
+            np.multiply(g, r, fppp)
+            fppp *= tmp
         fppp /= d
         if not fp_min > 0.0:
             fppp[np.isinf(w)] = 0.0

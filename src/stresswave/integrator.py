@@ -219,13 +219,24 @@ class NewtonReport:
 
 
 class NewtonDivergedError(RuntimeError):
-    """Newton failed to reach tolerance within k_max iterations."""
+    """Newton failed to reach tolerance within k_max iterations.
 
-    def __init__(self, message: str, t: float, iters: int, history: list):
+    `x` is the node that the message names, where the last residual is
+    worst (None: none named).  It pickles with its fields, so a process
+    pool hands it back whole.
+    """
+
+    def __init__(self, message: str, t: float, iters: int, history: list,
+                 x: float | None = None):
         super().__init__(message)
         self.t = t
         self.iters = iters
         self.history = history
+        self.x = x
+
+    def __reduce__(self):
+        return type(self), (str(self), self.t, self.iters, self.history,
+                            self.x)
 
 
 def _interior_norm(R: np.ndarray) -> float:
@@ -255,7 +266,8 @@ def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
     (1+alpha) L_{n+1} - alpha L_n (0.0 means none).  The boundary
     accelerations are fixed before the first iterate, so Newton updates
     only the interior DoFs, in place in the next state's acceleration row.
-    A HyperbolicityError names t_next.
+    A HyperbolicityError names t_next, and a NewtonDivergedError that
+    gave up on the residual names it and the node where that is worst.
     """
     kernel, (Cp, Cs, corr, _, _) = stepper
     pred = Cp.dot(state_n.X)  # pred, pred_dot
@@ -273,18 +285,20 @@ def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
     while True:
         r_norm = history[-1]
         if not math.isfinite(r_norm):
+            x = kernel.worst_node(R)
             raise NewtonDivergedError(
                 f"Newton residual is not finite (overflow or NaN) at "
-                f"t={t_next:.6g} after {iters} iterations",
-                t=t_next, iters=iters, history=history)
+                f"t={t_next:.6g}, x={x:.6g} after {iters} iterations",
+                t=t_next, iters=iters, history=history, x=x)
         if iters >= 1 and r_norm <= threshold:
             break
         if iters >= newton.k_max:
+            x = kernel.worst_node(R)
             raise NewtonDivergedError(
-                f"Newton did not converge at t={t_next:.6g}: "
+                f"Newton did not converge at t={t_next:.6g}, x={x:.6g}: "
                 f"|R|={r_norm:.3e} after {iters} iterations "
                 f"(threshold {threshold:.3e})",
-                t=t_next, iters=iters, history=history)
+                t=t_next, iters=iters, history=history, x=x)
         try:
             sdd[1:-1] -= kernel.tangent(pts).solve(R[1:-1], interior=True)
         except np.linalg.LinAlgError as exc:

@@ -98,6 +98,40 @@ def test_banded_solve_matches_dense():
     np.testing.assert_allclose(A.to_dense() @ x, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("bw", [1, 3])
+def test_solve_leaves_the_band_it_is_given_unchanged(bw):
+    # only a stage kernel's tangent is spent by its solve: K's band and a
+    # band built by hand keep every bit, solved whole or by their interior
+    B, _, rng = _random_banded(12, bw, seed=bw)
+    K = assemble_stiffness(build_space(1.0, 6, f"uniform({bw})"))
+    for A, whole in ((B, True), (B, False), (K, False)):
+        before = A.ab.copy()
+        A.solve(rng.normal(size=A.n if whole else A.n - 2), interior=not whole)
+        assert A.ab.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["uniform(1)", "uniform(3)",
+                                    "center_graded"])
+def test_kernel_tangent_is_spent_by_its_solve_to_the_bits_of_a_copy(policy):
+    # the kernel's tangent, in the storage of the routine that factors it
+    # (gtsv's three C-contiguous rows at bandwidth 1), is factored in
+    # place, and solves to the bits of a solve of a copy of its band
+    space = build_space(1.0, 10, policy)
+    base, base_dot, sdd, load = _stage_data(space, 7)
+    kernel = StageKernel(space, MaterialParams(rho=1.3, b=5.0, a=1.5), *_STEP)
+    with _run_scope():
+        pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
+        tangent = kernel.tangent(pts)
+    band = tangent.ab.copy()
+    want = BandedMatrix(tangent.n, tangent.bandwidth, band).solve(
+        R[1:-1], interior=True)
+    assert band.tobytes() == tangent.ab.tobytes()
+    got = tangent.solve(R[1:-1], interior=True)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert tangent.ab.tobytes() != band.tobytes()  # it holds the factors
+    assert tangent.ab.flags.c_contiguous == (space.bandwidth == 1)
+
+
 def test_missing_scipy_linalg_extension_names_its_directory():
     with pytest.raises(ImportError, match=r"_nonexistent in .*scipy.linalg"):
         _scipy_linalg_extension("_nonexistent")

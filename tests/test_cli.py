@@ -229,19 +229,35 @@ newton: {tol: 1.0e-12, k_max: 1}
                  "--out", str(tmp_path / "o"), "--quiet"]) == 3
 
 
+def test_newton_failure_names_the_node_of_the_largest_residual(tmp_path,
+                                                               capsys):
+    # a = 0.5 stalls Newton at t = 0.459 on the default 128 cells; the
+    # largest interior |R| is then at node 45, at the front
+    cfg = _write(tmp_path, "low_a.yaml",
+                 "material: {b: 1.0, a: 0.5}\ntime: {t_final: 0.5}\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "solver failure: Newton did not converge at t=0.459, x=0.351562: "
+        "|R|=4.052e-09 after 20 iterations (threshold 7.850e-12)"]
+
+
 @pytest.mark.parametrize("text", [
     "material: {b: 1.0e308}",
     "material: {b: 0.0}\ndrive: {A: 1.0e300}",
 ])
 def test_overflow_exits_3_naming_the_time(tmp_path, capsys, text):
     # RuntimeWarning is an error under Tier-1, so an overflow warning
-    # escaping the run would end it with a traceback instead
+    # escaping the run would end it with a traceback instead.  The line
+    # names the first node whose residual is not finite: b = 1e308 makes
+    # every one overflow, the drive only the one next to x = L
     cfg = _write(tmp_path, "run.yaml", text + "\n")
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    x = "0.992188" if "drive" in text else "0.0078125"
     assert capsys.readouterr().err.splitlines() == [
         "solver failure: Newton residual is not finite (overflow or NaN) "
-        "at t=0.001 after 0 iterations"]
+        f"at t=0.001, x={x} after 0 iterations"]
 
 
 @pytest.mark.parametrize("text, kept", [
@@ -399,6 +415,39 @@ output: {snapshot_interval: 0.05, samples: 32}
     rows = (out1 / "sweep_summary.csv").read_text().strip().splitlines()[1:]
     devs = [float(r.split(",")[3]) for r in rows]
     assert devs == sorted(devs) and devs[0] < devs[-1]
+
+
+SWEEP_FAILURES = {
+    # the a-grid members lose hyperbolicity under a huge drive
+    "drive": ("material: {b: 0.0}\ndrive: {A: 1.0e100}\n",
+              ["b0_a1.5", "b1_a1.5", "b5_a1.5", "b10_a1.5"],
+              ["b1_a3", "b1_a5", "b1_a10"]),
+    # one Newton iteration is too few for the a = 1.5 members with b > 0
+    "k_max": ("material: {b: 0.0}\nnewton: {k_max: 1}\n",
+              ["b0_a1.5", "b1_a3", "b1_a5", "b1_a10"],
+              ["b1_a1.5", "b5_a1.5", "b10_a1.5"]),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(SWEEP_FAILURES))
+def test_sweep_keeps_the_members_that_finish(tmp_path, capsys, case, jobs):
+    # every member runs; the summary holds the finished ones in grid
+    # order, and each failed one gets a line naming it, with exit 3.  With
+    # two jobs the solver failures come back through the process pool
+    text, finished, failed = SWEEP_FAILURES[case]
+    cfg = _write(tmp_path, "base.yaml", text + "mesh: {n_cells: 16}\n"
+                 "time: {t_final: 0.005}\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--jobs", jobs,
+                 "--out", str(out), "--quiet"]) == 3
+    rows = (out / "sweep_summary.csv").read_text().splitlines()
+    assert rows[0].startswith("label,b,a,")
+    assert [r.split(",")[0] for r in rows[1:]] == finished
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in err] == [
+        f" sweep member {label}" for label in failed]
+    assert all(line.startswith("solver failure: ") for line in err)
 
 
 def _recording_pool(monkeypatch):

@@ -336,6 +336,7 @@ def test_late_third_derivative_equals_eager_form(b, a, reg_eta):
     for k in range(3):
         assert np.all(np.isfinite(got[k])) and np.all(got[k] == ref[k])
     _assert_same_into_given_arrays(sigma, p, got)
+    _assert_same_into_given_arrays(sigma, p, ref)  # signs of zero too
     # a float takes the array loop: equal to its entry of the array result
     for i in (0, 1, 50, -1):
         assert derivatives(float(sigma[i]), p) == tuple(float(g[i]) for g in got)

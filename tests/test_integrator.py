@@ -286,6 +286,19 @@ def test_advance_step_singular_tangent_diverges(monkeypatch):
     assert err.value.t == 1e-3
 
 
+def test_solver_errors_pickle_with_their_fields():
+    # a process pool hands a sweep member's failure back by pickle
+    import pickle
+    errors = [NewtonDivergedError("m", t=0.5, iters=3, history=[1.0, 0.5],
+                                  x=0.25),
+              NewtonDivergedError("m", t=0.0, iters=0, history=[]),
+              HyperbolicityError("h", sigma=2.0, x=0.75, t=0.125)]
+    for exc in errors:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+
 def test_hyperbolicity_failure_names_its_time():
     # the stage guard's error carries the step's time, and 0 for the t = 0
     # balance; saturated stresses (w = inf) give eps' = 0 everywhere
