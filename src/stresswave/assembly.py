@@ -32,11 +32,11 @@ integrand is written into the real slots of the kernel's degree-block
 array, whose padded slots stay zero.  All matrices are stored in
 LAPACK banded form (half-bandwidth = max cell degree); element
 matrices reach it through the table's precomputed scatter index.  The
-two boundary DoFs always carry prescribed values, so the integrator
-solves only the interior block (BandedMatrix.solve with interior=True)
-by direct banded factorization (LAPACK gtsv; gbsv above bandwidth 1 or
-1x1).  The kernel assembles its tangent in the storage of the routine
-that factors it, which factors it in place at every bandwidth.
+two boundary DoFs always carry prescribed values, so a Newton update
+solves only the interior block, by direct banded factorization (LAPACK
+gtsv; gbsv above bandwidth 1 or 1x1).  The kernel writes its tangent
+into a band of its own, in the storage of that routine, which factors
+it in place; BandedMatrix.solve shares the routine and factors a copy.
 
 The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
 scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
@@ -82,20 +82,40 @@ _gtsv, _gbsv = _flapack.dgtsv, _flapack.dgbsv
 _gbmv = _scipy_linalg_extension("_fblas").dgbmv
 
 
-def _dense_gbmv(m, n, kl, ku, alpha, a, x, incx=1, offx=0, beta=0.0,
-                y=None):
-    """alpha A x + beta y as _gbmv(m, n, kl, ku, alpha, a, x, incx, offx,
-    beta, y) gives it for a square A (kl = ku, incx 1, offx 0), through
-    the dense matrix."""
-    ax = alpha * (BandedMatrix(n, ku, a).to_dense() @ x)
-    return ax if y is None else ax + beta * y
+class SingularMatrixError(np.linalg.LinAlgError):
+    """A band factorization met an exactly zero pivot (LAPACK's 1-based
+    `pivot`) in the column of the system solved whose node is at `x`."""
+
+    def __init__(self, pivot: int, x: float | None):
+        super().__init__(f"singular matrix (zero pivot {pivot})")
+        self.x = x
 
 
-def _gbmv_for(n: int, bw: int):
-    """_gbmv for n x n band matrices of half-bandwidth bw, or _dense_gbmv
-    below the size the gbmv wrapper accepts (n < 2 bw + 1), which only
-    hand-built spaces have."""
-    return _gbmv if n >= 2 * bw + 1 else _dense_gbmv
+def _operands(ab: np.ndarray) -> tuple:
+    """The operands of the routine that factors A in its storage ab: gtsv's
+    three diagonals from three rows in band layout, or (bw, ab) for gbsv's
+    3 bw + 1 rows, whose top bw rows take the fill-in."""
+    if len(ab) == 3:
+        return ab[2, :-1], ab[1], ab[0, 1:]
+    return (len(ab) - 1) // 3, ab
+
+
+def _band_solve(operands: tuple, rhs: np.ndarray, overwrite: bool,
+                nodes: np.ndarray | None = None) -> np.ndarray:
+    """x with A x = rhs, A given by its `_operands`.  `overwrite`: factor A
+    in place, its storage then holding the factors, and write x into rhs.
+    SingularMatrixError at a zero pivot, naming its node from `nodes`,
+    the x of each column (None: no x)."""
+    if len(operands) == 3:
+        *_, x, info = _gtsv(*operands, rhs, overwrite, overwrite, overwrite,
+                            overwrite)
+    else:
+        bw, ab = operands
+        *_, x, info = _gbsv(bw, bw, ab, rhs, overwrite, overwrite)
+    if info > 0:
+        raise SingularMatrixError(
+            info, None if nodes is None else float(nodes[info - 1]))
+    return x
 
 
 class BandedMatrix:
@@ -103,63 +123,34 @@ class BandedMatrix:
 
     Entry (i, j) with |i - j| <= bandwidth lives at ab[bandwidth + i - j, j],
     LAPACK's band layout with kl = ku = bandwidth; K stores ab
-    column-major, as BLAS reads it.  The storage given may also be
-    gbsv's: bandwidth zero rows more on top, for the fill-in of its
-    factorization, with ab the rows below them.
-
-    `solve` changes no matrix but one its maker marks spendable (the
-    private `_spendable`): a stage kernel's tangent, at every bandwidth,
-    which the kernel assembles in the storage of the routine that factors
-    it (three C-contiguous rows for gtsv at bandwidth 1, gbsv's storage
-    above).  That routine factors it in place: it is spent by its solve,
-    and its storage then holds the factors.
+    column-major, as BLAS reads it.  `solve` changes no matrix: it factors
+    a copy.
     """
-
-    _spendable = False
 
     def __init__(self, n: int, bandwidth: int, ab: np.ndarray):
         self.n = n
         self.bandwidth = bandwidth
-        self.lab = ab if len(ab) == 3 * bandwidth + 1 else None
-        self.ab = ab if self.lab is None else ab[bandwidth:]
+        self.ab = ab
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x, one BLAS gbmv."""
+        """A x, one BLAS gbmv; n >= 2 bandwidth + 1, as for the matrices
+        of every space (the least size the gbmv wrapper accepts)."""
         n, bw = self.n, self.bandwidth
-        return _gbmv_for(n, bw)(n, n, bw, bw, 1.0, self.ab, x)
+        return _gbmv(n, n, bw, bw, 1.0, self.ab, x)
 
     def solve(self, rhs: np.ndarray, interior: bool = False) -> np.ndarray:
         """x with A x = rhs, or with the interior block of A (without its
         first and last rows and columns); np.linalg.LinAlgError if that is
         singular.  Dropping the end columns of the storage leaves the
-        couplings to the end rows in slots that the solver never reads.  A
-        spendable matrix is factored in place (gtsv's diagonals at
-        bandwidth 1, gbsv's storage above); otherwise the routine factors
-        a copy, one with fill-in rows for gbsv, and A stays intact."""
-        n, bw, ab, lab = self.n, self.bandwidth, self.ab, self.lab
-        spend = self._spendable
+        couplings to the end rows in slots that the solver never reads.
+        gtsv, or gbsv above bandwidth 1 and for a 1x1 system (whose empty
+        bands gtsv rejects), factors a copy."""
+        bw, ab = self.bandwidth, self.ab
         if interior:
-            n, ab = n - 2, ab[:, 1:-1]
-            lab = None if lab is None else lab[:, 1:-1]
-        if bw == 1 and n > 1:  # gtsv rejects a 1x1 system's empty bands
-            *_, x, info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, spend,
-                                spend, spend)
-        else:
-            if lab is None or not spend:
-                lab = np.zeros((3 * bw + 1, n), order="F")  # + fill-in rows
-                lab[bw:] = ab
-            *_, x, info = _gbsv(bw, bw, lab, rhs, overwrite_ab=True)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
-        return x
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            lo, hi = max(0, i - self.bandwidth), min(self.n, i + self.bandwidth + 1)
-            for j in range(lo, hi):
-                out[i, j] = self.ab[self.bandwidth + i - j, j]
-        return out
+            ab = ab[:, 1:-1]
+        if bw > 1 or ab.shape[1] == 1:  # gbsv, with its fill-in rows
+            ab = np.concatenate((np.zeros((bw, ab.shape[1])), ab))
+        return _band_solve(_operands(ab), rhs, False)
 
 
 def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
@@ -196,22 +187,26 @@ class StageKernel:
     forms its elastic term K base - load, once per step; it carries the
     step's time, which the guard's HyperbolicityError names.  `residual` then
     evaluates the stage of one Sdd at the points, law included, and
-    returns (pts, R); `tangent(pts)` is the BandedMatrix dR/dSdd at those
-    stage values, and the only reader of eps'''.  c = c_dot = 0 is the
+    returns (pts, R); `band(pts)` writes dR/dSdd at those stage values
+    into the kernel's band, the only reader of eps'''; `solve(pts, r)`
+    factors its interior in place to the Newton update, and
+    `tangent(pts)` copies it out as a BandedMatrix.  c = c_dot = 0 is the
     t = 0 balance, whose tangent is the mass matrix M(S).
 
     The kernel holds the space's flat DoF index, reference blocks and
     scatter index, K's band and c K, rho wj, the material's Law and c,
     c_dot and 2 c_dot as 0-d arrays, and owns an array for every value
-    that `residual` and `tangent` form at the points or per cell, which
-    each operation writes into: an iterate allocates only R, the
-    tangent's band and gbmv's result.  So `pts` are the kernel's arrays,
-    valid until its next `residual` (a Newton iterate's tangent reads
-    them first); `stage` returns new arrays, which last through a step.
-    The tangent is assembled in the storage of the routine that factors
-    it and marked spendable (see BandedMatrix), so its interior solve
-    factors it in place.  `worst_node` names, from the node coordinates
-    the kernel holds, where a failing iterate's residual is worst.
+    that `residual` and `band` form at the points or per cell, which each
+    operation writes into, and the band itself: an iterate allocates only
+    R, gbmv's result and the tangent's bincount, and its update
+    overwrites r.  So `pts` are the kernel's arrays, valid until its next
+    `residual` (a Newton iterate's tangent reads them first); `stage`
+    returns new arrays, which last through a step.  The band is in the
+    storage of the routine that factors it (gtsv's three C-contiguous
+    rows at bandwidth 1, gbsv's column-major rows above), whose operands
+    for the interior block are views bound once.  `worst_node` names,
+    from the node coordinates the kernel holds, where a failing iterate's
+    residual is worst, and a zero pivot's SingularMatrixError its node.
 
     On a space of mixed degrees it works on the real quadrature points
     only (the table's padded points weigh 0): `pick` is their flat index
@@ -230,21 +225,24 @@ class StageKernel:
         n, bw = self.n, self.bw = space.n_dofs, space.bandwidth
         self.dofs, self.flat_dofs = t.dofs, t.dofs.ravel()
         self.ref, self.ref_t, self.ref_outer = t.ref, t.ref_t, t.ref_outer
-        self.K, self.gbmv = assemble_stiffness(space), _gbmv_for(n, bw)
-        # the tangent's storage, that of the routine that factors it: at
-        # bandwidth 1 gtsv's three diagonals, each a C-contiguous row;
-        # above, gbsv's column-major band, whose top bw rows hold the
-        # fill-in of its factorization
-        fill, self.order = (0, "C") if bw == 1 else (bw, "F")
-        self.shape = (2 * bw + 1 + fill, n)
+        self.K = assemble_stiffness(space)
+        # the band's storage, that of the routine that factors its interior:
+        # gtsv's three C-contiguous rows at bandwidth 1, else (and for the
+        # 1x1 interior of two linear cells) gbsv's, with bw fill-in rows
+        self.fill, order = (0, "C") if bw == 1 and n > 3 else (bw, "F")
+        shape = (2 * bw + 1 + self.fill, n)
         col, row = np.divmod(t.scatter, 2 * bw + 1)
-        self.scatter = np.ravel_multi_index((row + fill, col), self.shape,
-                                            order=self.order)
-        self.band = self.shape[0] * n
-        self.cK = np.zeros(self.shape, order=self.order)
-        self.cK[fill:] = c * self.K.ab
+        self.scatter = np.ravel_multi_index((row + self.fill, col), shape,
+                                            order=order)
+        cK = np.zeros(shape, order=order)
+        cK[self.fill:] = c * self.K.ab
+        # the band (and flat, in its order), and the operands of its interior
+        self.ab = np.empty_like(cK)
+        self.ab_flat, self.cK_flat = (a.reshape(-1, order=order)
+                                      for a in (self.ab, cK))
+        self.interior = _operands(self.ab[:, 1:-1])
         self.rho_wj, self.x_q, self.pick = p.rho * t.wj, t.x_q, None
-        self.x_nodes = space.dof_coords
+        self.x_inner = space.dof_coords[1:-1]
         shape = t.x_q.shape
         if t.pick is not None:  # mixed degrees: the real points only
             real = np.flatnonzero(t.weights)  # padded points weigh 0
@@ -279,7 +277,7 @@ class StageKernel:
         if self.pick is not None:
             q = [v.ravel()[self.pick] for v in q]
         n, bw = self.n, self.bw
-        rest = self.gbmv(n, n, bw, bw, 1.0, self.K.ab, base)
+        rest = _gbmv(n, n, bw, bw, 1.0, self.K.ab, base)
         rest -= load
         return q[0], q[1], rest, t
 
@@ -316,8 +314,7 @@ class StageKernel:
         h.dot(self.ref, self.fe)
         n, bw = self.n, self.bw
         R = np.bincount(self.flat_dofs, self.fe_flat, n)
-        R += self.gbmv(n, n, bw, bw, self.c_scale, self.K.ab, sdd, 1, 0, 1.0,
-                       rest)
+        R += _gbmv(n, n, bw, bw, self.c_scale, self.K.ab, sdd, 1, 0, 1.0, rest)
         return (sigd_q, sigd2, sdd_q, fp, fpp, late), R
 
     def worst_node(self, R: np.ndarray) -> float:
@@ -327,11 +324,12 @@ class StageKernel:
         r = R[1:-1]
         bad = ~np.isfinite(r)
         i = np.argmax(bad) if bad.any() else np.argmax(np.abs(r))
-        return float(self.x_nodes[1 + i])
+        return float(self.x_inner[i])
 
-    def tangent(self, pts: tuple) -> BandedMatrix:
+    def band(self, pts: tuple) -> np.ndarray:
         """dR/d(Sdd) = M + c_dot C_nl + c (K + K_sig) at the stage values
-        `pts` of `residual`, forming eps''' from them."""
+        `pts` of `residual`, forming eps''' from them, written into the
+        kernel's band `ab` (the storage of the routine that factors it)."""
         sigd_q, sigd2, sigdd_q, fp, fpp, late = pts
         h, k_sig = self.h, self.k_sig
         np.multiply(self.c_dot2, fpp, h)
@@ -348,9 +346,17 @@ class StageKernel:
             self.block_flat[self.pick] = h
             h = self.block
         h.dot(self.ref_outer, self.te)
-        ab = np.bincount(self.scatter, self.te_flat,
-                         self.band).reshape(self.shape, order=self.order)
-        ab += self.cK
-        tangent = BandedMatrix(self.n, self.bw, ab)
-        tangent._spendable = True
-        return tangent
+        np.add(np.bincount(self.scatter, self.te_flat, self.ab_flat.size),
+               self.cK_flat, self.ab_flat)
+        return self.ab
+
+    def tangent(self, pts: tuple) -> BandedMatrix:
+        """A copy of band(pts) as a BandedMatrix."""
+        return BandedMatrix(self.n, self.bw, self.band(pts)[self.fill:].copy())
+
+    def solve(self, pts: tuple, r: np.ndarray) -> np.ndarray:
+        """x with T x = r, T the interior block of the tangent at `pts`:
+        the Newton update, written into the contiguous r, with the band
+        factored in place; SingularMatrixError names a zero pivot's node."""
+        self.band(pts)
+        return _band_solve(self.interior, r, True, self.x_inner)

@@ -12,11 +12,11 @@ Method, 2000, ch. 9):
     pred_dot = Sd_n + (1 - gamma) dt Sdd_n
 
 with beta = (1 - alpha)^2 / 4 and gamma = 1/2 - alpha derived from the
-dissipation parameter alpha in [-1/3, 0].  Each HhtParams holds two 2x3
-coefficient matrices (HhtParams.newmark): one product with X_n gives the
-predictor and its rate, the other the two stage bases below, and the
-next state is written into a fresh X as pred + beta dt^2 Sdd and
-pred_dot + gamma dt Sdd.  Stress Dirichlet data at the two boundary
+dissipation parameter alpha in [-1/3, 0].  Each HhtParams holds one 4x3
+coefficient matrix (HhtParams.newmark): one product with X_n gives the
+predictor, its rate and the two stage bases below, and the next state
+is written into a fresh X as pred + beta dt^2 Sdd and pred_dot +
+gamma dt Sdd.  Stress Dirichlet data at the two boundary
 nodes is enforced exactly: before Newton starts, each boundary
 acceleration is set from the predictor row to the value whose corrector
 hits the prescribed stress, and every Newton update then solves only the
@@ -62,7 +62,7 @@ stage weighting:
 with C_nl and K_sig the stage integrals of assembly.  Both come from one
 assembly.StageKernel per step size, which run_simulation builds by
 HhtParams.kernel before its first step (dt) and at a short last step,
-together with that size's Newmark pair, and hands to advance_step; the
+together with that size's Newmark matrix, and hands to advance_step; the
 t = 0 balance has its own at c = c_dot = 0, whose tangent is the mass
 matrix M(S0) that initial_acceleration solves.  The kernel binds every
 per-run constant once.  A step forms its bases, their values at the
@@ -70,8 +70,8 @@ quadrature points and its elastic term K base - L once.  Each
 Newton iterate is then array operations only: it interpolates its
 acceleration, evaluates the law at the points once for both residual and
 tangent (eps''' only in a tangent), adds c K Sdd_{n+1} to the elastic
-term in one BLAS gbmv and solves the tangent's interior block, all in
-the one error-state scope of run_simulation.
+term in one BLAS gbmv and factors the tangent's interior block in the
+kernel's own band, all in the one error-state scope of run_simulation.
 """
 from __future__ import annotations
 
@@ -98,7 +98,7 @@ NEWTON_ABS_FLOOR = 1.0e-12
 
 @dataclass(frozen=True)
 class HhtParams:
-    """Dissipation parameter, step size and the derived Newmark pair."""
+    """Dissipation parameter, step size and the derived Newmark matrix."""
 
     alpha: float
     dt: float
@@ -119,55 +119,42 @@ class HhtParams:
 
     @cached_property
     def newmark(self) -> tuple:
-        """(Cp, Cs, corr, c, c_dot), computed once per instance.
-
-        The read-only 2x3 matrices Cp and Cs take a state's rows (S, Sd,
-        Sdd) to (pred, pred_dot) and to the stage bases (base, base_dot).
-        The read-only column corr = (beta dt^2, gamma dt) adds the next
-        acceleration to the predictors, and c = (1+alpha) beta dt^2,
-        c_dot = (1+alpha) gamma dt to the bases.
-        """
+        """(N, corr), computed once per instance: the read-only 4x3 matrix N
+        takes a state's rows (S, Sd, Sdd) to the predictors and the stage
+        bases (pred, pred_dot, base, base_dot), and the read-only column
+        corr = (beta dt^2, gamma dt) adds the next acceleration to pred and
+        pred_dot."""
         dt, beta, gamma, w = self.dt, self.beta_nm, self.gamma_nm, 1.0 + self.alpha
-        Cp = np.array([[1.0, dt, dt**2 * 0.5 * (1.0 - 2.0 * beta)],
-                       [0.0, 1.0, dt * (1.0 - gamma)]])
-        Cs = np.array([[1.0, w * dt, w * dt**2 * (0.5 - beta)],
-                       [0.0, 1.0, w * dt * (1.0 - gamma)]])
+        N = np.array([[1.0, dt, dt**2 * 0.5 * (1.0 - 2.0 * beta)],
+                      [0.0, 1.0, dt * (1.0 - gamma)],
+                      [1.0, w * dt, w * dt**2 * (0.5 - beta)],
+                      [0.0, 1.0, w * dt * (1.0 - gamma)]])
         corr = np.array([[beta * dt**2], [gamma * dt]])
-        for m in (Cp, Cs, corr):
+        for m in (N, corr):
             m.flags.writeable = False
-        return Cp, Cs, corr, w * beta * dt**2, w * gamma * dt
+        return N, corr
 
     def kernel(self, space: FeSpace, p: MaterialParams) -> tuple:
-        """(kernel, newmark): a new stage kernel of a step of dt on `space`
-        and material `p`, with this step size's Newmark pair, the one value
-        advance_step takes for both."""
-        return assembly.StageKernel(space, p, *self.newmark[3:]), self.newmark
+        """(kernel, newmark), the one value advance_step takes for both: a
+        new stage kernel of a step of dt on `space` and material `p`, at
+        (c, c_dot) = (1+alpha) (beta dt^2, gamma dt), and HhtParams.newmark."""
+        w, dt = 1.0 + self.alpha, self.dt
+        return (assembly.StageKernel(space, p, w * self.beta_nm * dt**2,
+                                     w * self.gamma_nm * dt), self.newmark)
 
 
 class SystemState:
     """Nodal stress, stress rate and stress acceleration at time t.
 
-    The three vectors are the rows of one (3, n) array X, and Sigma,
-    Sigma_dot and Sigma_ddot are views of its rows.  The constructor
-    copies the vectors into a new X; SystemState.stacked keeps a given X.
+    The three vectors are the rows of the (3, n) array X, kept as given;
+    Sigma, Sigma_dot and Sigma_ddot are views of them.
     """
 
     __slots__ = ("t", "X")
 
-    def __init__(self, t: float, Sigma: np.ndarray, Sigma_dot: np.ndarray,
-                 Sigma_ddot: np.ndarray):
-        n = len(Sigma)
-        if len(Sigma_dot) != n or len(Sigma_ddot) != n:
-            raise ValueError("state vectors must share one length")
+    def __init__(self, t: float, X: np.ndarray):
         self.t = t
-        self.X = np.array([Sigma, Sigma_dot, Sigma_ddot], dtype=float)
-
-    @classmethod
-    def stacked(cls, t: float, X: np.ndarray) -> "SystemState":
-        """The state at t whose rows are those of the (3, n) array X."""
-        state = cls.__new__(cls)
-        state.t, state.X = t, X
-        return state
+        self.X = X
 
     @property
     def Sigma(self) -> np.ndarray:
@@ -221,9 +208,9 @@ class NewtonReport:
 class NewtonDivergedError(RuntimeError):
     """Newton failed to reach tolerance within k_max iterations.
 
-    `x` is the node that the message names, where the last residual is
-    worst (None: none named).  It pickles with its fields, so a process
-    pool hands it back whole.
+    `x` is the node that the message names (None: none), where the last
+    residual is worst or a singular tangent's zero pivot is.  It pickles
+    with its fields, so a process pool hands it back whole.
     """
 
     def __init__(self, message: str, t: float, iters: int, history: list,
@@ -263,20 +250,24 @@ def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
 
     `stepper` is HhtParams.kernel of the step length to t_next, `bc` the
     stress at x = L then and `load` the assembled stage load
-    (1+alpha) L_{n+1} - alpha L_n (0.0 means none).  The boundary
-    accelerations are fixed before the first iterate, so Newton updates
-    only the interior DoFs, in place in the next state's acceleration row.
-    A HyperbolicityError names t_next, and a NewtonDivergedError that
-    gave up on the residual names it and the node where that is worst.
+    (1+alpha) L_{n+1} - alpha L_n (0.0 means none).  One product with the
+    Newmark matrix gives the predictors and the stage bases; the boundary
+    accelerations are fixed from the predictor before the first iterate,
+    so Newton updates only the interior DoFs, in place in the next
+    state's acceleration row, and the corrector adds that row to the
+    predictors.  A HyperbolicityError names t_next, and a
+    NewtonDivergedError names it and a node: where the residual it gave
+    up on is worst, or the zero pivot of a singular tangent.
     """
-    kernel, (Cp, Cs, corr, _, _) = stepper
-    pred = Cp.dot(state_n.X)  # pred, pred_dot
+    kernel, (N, corr) = stepper
+    P = N.dot(state_n.X)  # pred, pred_dot, base, base_dot
     X = state_n.X.copy()
     sdd = X[2]
-    k = corr[0, 0]
-    sdd[0] = (0.0 - pred[0, 0]) / k
-    sdd[-1] = (bc - pred[0, -1]) / k
-    stage = kernel.stage(*Cs.dot(state_n.X), load, t_next)
+    k = corr.item(0)
+    sdd[0] = (0.0 - P.item(0)) / k
+    sdd[-1] = (bc - P.item(0, -1)) / k
+    stage = kernel.stage(P[2], P[3], load, t_next)
+    inner = sdd[1:-1]  # the Newton unknowns
     pts, R = kernel.residual(stage, sdd)
     ref_norm = _interior_norm(R)
     threshold = max(newton.tol * ref_norm, NEWTON_ABS_FLOOR)
@@ -300,18 +291,20 @@ def advance_step(state_n: SystemState, t_next: float, stepper: tuple,
                 f"(threshold {threshold:.3e})",
                 t=t_next, iters=iters, history=history, x=x)
         try:
-            sdd[1:-1] -= kernel.tangent(pts).solve(R[1:-1], interior=True)
-        except np.linalg.LinAlgError as exc:
+            inner -= kernel.solve(pts, R[1:-1])
+        except assembly.SingularMatrixError as exc:
             raise NewtonDivergedError(
-                f"Newton tangent is singular at t={t_next:.6g}: {exc}",
-                t=t_next, iters=iters, history=history) from exc
+                f"Newton tangent is singular at t={t_next:.6g}, "
+                f"x={exc.x:.6g}: {exc}",
+                t=t_next, iters=iters, history=history, x=exc.x) from exc
         iters += 1
         pts, R = kernel.residual(stage, sdd)
         history.append(_interior_norm(R))
 
-    np.multiply(corr, sdd, out=X[:2])
-    X[:2] += pred
-    return (SystemState.stacked(t_next, X),
+    S = X[:2]
+    np.multiply(corr, sdd, S)
+    S += P[:2]
+    return (SystemState(t_next, X),
             NewtonReport(iters=iters, history=history))
 
 
@@ -330,10 +323,11 @@ def initial_acceleration(space: FeSpace, Sigma0: np.ndarray,
     # from zero interior values solves it.
     pts, R = kernel.residual(kernel.stage(Sigma0, Sigma_dot0, load, 0.0), sdd)
     try:
-        sdd[1:-1] -= kernel.tangent(pts).solve(R[1:-1], interior=True)
-    except np.linalg.LinAlgError as exc:  # rho * wj underflowed, say
-        raise NewtonDivergedError(f"tangent is singular at t=0: {exc}",
-                                  t=0.0, iters=0, history=[]) from exc
+        sdd[1:-1] -= kernel.solve(pts, R[1:-1])
+    except assembly.SingularMatrixError as exc:  # rho * wj underflowed, say
+        raise NewtonDivergedError(
+            f"tangent is singular at t=0, x={exc.x:.6g}: {exc}",
+            t=0.0, iters=0, history=[], x=exc.x) from exc
     return sdd
 
 
@@ -388,12 +382,10 @@ def run_simulation(config: "ScenarioConfig",
     drive = config.drive
     newton = config.newton
 
-    Sigma0 = np.zeros(space.n_dofs)
-    Sigma_dot0 = np.zeros(space.n_dofs)
-    if initial_sigma is not None:
-        Sigma0 = np.asarray(initial_sigma(space.dof_coords), dtype=float)
-    if initial_rate is not None:
-        Sigma_dot0 = np.asarray(initial_rate(space.dof_coords), dtype=float)
+    X0 = np.zeros((3, space.n_dofs))  # the initial state's rows
+    for row, profile in zip(X0, (initial_sigma, initial_rate)):
+        if profile is not None:
+            row[:] = profile(space.dof_coords)
 
     t_final, dt = config.time.t_final, hht.dt
     schedule = snapshot_schedule(dt, t_final, config.output.snapshot_interval)
@@ -406,9 +398,9 @@ def run_simulation(config: "ScenarioConfig",
         L = None
         if forcing is not None:
             L = assembly.assemble_load_at(space, forcing, [0.0])
-        Sigma_ddot0 = initial_acceleration(space, Sigma0, Sigma_dot0, p,
-                                           0.0 if L is None else L[0])
-        state = SystemState(0.0, Sigma0, Sigma_dot0, Sigma_ddot0)
+        X0[2] = initial_acceleration(space, X0[0], X0[1], p,
+                                     0.0 if L is None else L[0])
+        state = SystemState(0.0, X0)
         snapshots, newton_iters, histories = [state], [], []
         stepper = hht.kernel(space, p)
         t_start = _time.perf_counter()

@@ -1,21 +1,62 @@
-"""Stages for tests: the integrator's stage kernel as functions of the
-acceleration, and references for a stage's residual and tangent built
-from the public law (constitutive.derivatives) and the cell table, one
-integral of the weak form at a time."""
+"""Stages for tests: a step's stage kernel as functions of the
+acceleration, built from the Newmark relations of state_helpers; a
+singular tangent for the solver's failure path; the dense form of a band;
+and references for a stage's residual and tangent built from the public
+law (constitutive.derivatives) and the cell table, one integral of the
+weak form at a time."""
 import numpy as np
 
-from stresswave.assembly import BandedMatrix, assemble_stiffness
+from stresswave.assembly import BandedMatrix, StageKernel, assemble_stiffness
 from stresswave.constitutive import HyperbolicityError, derivatives
 from stresswave.fe_space import gauss_rule, lagrange_basis
 
+from state_helpers import newmark_update
+
+
+def stage_weights(hht):
+    """(c, c_dot) = (1+alpha) (beta dt^2, gamma dt): how a step's stage
+    stress and rate move with its acceleration."""
+    w = 1.0 + hht.alpha
+    return w * hht.beta_nm * hht.dt**2, w * hht.gamma_nm * hht.dt
+
 
 def step_system(state_n, space, hht, p, load=0.0):
-    """(residual, tangent) of one step through the integrator's stage
-    kernel: residual(sdd) is (pts, R) and tangent(pts) the BandedMatrix
-    dR/dSdd.  `load` is the stage load (1+alpha) L_{n+1} - alpha L_n."""
-    kernel, (_, Cs, *_) = hht.kernel(space, p)
-    stage = kernel.stage(*Cs.dot(state_n.X), load)
+    """(residual, tangent) of the step from state_n: residual(sdd) is
+    (pts, R) and tangent(pts) the BandedMatrix dR/dSdd, from a stage
+    kernel at the step's stage_weights whose bases are (1+alpha) pred -
+    alpha (S_n, Sd_n), pred the Newmark update of a zero acceleration.
+    `load` is the stage load (1+alpha) L_{n+1} - alpha L_n."""
+    a = hht.alpha
+    kernel = StageKernel(space, p, *stage_weights(hht))
+    pred = newmark_update(state_n, 0.0, hht)
+    stage = kernel.stage((1 + a) * pred[0] - a * state_n.Sigma,
+                         (1 + a) * pred[1] - a * state_n.Sigma_dot, load)
     return (lambda sdd: kernel.residual(stage, sdd)), kernel.tangent
+
+
+def singular_tangent(monkeypatch, node):
+    """Zero column `node` of every step's tangent (not of the t = 0 mass
+    matrix, whose c is 0), so that its interior factorization meets an
+    exactly zero pivot there: pivot `node` of the interior system."""
+    band = StageKernel.band
+
+    def singular_band(kernel, pts):
+        ab = band(kernel, pts)
+        if kernel.c != 0.0:
+            ab[:, node] = 0.0
+        return ab
+
+    monkeypatch.setattr(StageKernel, "band", singular_band)
+
+
+def to_dense(B: BandedMatrix) -> np.ndarray:
+    """The n x n matrix of the band B."""
+    out = np.zeros((B.n, B.n))
+    for i in range(B.n):
+        for j in range(max(0, i - B.bandwidth),
+                       min(B.n, i + B.bandwidth + 1)):
+            out[i, j] = B.ab[B.bandwidth + i - j, j]
+    return out
 
 
 def reference_residual(space, Sigma, Sigma_dot, Sigma_ddot, p, elastic=0.0):

@@ -1,17 +1,21 @@
-"""States for tests: a state at rest, the Newmark step algebra spelled
-out term by term, as a reference for the integrator's coefficient-matrix
-form (HhtParams.newmark), and the exact discrete solution of the linear
-scheme, mode by mode."""
+"""States for tests: a state from its three vectors, a state at rest,
+the Newmark step algebra spelled out term by term, as a reference for the
+integrator's coefficient-matrix form (HhtParams.newmark), and the exact
+discrete solution of the linear scheme, mode by mode."""
 import numpy as np
 
 from stresswave.assembly import assemble_stiffness
 from stresswave.integrator import SystemState
 
-from stage_helpers import reference_tangent
+
+def state(t, Sigma, Sigma_dot, Sigma_ddot) -> SystemState:
+    """The state at t with these stress, rate and acceleration vectors."""
+    return SystemState(t, np.array([Sigma, Sigma_dot, Sigma_ddot],
+                                   dtype=float))
 
 
 def zero_state(n_dofs: int, t: float = 0.0) -> SystemState:
-    return SystemState(t, np.zeros(n_dofs), np.zeros(n_dofs), np.zeros(n_dofs))
+    return SystemState(t, np.zeros((3, n_dofs)))
 
 
 def newmark_update(state_n, sdd, hht):
@@ -46,9 +50,10 @@ def linear_modal_oracle(space, p, hht, Sigma0, n_steps):
     scheme: qdd_{n+1} + (1+alpha) lam q_{n+1} - alpha lam q_n = 0, with
     q_{n+1} and qd_{n+1} the Newmark update of qdd_{n+1}.
     """
+    from stage_helpers import reference_tangent, to_dense
     zero = np.zeros(space.n_dofs)
-    K = assemble_stiffness(space).to_dense()[1:-1, 1:-1]
-    M = reference_tangent(space, zero, zero, zero, p).to_dense()[1:-1, 1:-1]
+    K = to_dense(assemble_stiffness(space))[1:-1, 1:-1]
+    M = to_dense(reference_tangent(space, zero, zero, zero, p))[1:-1, 1:-1]
     C_inv = np.linalg.inv(np.linalg.cholesky(M))
     lam, V = np.linalg.eigh(C_inv @ K @ C_inv.T)
     phi = C_inv.T @ V  # phi^T M phi = I and phi^T K phi = diag(lam)

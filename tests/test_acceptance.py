@@ -10,12 +10,13 @@ from stresswave.calibration import fit_material, generate_synthetic
 from stresswave.config import parse_config
 from stresswave.constitutive import MaterialParams, strain
 from stresswave.fe_space import build_space
-from stresswave.integrator import HhtParams, SystemState, run_simulation
+from stresswave.integrator import HhtParams, run_simulation
 from stresswave.postprocess import Samples, reconstruct, sample_solution
 from stresswave.verification import convergence_study, mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
 from stage_helpers import step_system
+from state_helpers import state
 
 TABLE_SPATIAL_ERRORS = (1.246e-4, 3.117e-5, 7.793e-6, 1.948e-6)
 
@@ -167,8 +168,8 @@ def test_criterion_07_tangent_consistency_and_newton():
     hht = HhtParams(alpha=-0.05, dt=1e-2)
     worst = 0.0
     for _ in range(20):
-        state_n = SystemState(0.0, 0.5 + 0.5 * rng.random(n),
-                              rng.normal(size=n), rng.normal(size=n))
+        state_n = state(0.0, 0.5 + 0.5 * rng.random(n),
+                        rng.normal(size=n), rng.normal(size=n))
         sdd = rng.normal(size=n)
         d = rng.normal(size=n)
         residual, tangent = step_system(state_n, space, hht, p)

@@ -9,13 +9,14 @@ from stresswave.assembly import (BandedMatrix, StageKernel,
                                  _scipy_linalg_extension, assemble_load_at,
                                  assemble_stiffness)
 from stresswave.constitutive import HyperbolicityError, Law, MaterialParams
-from stresswave.fe_space import FeSpace, build_space, gauss_rule, lagrange_basis
-from stresswave.integrator import HhtParams, SystemState
+from stresswave.fe_space import build_space, gauss_rule, lagrange_basis
+from stresswave.integrator import HhtParams
 from stresswave.verification import mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
-from stage_helpers import per_cell_stage, step_system
-from state_helpers import newmark_update, zero_state
+from stage_helpers import (per_cell_stage, stage_weights, step_system,
+                           to_dense)
+from state_helpers import newmark_update, state, zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)
@@ -26,8 +27,10 @@ def _run_scope():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _single_cell(h):
-    return FeSpace(np.array([0.0, h]), np.array([1]))
+def _two_cells(h):
+    """Two linear cells of width h: a cell's hand value, and the sum of
+    two at the middle node."""
+    return build_space(2.0 * h, 2, "uniform(1)")
 
 
 def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):
@@ -50,8 +53,7 @@ def _mass(space, Sigma, p):
 
 
 def _random_state(rng, n, t=0.0):
-    return SystemState(t, rng.normal(size=n), rng.normal(size=n),
-                       rng.normal(size=n))
+    return state(t, rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
 
 
 def _random_banded(n, bw, seed):
@@ -72,9 +74,11 @@ def _random_banded(n, bw, seed):
 @given(bw=st.integers(1, 3), n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
 def test_banded_matrix_roundtrip_and_matvec(bw, n, seed):
     B, dense, rng = _random_banded(n, bw, seed)
-    np.testing.assert_array_equal(B.to_dense(), dense)
-    x = rng.normal(size=n)
-    np.testing.assert_allclose(B.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(to_dense(B), dense)
+    if n >= 2 * bw + 1:  # the least size of gbmv's wrapper, and of a space
+        x = rng.normal(size=n)
+        np.testing.assert_allclose(B.matvec(x), dense @ x, rtol=1e-12,
+                                   atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,41 +99,44 @@ def test_banded_solve_matches_dense():
     A.ab[A.bandwidth] += 1.0  # shift to make it definite
     rhs = rng.normal(size=space.n_dofs)
     x = A.solve(rhs)
-    np.testing.assert_allclose(A.to_dense() @ x, rhs, atol=1e-12)
+    np.testing.assert_allclose(to_dense(A) @ x, rhs, atol=1e-12)
 
 
 @pytest.mark.parametrize("bw", [1, 3])
 def test_solve_leaves_the_band_it_is_given_unchanged(bw):
-    # only a stage kernel's tangent is spent by its solve: K's band and a
-    # band built by hand keep every bit, solved whole or by their interior
+    # a BandedMatrix solve factors a copy: K's band, a band built by hand
+    # and the right-hand side keep every bit, solved whole or by interior
     B, _, rng = _random_banded(12, bw, seed=bw)
     K = assemble_stiffness(build_space(1.0, 6, f"uniform({bw})"))
     for A, whole in ((B, True), (B, False), (K, False)):
         before = A.ab.copy()
-        A.solve(rng.normal(size=A.n if whole else A.n - 2), interior=not whole)
+        rhs = rng.normal(size=A.n if whole else A.n - 2)
+        rhs_before = rhs.copy()
+        A.solve(rhs, interior=not whole)
         assert A.ab.tobytes() == before.tobytes()
+        assert rhs.tobytes() == rhs_before.tobytes()
 
 
 @pytest.mark.parametrize("policy", ["uniform(1)", "uniform(3)",
                                     "center_graded"])
 def test_kernel_tangent_is_spent_by_its_solve_to_the_bits_of_a_copy(policy):
-    # the kernel's tangent, in the storage of the routine that factors it
-    # (gtsv's three C-contiguous rows at bandwidth 1), is factored in
-    # place, and solves to the bits of a solve of a copy of its band
+    # the kernel's solve factors its band in place (gtsv's three rows at
+    # bandwidth 1, gbsv's storage above) and writes the update into the
+    # residual's interior: the bits of a BandedMatrix solve of a copy of
+    # the tangent, whose band the kernel then no longer holds
     space = build_space(1.0, 10, policy)
     base, base_dot, sdd, load = _stage_data(space, 7)
     kernel = StageKernel(space, MaterialParams(rho=1.3, b=5.0, a=1.5), *_STEP)
     with _run_scope():
         pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
         tangent = kernel.tangent(pts)
-    band = tangent.ab.copy()
-    want = BandedMatrix(tangent.n, tangent.bandwidth, band).solve(
-        R[1:-1], interior=True)
-    assert band.tobytes() == tangent.ab.tobytes()
-    got = tangent.solve(R[1:-1], interior=True)
+        want = tangent.solve(R[1:-1], interior=True)
+        r = R[1:-1]
+        got = kernel.solve(pts, r)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert tangent.ab.tobytes() != band.tobytes()  # it holds the factors
-    assert tangent.ab.flags.c_contiguous == (space.bandwidth == 1)
+    assert np.shares_memory(got, r)
+    band = kernel.ab[kernel.ab.shape[0] - tangent.ab.shape[0]:]
+    assert band.tobytes() != tangent.ab.tobytes()  # it holds the factors
 
 
 def test_missing_scipy_linalg_extension_names_its_directory():
@@ -147,7 +154,7 @@ def test_banded_solve_singular_raises(bw):
 
 def test_stiffness_two_cell_hand_value():
     space = build_space(1.0, 2, "uniform(1)")
-    K = assemble_stiffness(space).to_dense()
+    K = to_dense(assemble_stiffness(space))
     np.testing.assert_allclose(
         K, [[2.0, -2.0, 0.0], [-2.0, 4.0, -2.0], [0.0, -2.0, 2.0]], atol=1e-13)
 
@@ -155,7 +162,7 @@ def test_stiffness_two_cell_hand_value():
 def test_stiffness_symmetric_zero_rowsum_psd():
     for policy in ("uniform(1)", "uniform(3)", "center_graded"):
         space = build_space(1.5, 6, policy)
-        K = assemble_stiffness(space).to_dense()
+        K = to_dense(assemble_stiffness(space))
         np.testing.assert_allclose(K, K.T, atol=1e-14)
         np.testing.assert_allclose(K @ np.ones(space.n_dofs), 0.0, atol=1e-13)
         assert np.min(np.linalg.eigvalsh(K)) > -1e-12
@@ -163,11 +170,12 @@ def test_stiffness_symmetric_zero_rowsum_psd():
 
 def test_mass_linear_material_hand_value():
     h = 0.4
-    space = _single_cell(h)
-    M = _mass(space, np.zeros(2), MaterialParams(rho=2.0, b=0.0, a=1.5))
+    space = _two_cells(h)
+    M = _mass(space, np.zeros(3), MaterialParams(rho=2.0, b=0.0, a=1.5))
     np.testing.assert_allclose(
-        M.to_dense(), 2.0 * h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]),
-        atol=1e-15)
+        to_dense(M),
+        2.0 * h / 6.0 * np.array([[2.0, 1.0, 0.0], [1.0, 4.0, 1.0],
+                                  [0.0, 1.0, 2.0]]), atol=1e-15)
 
 
 def test_inertial_zero_rates():
@@ -180,18 +188,19 @@ def test_inertial_zero_rates():
 def test_inertial_linear_single_cell_hand_value():
     h = 0.3
     rho = 1.7
-    space = _single_cell(h)
-    F = _inertial(space, np.zeros(2), np.zeros(2), np.ones(2),
+    space = _two_cells(h)
+    F = _inertial(space, np.zeros(3), np.zeros(3), np.ones(3),
                   MaterialParams(rho=rho, b=0.0, a=1.5))
-    np.testing.assert_allclose(F, [rho * h / 2.0, rho * h / 2.0], atol=1e-15)
+    np.testing.assert_allclose(F, [rho * h / 2.0, rho * h, rho * h / 2.0],
+                               atol=1e-15)
 
 
 def test_inertial_constant_state_scales_by_tangent_compliance():
     h = 0.3
-    space = _single_cell(h)
-    ones = np.ones(2)
-    F_lin = _inertial(space, np.zeros(2), np.zeros(2), ones, P0)
-    F_nl = _inertial(space, ones, np.zeros(2), ones, P12)
+    space = _two_cells(h)
+    ones = np.ones(3)
+    F_lin = _inertial(space, np.zeros(3), np.zeros(3), ones, P0)
+    F_nl = _inertial(space, ones, np.zeros(3), ones, P12)
     np.testing.assert_allclose(F_nl, 2.0**-1.5 * F_lin, rtol=1e-14)
 
 
@@ -311,7 +320,7 @@ def test_residual_mms_consistency_linear():
         ln, lp = assemble_load_at(space, lambda xx, tt: mms_forcing(xx, tt, P0),
                                   [t + hht.dt, t])
         a = hht.alpha
-        residual, _ = step_system(SystemState(t, f.sigma, f.sigma_t, f.sigma_tt),
+        residual, _ = step_system(state(t, f.sigma, f.sigma_t, f.sigma_tt),
                                   space, hht, P0, (1 + a) * ln - a * lp)
         _, R = residual(mms_fields(x, t + hht.dt).sigma_tt)
         norms.append(np.max(np.abs(R[1:-1])))
@@ -325,12 +334,12 @@ def test_tangent_linear_material_exact():
     rho = 2.3
     p = MaterialParams(rho=rho, b=0.0, a=1.5)
     hht = HhtParams(alpha=-0.05, dt=2e-2)
-    state = SystemState(0.0, np.random.default_rng(2).normal(size=n),
-                        np.zeros(n), np.zeros(n))
-    residual, tangent = step_system(state, space, hht, p)
-    S = tangent(residual(np.zeros(n))[0]).to_dense()
-    M0 = _mass(space, np.zeros(n), p).to_dense()
-    K = assemble_stiffness(space).to_dense()
+    state_n = state(0.0, np.random.default_rng(2).normal(size=n),
+                    np.zeros(n), np.zeros(n))
+    residual, tangent = step_system(state_n, space, hht, p)
+    S = to_dense(tangent(residual(np.zeros(n))[0]))
+    M0 = to_dense(_mass(space, np.zeros(n), p))
+    K = to_dense(assemble_stiffness(space))
     expected = M0 + hht.beta_nm * hht.dt**2 * (1.0 + hht.alpha) * K
     np.testing.assert_allclose(S, expected, atol=1e-14)
 
@@ -339,15 +348,15 @@ def test_tangent_structure_matches_stiffness():
     space = build_space(1.0, 6, "center_graded")
     n = space.n_dofs
     rng = np.random.default_rng(8)
-    state = SystemState(0.0, 0.5 + rng.random(n), rng.normal(size=n),
-                        rng.normal(size=n))
-    residual, tangent = step_system(state, space,
+    state_n = state(0.0, 0.5 + rng.random(n), rng.normal(size=n),
+                    rng.normal(size=n))
+    residual, tangent = step_system(state_n, space,
                                     HhtParams(alpha=-0.05, dt=1e-2), P12)
     S = tangent(residual(rng.normal(size=n))[0])
     K = assemble_stiffness(space)
     assert S.bandwidth == K.bandwidth
-    np.testing.assert_array_equal(np.abs(S.to_dense()) > 0,
-                                  np.abs(K.to_dense()) > 0)
+    np.testing.assert_array_equal(np.abs(to_dense(S)) > 0,
+                                  np.abs(to_dense(K)) > 0)
 
 
 def _fd_directional(residual, sdd, d, eps=1e-6):
@@ -361,8 +370,8 @@ def test_tangent_matches_fd_jacobian():
     hht = HhtParams(alpha=-0.05, dt=1e-2)
     for _ in range(5):
         # states bounded away from sigma = 0 so the regularization is inactive
-        state_n = SystemState(0.0, 0.5 + 0.5 * rng.random(n),
-                              rng.normal(size=n), rng.normal(size=n))
+        state_n = state(0.0, 0.5 + 0.5 * rng.random(n),
+                        rng.normal(size=n), rng.normal(size=n))
         sdd = rng.normal(size=n)
         d = rng.normal(size=n)
         residual, tangent = step_system(state_n, space, hht, P12)
@@ -391,7 +400,7 @@ def test_graded_assembly_matches_per_cell_loop():
         fp, fpp = strain_derivative(s, 1, P12), strain_derivative(s, 2, P12)
         M_ref[np.ix_(dofs, dofs)] += (shp * (P12.rho * fp * wj)[:, None]).T @ shp
         F_ref[dofs] += shp.T @ (P12.rho * (fp * sdd + fpp * sd**2) * wj)
-    np.testing.assert_allclose(_mass(space, Sigma, P12).to_dense(),
+    np.testing.assert_allclose(to_dense(_mass(space, Sigma, P12)),
                                M_ref, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(
         _inertial(space, Sigma, Sigma_dot, Sigma_ddot, P12), F_ref,
@@ -411,7 +420,7 @@ def test_one_by_one_solve_and_its_zero_pivot(bw):
 
 
 
-_STEP = HhtParams(alpha=-0.05, dt=5e-2).newmark[3:]  # (c, c_dot) of a step
+_STEP = stage_weights(HhtParams(alpha=-0.05, dt=5e-2))  # (c, c_dot) of a step
 
 
 def _stage_data(space, seed, big=None):
@@ -428,7 +437,7 @@ def _kernel_stage(space, p, c, c_dot, base, base_dot, sdd, load):
     kernel = StageKernel(space, p, c, c_dot)
     with _run_scope():
         pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
-        return R, kernel.tangent(pts).to_dense()
+        return R, to_dense(kernel.tangent(pts))
 
 
 @pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
@@ -490,22 +499,25 @@ def test_stage_kernel_guard_names_the_loops_point(policy, p, stress, why, c,
 
 def test_warm_iterate_allocates_no_point_sized_array():
     # the kernel owns an array for every value at the points and per
-    # cell: one residual and tangent of the 128-cell uniform(1) MMS rung
-    # allocate R and the tangent's band (and gbmv's result, freed before
-    # the tangent), less than one array of the 384 point values beyond them
+    # cell, and its band: one residual and Newton update of the 128-cell
+    # uniform(1) MMS rung allocate R (and gbmv's result, freed before the
+    # update) and the tangent's bincount, which it adds into its band,
+    # less than one array of the 384 point values beyond them
     space = build_space(1.0, 128, "uniform(1)")
-    kernel, (_, Cs, *_) = HhtParams(alpha=-0.05, dt=1e-5).kernel(space, P12)
+    kernel = StageKernel(space, P12,
+                         *stage_weights(HhtParams(alpha=-0.05, dt=1e-5)))
     f = mms_fields(space.dof_coords, 0.0)
-    X = np.array([f.sigma, f.sigma_t, -f.sigma])
+    base, base_dot, sdd = f.sigma, f.sigma_t, -f.sigma
     with _run_scope():
-        stage = kernel.stage(*Cs.dot(X), 0.0)
-        kernel.tangent(kernel.residual(stage, X[2])[0])  # warm
+        stage = kernel.stage(base, base_dot, 0.0)
+        pts, R = kernel.residual(stage, sdd)
+        kernel.solve(pts, R[1:-1])  # warm
         tracemalloc.start()
         try:
-            pts, R = kernel.residual(stage, X[2])
-            tangent = kernel.tangent(pts)
+            pts, R = kernel.residual(stage, sdd)
+            kernel.solve(pts, R[1:-1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    results = R.nbytes + tangent.ab.nbytes
+    results = R.nbytes + kernel.ab.nbytes
     assert peak < results + pts[0].nbytes, (peak, results)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stresswave import integrator
@@ -10,25 +12,19 @@ from stresswave.constitutive import HyperbolicityError, MaterialParams
 from stresswave.fe_space import build_space
 from stresswave.integrator import (BoundaryDrive, HhtParams,
                                    NewtonDivergedError, NewtonSettings,
-                                   SystemState, advance_step,
-                                   initial_acceleration, run_simulation)
+                                   advance_step, initial_acceleration,
+                                   run_simulation)
 from stresswave.verification import mms_fields, mms_forcing
 
-from stage_helpers import reference_residual, reference_tangent, step_system
+from stage_helpers import (reference_residual, reference_tangent,
+                           singular_tangent, stage_weights, step_system,
+                           to_dense)
 from state_helpers import (boundary_acceleration, linear_modal_oracle,
-                           newmark_update, zero_state)
+                           newmark_update, state, zero_state)
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 LINEAR = MaterialParams(rho=1.0, b=0.0, a=1.5)
 NEWTON = NewtonSettings(tol=1.0e-10, k_max=20)
-
-
-def _corrected(state_n, sdd, hht):
-    """(Sigma, Sigma_dot) as advance_step writes them from the next
-    acceleration sdd: the predictors of HhtParams.newmark plus the
-    correctors."""
-    Cp, _, corr, _, _ = hht.newmark
-    return Cp.dot(state_n.X) + corr * sdd
 
 
 def _inline_stage(space, state_n, sdd, hht, p, load):
@@ -93,7 +89,7 @@ def test_newton_settings_validation():
 
 def test_newmark_zero():
     hht = HhtParams(alpha=-0.1, dt=0.2)
-    s, sd = _corrected(zero_state(4), np.zeros(4), hht)
+    s, sd = newmark_update(zero_state(4), np.zeros(4), hht)
     np.testing.assert_array_equal(s, 0.0)
     np.testing.assert_array_equal(sd, 0.0)
 
@@ -102,8 +98,8 @@ def test_newmark_constant_acceleration():
     a0 = 2.5
     for alpha in (0.0, -0.05, -1.0 / 3.0):
         hht = HhtParams(alpha=alpha, dt=0.3)
-        state = SystemState(0.0, np.zeros(3), np.zeros(3), np.full(3, a0))
-        s, sd = _corrected(state, np.full(3, a0), hht)
+        state_n = state(0.0, np.zeros(3), np.zeros(3), np.full(3, a0))
+        s, sd = newmark_update(state_n, np.full(3, a0), hht)
         np.testing.assert_allclose(s, a0 * 0.3**2 / 2.0, rtol=1e-14)
         np.testing.assert_allclose(sd, a0 * 0.3, rtol=1e-14)
 
@@ -111,8 +107,8 @@ def test_newmark_constant_acceleration():
 def test_newmark_scalar_spot_value():
     # independent arithmetic: alpha=-0.05 -> beta=0.275625, gamma=0.55
     hht = HhtParams(alpha=-0.05, dt=0.1)
-    state = SystemState(0.0, np.array([1.0]), np.array([2.0]), np.array([3.0]))
-    s, sd = _corrected(state, np.array([4.0]), hht)
+    state_n = state(0.0, np.array([1.0]), np.array([2.0]), np.array([3.0]))
+    s, sd = newmark_update(state_n, np.array([4.0]), hht)
     sigma_expected = 1.0 + 0.1 * 2.0 + 0.1**2 * ((1 - 2 * 0.275625) / 2 * 3.0
                                                  + 0.275625 * 4.0)
     rate_expected = 2.0 + 0.1 * ((1 - 0.55) * 3.0 + 0.55 * 4.0)
@@ -124,17 +120,26 @@ def test_newmark_scalar_spot_value():
 
 def test_newmark_stage_rows():
     # the stage bases are (1+alpha) pred - alpha (S, Sd), and the stage
-    # moves with the acceleration by (1+alpha) times the correctors
+    # moves with the acceleration by (1+alpha) times the correctors: the
+    # first residual of advance_step is that of the stage blended inline,
+    # at the acceleration it starts from (the old one, with the boundary
+    # accelerations that hit the boundary data)
     rng = np.random.default_rng(3)
+    space = build_space(1.0, 6, "uniform(2)")
+    n, p = space.n_dofs, MaterialParams(rho=1.3, b=1.0, a=1.5)
     for alpha in (0.0, -0.05, -1.0 / 3.0):
-        hht = HhtParams(alpha=alpha, dt=0.07)
-        X = rng.normal(size=(3, 6))
-        Cp, Cs, corr, c, c_dot = hht.newmark
-        pred, bases = Cp.dot(X), Cs.dot(X)
-        w = 1.0 + alpha
-        np.testing.assert_allclose(bases, w * pred - alpha * X[:2], rtol=0,
-                                   atol=1e-14 * np.max(np.abs(bases)))
-        np.testing.assert_allclose([[c], [c_dot]], w * corr, rtol=1e-15)
+        hht = HhtParams(alpha=alpha, dt=0.01)
+        state_n = state(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                        rng.normal(size=n))
+        load, bc = rng.normal(size=n), 0.1
+        _, report = advance_step(state_n, 0.21, hht.kernel(space, p), NEWTON,
+                                 bc, load)
+        sdd = state_n.Sigma_ddot.copy()
+        sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
+        sdd[-1] = boundary_acceleration(bc, -1, state_n, hht)
+        _, R, _ = _inline_stage(space, state_n, sdd, hht, p, load)
+        assert report.history[0] == pytest.approx(np.linalg.norm(R[1:-1]),
+                                                  rel=1e-12)
 
 
 def test_boundary_acceleration_zero_cases():
@@ -145,10 +150,10 @@ def test_boundary_acceleration_zero_cases():
     assert got.Sigma_ddot[0] == got.Sigma_ddot[-1] == 0.0
     # a boundary value equal to the predictor needs no correction
     rng = np.random.default_rng(1)
-    state = SystemState(0.0, rng.normal(size=5), rng.normal(size=5),
-                        rng.normal(size=5))
-    pred = hht.newmark[0].dot(state.X)[0]
-    got, _ = advance_step(state, 0.01, stepper, NEWTON, pred[-1])
+    state_n = state(0.0, rng.normal(size=5), rng.normal(size=5),
+                    rng.normal(size=5))
+    pred = newmark_update(state_n, 0.0, hht)[0]
+    got, _ = advance_step(state_n, 0.01, stepper, NEWTON, pred[-1])
     assert got.Sigma_ddot[-1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -157,9 +162,9 @@ def test_boundary_acceleration_roundtrip():
     hht = HhtParams(alpha=-0.05, dt=0.02)
     rng = np.random.default_rng(2)
     space = build_space(1.0, 3, "uniform(1)")
-    state = SystemState(0.3, rng.normal(size=4), rng.normal(size=4),
-                        rng.normal(size=4))
-    got, _ = advance_step(state, 0.32, hht.kernel(space, LINEAR), NEWTON,
+    state_n = state(0.3, rng.normal(size=4), rng.normal(size=4),
+                    rng.normal(size=4))
+    got, _ = advance_step(state_n, 0.32, hht.kernel(space, LINEAR), NEWTON,
                           drive.value(0.32))
     assert got.t == 0.32
     assert got.Sigma[-1] == pytest.approx(drive.value(0.32), abs=1e-14)
@@ -192,8 +197,8 @@ def test_step_algebra_matches_newmark_formulas(seed, alpha, dt):
     rng = np.random.default_rng(seed)
     hht = HhtParams(alpha=alpha, dt=dt)
     drive = BoundaryDrive(A=0.5, omega=3.0)
-    state_n = SystemState(0.3, 0.2 * rng.normal(size=n), rng.normal(size=n),
-                          rng.normal(size=n))
+    state_n = state(0.3, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                    rng.normal(size=n))
     bc = drive.value(0.3 + dt)
     p = MaterialParams(rho=1.3, b=1.0, a=1.5)
     got, _ = advance_step(state_n, 0.3 + dt, hht.kernel(space, p), NEWTON, bc,
@@ -269,21 +274,24 @@ def test_interior_norm_scales_only_a_finite_residual_that_overflows():
 
 
 def test_advance_step_singular_tangent_diverges(monkeypatch):
-    from stresswave import assembly
-    space = build_space(1.0, 8, "uniform(1)")
-
-    def zero_tangent(kernel, pts):
-        ab = np.zeros((2 * space.bandwidth + 1, space.n_dofs))
-        return assembly.BandedMatrix(space.n_dofs, space.bandwidth, ab)
-
-    monkeypatch.setattr(assembly.StageKernel, "tangent", zero_tangent)
-    with pytest.raises(NewtonDivergedError, match="singular") as err:
-        advance_step(zero_state(space.n_dofs), 1e-3,
-                     HhtParams(alpha=-0.05, dt=1e-3).kernel(space, P12),
-                     NEWTON,
-                     BoundaryDrive(A=0.02, omega=2.0 * np.pi).value(1e-3))
-    assert err.value.iters == 0
-    assert err.value.t == 1e-3
+    # a tangent whose column 5 is zero meets a zero pivot there, at the
+    # interior node 5 (gtsv at bandwidth 1, gbsv above), which the error
+    # names
+    singular_tangent(monkeypatch, 5)
+    for policy in ("uniform(1)", "uniform(3)"):
+        space = build_space(1.0, 8, policy)
+        with pytest.raises(NewtonDivergedError, match="singular") as err:
+            advance_step(zero_state(space.n_dofs), 1e-3,
+                         HhtParams(alpha=-0.05, dt=1e-3).kernel(space, P12),
+                         NEWTON,
+                         BoundaryDrive(A=0.02, omega=2.0 * np.pi).value(1e-3))
+        x = space.dof_coords[5]
+        assert err.value.iters == 0
+        assert err.value.t == 1e-3
+        assert err.value.x == x
+        assert str(err.value) == (
+            f"Newton tangent is singular at t=0.001, x={x:.6g}: "
+            f"singular matrix (zero pivot 5)")
 
 
 def test_solver_errors_pickle_with_their_fields():
@@ -299,6 +307,57 @@ def test_solver_errors_pickle_with_their_fields():
         assert vars(back) == vars(exc)
 
 
+def _run_or_failure(cfg, sign, amp, rate):
+    """(snapshots, report) of cfg with its drive and its initial stress
+    amp sin(pi x) and rate rate sin(2 pi x) times sign, or the solver
+    failure it ends in."""
+    cfg = dataclasses.replace(
+        cfg, drive=dataclasses.replace(cfg.drive, A=sign * cfg.drive.A))
+    try:
+        return run_simulation(
+            cfg, initial_sigma=lambda x: sign * amp * np.sin(np.pi * x),
+            initial_rate=lambda x: sign * rate * np.sin(2.0 * np.pi * x))
+    except (NewtonDivergedError, HyperbolicityError) as exc:
+        return exc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(policy=st.sampled_from(["uniform(1)", "uniform(2)", "uniform(3)",
+                               "center_graded"]),
+       b=st.floats(0.0, 10.0), a=st.floats(0.5, 10.0),
+       n_cells=st.integers(16, 32), A=st.floats(0.0, 0.05),
+       amp=st.floats(-1.0, 1.0), rate=st.floats(-1.0, 1.0))
+# Newton stalls at t = 0.035 (a = 0.5, a stress near 0)
+@example(policy="uniform(1)", b=9.122578539660545, a=0.5, n_cells=29, A=0.0,
+         amp=-3.4649221734554626e-34, rate=0.5)
+def test_negated_data_give_negated_states(policy, b, a, n_cells, A, amp,
+                                           rate):
+    # the law is odd in sigma and every other operation of a step is
+    # linear or even in the state, so negated initial stress, rate and
+    # drive give negated states with equal floats (the sign of an exact
+    # zero aside) and the same Newton histories, 200 steps long; a run
+    # that fails fails the same way, at the same step and node
+    cfg = parse_config({"material": {"b": b, "a": a}, "drive": {"A": A},
+                        "mesh": {"n_cells": n_cells, "degree_policy": policy},
+                        "time": {"dt": 1e-3, "t_final": 0.2},
+                        "output": {"snapshot_interval": 0.05}})
+    pos, neg = (_run_or_failure(cfg, sign, amp, rate) for sign in (1.0, -1.0))
+    if isinstance(pos, Exception):
+        assert type(neg) is type(pos)
+        assert (neg.t, neg.x) == (pos.t, pos.x)
+        if isinstance(pos, NewtonDivergedError):
+            assert (neg.iters, neg.history) == (pos.iters, pos.history)
+        else:
+            assert neg.sigma == -pos.sigma
+        return
+    (snaps, report), (neg_snaps, neg_report) = pos, neg
+    assert neg_report.newton_iters == report.newton_iters
+    assert neg_report.residual_histories == report.residual_histories
+    assert [s.t for s in neg_snaps] == [s.t for s in snaps]
+    for mine, ref in zip(neg_snaps, snaps):
+        assert np.array_equal(mine.X, -ref.X)
+
+
 def test_hyperbolicity_failure_names_its_time():
     # the stage guard's error carries the step's time, and 0 for the t = 0
     # balance; saturated stresses (w = inf) give eps' = 0 everywhere
@@ -310,7 +369,7 @@ def test_hyperbolicity_failure_names_its_time():
         with pytest.raises(HyperbolicityError) as at0:
             initial_acceleration(space, ones, ones, p)
         with pytest.raises(HyperbolicityError) as step:
-            advance_step(SystemState(0.0, ones, ones, ones), 1e-3,
+            advance_step(state(0.0, ones, ones, ones), 1e-3,
                          HhtParams(alpha=-0.05, dt=1e-3).kernel(space, p),
                          NEWTON)
     assert at0.value.t == 0.0 and str(at0.value).endswith(" at t=0")
@@ -329,8 +388,8 @@ def test_advance_step_matches_public_newton_loop():
     newton = NEWTON
     drive = BoundaryDrive(A=0.3, omega=3.0)
     rng = np.random.default_rng(11)
-    state_n = SystemState(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
-                          rng.normal(size=n))
+    state_n = state(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                    rng.normal(size=n))
     load = rng.normal(size=n)
     t_next = 0.21
     got, report = advance_step(state_n, t_next, hht.kernel(space, p), newton,
@@ -349,7 +408,7 @@ def test_advance_step_matches_public_newton_loop():
         threshold = max(newton.tol * history[0], integrator.NEWTON_ABS_FLOOR)
         if len(history) > 1 and history[-1] <= threshold:
             break
-        S = reference_tangent(space, *stage, p, c_dot, c).to_dense()
+        S = to_dense(reference_tangent(space, *stage, p, c_dot, c))
         sdd = sdd.copy()
         sdd[1:-1] -= np.linalg.solve(S[1:-1, 1:-1], R[1:-1])
 
@@ -368,8 +427,8 @@ def test_step_system_residual_matches_inline_stage(alpha):
     p = MaterialParams(rho=1.0, b=5.0, a=1.5)
     hht = HhtParams(alpha=alpha, dt=1e-2)
     rng = np.random.default_rng(5)
-    state_n = SystemState(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
-                          rng.normal(size=n))
+    state_n = state(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                    rng.normal(size=n))
     load = rng.normal(size=n)
     residual, _ = step_system(state_n, space, hht, p, load)
     for _ in range(3):
@@ -385,13 +444,14 @@ def test_float_load_is_a_constant_vector():
     n = space.n_dofs
     hht = HhtParams(alpha=-0.05, dt=1e-2)
     rng = np.random.default_rng(7)
-    state = SystemState(0.1, 0.2 * rng.normal(size=n), rng.normal(size=n),
-                        rng.normal(size=n))
+    state_n = state(0.1, 0.2 * rng.normal(size=n), rng.normal(size=n),
+                    rng.normal(size=n))
     stepper = hht.kernel(space, P12)
-    got, _ = advance_step(state, 0.11, stepper, NEWTON, 0.0, 0.7)
-    ref, _ = advance_step(state, 0.11, stepper, NEWTON, 0.0, np.full(n, 0.7))
+    got, _ = advance_step(state_n, 0.11, stepper, NEWTON, 0.0, 0.7)
+    ref, _ = advance_step(state_n, 0.11, stepper, NEWTON, 0.0,
+                          np.full(n, 0.7))
     np.testing.assert_array_equal(got.X, ref.X)
-    nil, _ = advance_step(state, 0.11, stepper, NEWTON)
+    nil, _ = advance_step(state_n, 0.11, stepper, NEWTON)
     assert not np.array_equal(got.Sigma_ddot, nil.Sigma_ddot)
 
 
@@ -685,7 +745,8 @@ def test_run_builds_one_stage_kernel_per_step_size(monkeypatch):
                                  "mesh": {"n_cells": 8},
                                  "time": {"dt": 1e-2, "t_final": 0.025},
                                  "output": {"snapshot_interval": 0.0}}))
-    c = [HhtParams(alpha=-0.05, dt=dt).newmark[3] for dt in (1e-2, 5e-3)]
+    c = [stage_weights(HhtParams(alpha=-0.05, dt=dt))[0]
+         for dt in (1e-2, 5e-3)]
     assert built == pytest.approx([0.0] + c, rel=1e-12)
     assert per_step == [0, 0, 0]
 

@@ -13,10 +13,12 @@ from stresswave.config import parse_config
 from stresswave.constitutive import (HyperbolicityError, MaterialParams,
                                      strain, wave_speed)
 from stresswave.fe_space import _LOCAL_NODES, build_space, lagrange_basis
-from stresswave.integrator import SystemState, run_simulation
+from stresswave.integrator import run_simulation
 from stresswave.postprocess import (Samples, SnapshotRecord, _format_g17,
                                     reconstruct, sample_solution,
                                     snapshot_filename, write_snapshot)
+
+from state_helpers import state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 P0 = MaterialParams(rho=1.0, b=0.0, a=1.5)
@@ -363,7 +365,7 @@ def test_failure_inside_a_block_writes_the_snapshots_before_it(tmp_path,
         s = snapshots[10]
         Sigma = s.Sigma.copy()
         Sigma[0] = 1.0e-5  # the node at x = 0, sampled exactly
-        snapshots[10] = SystemState(s.t, Sigma, s.Sigma_dot, s.Sigma_ddot)
+        snapshots[10] = state(s.t, Sigma, s.Sigma_dot, s.Sigma_ddot)
         return snapshots, report
 
     monkeypatch.setattr(cli, "run_simulation", one_bad_snapshot)
