@@ -29,14 +29,15 @@ points add zero.  On a space of mixed degrees, where that table pads
 each cell to the largest point count, the kernel works on the real
 points only: the law and the integrands are evaluated there, and each
 integrand is written into the real slots of the kernel's degree-block
-array, whose padded slots stay zero.  All matrices are stored in
-LAPACK banded form (half-bandwidth = max cell degree); element
-matrices reach it through the table's precomputed scatter index.  The
-two boundary DoFs always carry prescribed values, so a Newton update
-solves only the interior block, by direct banded factorization (LAPACK
-gtsv; gbsv above bandwidth 1 or 1x1).  The kernel writes its tangent
-into a band of its own, in the storage of that routine, which factors
-it in place; BandedMatrix.solve shares the routine and factors a copy.
+array, whose padded slots stay zero.  Matrices are stored in LAPACK's
+band layout (half-bandwidth bw = max cell degree, entry (i, j) in row
+bw + i - j of column j); element matrices reach it through the table's
+precomputed scatter index.  The two boundary DoFs always carry
+prescribed values, so a Newton update solves only the interior block,
+by direct banded factorization (LAPACK gtsv; gbsv above bandwidth 1 or
+1x1).  The kernel writes its tangent into a band of its own, in the
+storage of that routine, and StageKernel.solve, the one band solve,
+factors it in place.
 
 The three Fortran routines (LAPACK dgtsv and dgbsv, BLAS dgbmv) come from
 scipy's f2py modules scipy.linalg._flapack and _fblas, loaded on their own:
@@ -56,7 +57,7 @@ import numpy as np
 import scipy
 
 from .constitutive import MaterialParams
-from .fe_space import CellTable, FeSpace
+from .fe_space import FeSpace
 
 
 def _scipy_linalg_extension(name: str):
@@ -86,85 +87,20 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """A band factorization met an exactly zero pivot (LAPACK's 1-based
     `pivot`) in the column of the system solved whose node is at `x`."""
 
-    def __init__(self, pivot: int, x: float | None):
+    def __init__(self, pivot: int, x: float):
         super().__init__(f"singular matrix (zero pivot {pivot})")
         self.x = x
 
 
-def _operands(ab: np.ndarray) -> tuple:
-    """The operands of the routine that factors A in its storage ab: gtsv's
-    three diagonals from three rows in band layout, or (bw, ab) for gbsv's
-    3 bw + 1 rows, whose top bw rows take the fill-in."""
-    if len(ab) == 3:
-        return ab[2, :-1], ab[1], ab[0, 1:]
-    return (len(ab) - 1) // 3, ab
-
-
-def _band_solve(operands: tuple, rhs: np.ndarray, overwrite: bool,
-                nodes: np.ndarray | None = None) -> np.ndarray:
-    """x with A x = rhs, A given by its `_operands`.  `overwrite`: factor A
-    in place, its storage then holding the factors, and write x into rhs.
-    SingularMatrixError at a zero pivot, naming its node from `nodes`,
-    the x of each column (None: no x)."""
-    if len(operands) == 3:
-        *_, x, info = _gtsv(*operands, rhs, overwrite, overwrite, overwrite,
-                            overwrite)
-    else:
-        bw, ab = operands
-        *_, x, info = _gbsv(bw, bw, ab, rhs, overwrite, overwrite)
-    if info > 0:
-        raise SingularMatrixError(
-            info, None if nodes is None else float(nodes[info - 1]))
-    return x
-
-
-class BandedMatrix:
-    """Square matrix in diagonal-ordered banded storage.
-
-    Entry (i, j) with |i - j| <= bandwidth lives at ab[bandwidth + i - j, j],
-    LAPACK's band layout with kl = ku = bandwidth; K stores ab
-    column-major, as BLAS reads it.  `solve` changes no matrix: it factors
-    a copy.
-    """
-
-    def __init__(self, n: int, bandwidth: int, ab: np.ndarray):
-        self.n = n
-        self.bandwidth = bandwidth
-        self.ab = ab
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x, one BLAS gbmv; n >= 2 bandwidth + 1, as for the matrices
-        of every space (the least size the gbmv wrapper accepts)."""
-        n, bw = self.n, self.bandwidth
-        return _gbmv(n, n, bw, bw, 1.0, self.ab, x)
-
-    def solve(self, rhs: np.ndarray, interior: bool = False) -> np.ndarray:
-        """x with A x = rhs, or with the interior block of A (without its
-        first and last rows and columns); np.linalg.LinAlgError if that is
-        singular.  Dropping the end columns of the storage leaves the
-        couplings to the end rows in slots that the solver never reads.
-        gtsv, or gbsv above bandwidth 1 and for a 1x1 system (whose empty
-        bands gtsv rejects), factors a copy."""
-        bw, ab = self.bandwidth, self.ab
-        if interior:
-            ab = ab[:, 1:-1]
-        if bw > 1 or ab.shape[1] == 1:  # gbsv, with its fill-in rows
-            ab = np.concatenate((np.zeros((bw, ab.shape[1])), ab))
-        return _band_solve(_operands(ab), rhs, False)
-
-
-def _banded(space: FeSpace, t: CellTable, me: np.ndarray) -> BandedMatrix:
-    """Sum of the element matrices `me`, one per cell, in banded storage."""
+def assemble_stiffness(space: FeSpace) -> np.ndarray:
+    """Constant stiffness K_IJ = integral N_I' N_J' dx in the band storage
+    that BLAS gbmv reads: column-major (2 bw + 1, n), entry (i, j) at
+    [bw + i - j, j], bw the space's bandwidth."""
     n, bw = space.n_dofs, space.bandwidth
-    ab = np.bincount(t.scatter, weights=me.ravel(), minlength=(2 * bw + 1) * n)
-    return BandedMatrix(n, bw, ab.reshape(n, 2 * bw + 1).T)
-
-
-def assemble_stiffness(space: FeSpace) -> BandedMatrix:
-    """Constant stiffness K_IJ = integral N_I' N_J' dx."""
     t = space.table  # dN/dx = dN/d xi / jac
-    return _banded(space, t, t.integrate(t.jac[:, None] ** -2.0 * t.wj,
-                                         t.dref_outer))
+    me = t.integrate(t.jac[:, None] ** -2.0 * t.wj, t.dref_outer)
+    ab = np.bincount(t.scatter, weights=me.ravel(), minlength=(2 * bw + 1) * n)
+    return ab.reshape(n, 2 * bw + 1).T
 
 
 def assemble_load_at(space: FeSpace, forcing, times) -> np.ndarray:
@@ -188,10 +124,10 @@ class StageKernel:
     step's time, which the guard's HyperbolicityError names.  `residual` then
     evaluates the stage of one Sdd at the points, law included, and
     returns (pts, R); `band(pts)` writes dR/dSdd at those stage values
-    into the kernel's band, the only reader of eps'''; `solve(pts, r)`
-    factors its interior in place to the Newton update, and
-    `tangent(pts)` copies it out as a BandedMatrix.  c = c_dot = 0 is the
-    t = 0 balance, whose tangent is the mass matrix M(S).
+    into the kernel's band, the only reader of eps''', whose rows from
+    `fill` on hold it in K's layout; `solve(pts, r)` factors its interior
+    in place to the Newton update.  c = c_dot = 0 is the t = 0 balance,
+    whose tangent is the mass matrix M(S).
 
     The kernel holds the space's flat DoF index, reference blocks and
     scatter index, K's band and c K, rho wj, the material's Law and c,
@@ -204,7 +140,7 @@ class StageKernel:
     returns new arrays, which last through a step.  The band is in the
     storage of the routine that factors it (gtsv's three C-contiguous
     rows at bandwidth 1, gbsv's column-major rows above), whose operands
-    for the interior block are views bound once.  `worst_node` names,
+    for the interior block are bound once.  `worst_node` names,
     from the node coordinates the kernel holds, where a failing iterate's
     residual is worst, and a zero pivot's SingularMatrixError its node.
 
@@ -235,12 +171,16 @@ class StageKernel:
         self.scatter = np.ravel_multi_index((row + self.fill, col), shape,
                                             order=order)
         cK = np.zeros(shape, order=order)
-        cK[self.fill:] = c * self.K.ab
-        # the band (and flat, in its order), and the operands of its interior
+        cK[self.fill:] = c * self.K
+        # the band (and flat, in its order), and its interior's operands:
+        # gtsv's three diagonals, or gbsv's (kl, ku, ab); the end rows'
+        # couplings stay in slots that the routine never reads
         self.ab = np.empty_like(cK)
         self.ab_flat, self.cK_flat = (a.reshape(-1, order=order)
                                       for a in (self.ab, cK))
-        self.interior = _operands(self.ab[:, 1:-1])
+        inner = self.ab[:, 1:-1]
+        self.interior = ((bw, bw, inner) if self.fill else
+                         (inner[2, :-1], inner[1], inner[0, 1:]))
         self.rho_wj, self.x_q, self.pick = p.rho * t.wj, t.x_q, None
         self.x_inner = space.dof_coords[1:-1]
         shape = t.x_q.shape
@@ -277,7 +217,7 @@ class StageKernel:
         if self.pick is not None:
             q = [v.ravel()[self.pick] for v in q]
         n, bw = self.n, self.bw
-        rest = _gbmv(n, n, bw, bw, 1.0, self.K.ab, base)
+        rest = _gbmv(n, n, bw, bw, 1.0, self.K, base)
         rest -= load
         return q[0], q[1], rest, t
 
@@ -314,7 +254,7 @@ class StageKernel:
         h.dot(self.ref, self.fe)
         n, bw = self.n, self.bw
         R = np.bincount(self.flat_dofs, self.fe_flat, n)
-        R += _gbmv(n, n, bw, bw, self.c_scale, self.K.ab, sdd, 1, 0, 1.0, rest)
+        R += _gbmv(n, n, bw, bw, self.c_scale, self.K, sdd, 1, 0, 1.0, rest)
         return (sigd_q, sigd2, sdd_q, fp, fpp, late), R
 
     def worst_node(self, R: np.ndarray) -> float:
@@ -350,13 +290,15 @@ class StageKernel:
                self.cK_flat, self.ab_flat)
         return self.ab
 
-    def tangent(self, pts: tuple) -> BandedMatrix:
-        """A copy of band(pts) as a BandedMatrix."""
-        return BandedMatrix(self.n, self.bw, self.band(pts)[self.fill:].copy())
-
     def solve(self, pts: tuple, r: np.ndarray) -> np.ndarray:
         """x with T x = r, T the interior block of the tangent at `pts`:
         the Newton update, written into the contiguous r, with the band
         factored in place; SingularMatrixError names a zero pivot's node."""
         self.band(pts)
-        return _band_solve(self.interior, r, True, self.x_inner)
+        if self.fill:
+            *_, x, info = _gbsv(*self.interior, r, True, True)
+        else:
+            *_, x, info = _gtsv(*self.interior, r, True, True, True, True)
+        if info > 0:
+            raise SingularMatrixError(info, float(self.x_inner[info - 1]))
+        return x

@@ -87,7 +87,7 @@ class CellTable:
     ref_outer : (n_groups * n_points, n_nodes**2) products N_i N_j
     dref_outer: (n_groups * n_points, n_nodes**2) products dN_i/d xi dN_j/d xi
     pick      : flat index of (cell, point) in its degree block; None if uniform
-    scatter   : flat index into banded storage (see BandedMatrix) of each
+    scatter   : flat index into K's band storage (assemble_stiffness) of each
                 (cell, i, j) entry of an element matrix
     """
 
@@ -156,6 +156,11 @@ class FeSpace:
         self.bandwidth = int(degrees.max())
         first = np.concatenate([[0], np.cumsum(degrees)])  # first DoF of each cell
         self.n_dofs = int(first[-1]) + 1
+        if self.n_dofs < 2 * self.bandwidth + 1:
+            raise ValueError(
+                f"{self.n_dofs} DoFs at bandwidth {self.bandwidth}: a space "
+                f"needs at least 2 bandwidth + 1 = {2 * self.bandwidth + 1}, "
+                "the least size BLAS gbmv takes")
         self.dof_table = first[:-1, None] + np.minimum(
             np.arange(self.bandwidth + 1), degrees[:, None])
         mid = 0.5 * (cell_edges[:-1] + cell_edges[1:])

@@ -1,12 +1,16 @@
 """Stages for tests: a step's stage kernel as functions of the
 acceleration, built from the Newmark relations of state_helpers; a
-singular tangent for the solver's failure path; the dense form of a band;
-and references for a stage's residual and tangent built from the public
-law (constitutive.derivatives) and the cell table, one integral of the
-weak form at a time."""
-import numpy as np
+singular tangent for the solver's failure path; a band's dense form and
+its BLAS product; and references for a stage's residual and tangent built
+from the public law (constitutive.derivatives) and the cell table, one
+integral of the weak form at a time.
 
-from stresswave.assembly import BandedMatrix, StageKernel, assemble_stiffness
+A band is an array in LAPACK's layout, the storage of assemble_stiffness:
+2 bw + 1 rows, entry (i, j) at [bw + i - j, j]."""
+import numpy as np
+from scipy.linalg.blas import dgbmv
+
+from stresswave.assembly import StageKernel, assemble_stiffness
 from stresswave.constitutive import HyperbolicityError, derivatives
 from stresswave.fe_space import gauss_rule, lagrange_basis
 
@@ -22,7 +26,7 @@ def stage_weights(hht):
 
 def step_system(state_n, space, hht, p, load=0.0):
     """(residual, tangent) of the step from state_n: residual(sdd) is
-    (pts, R) and tangent(pts) the BandedMatrix dR/dSdd, from a stage
+    (pts, R) and tangent(pts) the dense dR/dSdd, from a stage
     kernel at the step's stage_weights whose bases are (1+alpha) pred -
     alpha (S_n, Sd_n), pred the Newmark update of a zero acceleration.
     `load` is the stage load (1+alpha) L_{n+1} - alpha L_n."""
@@ -31,7 +35,14 @@ def step_system(state_n, space, hht, p, load=0.0):
     pred = newmark_update(state_n, 0.0, hht)
     stage = kernel.stage((1 + a) * pred[0] - a * state_n.Sigma,
                          (1 + a) * pred[1] - a * state_n.Sigma_dot, load)
-    return (lambda sdd: kernel.residual(stage, sdd)), kernel.tangent
+    return ((lambda sdd: kernel.residual(stage, sdd)),
+            (lambda pts: dense_tangent(kernel, pts)))
+
+
+def dense_tangent(kernel, pts):
+    """The n x n tangent dR/dSdd of the stage kernel at `pts`, read from
+    the band it writes (StageKernel.band, the rows from its `fill` on)."""
+    return to_dense(kernel.band(pts)[kernel.fill:])
 
 
 def singular_tangent(monkeypatch, node):
@@ -49,14 +60,30 @@ def singular_tangent(monkeypatch, node):
     monkeypatch.setattr(StageKernel, "band", singular_band)
 
 
-def to_dense(B: BandedMatrix) -> np.ndarray:
-    """The n x n matrix of the band B."""
-    out = np.zeros((B.n, B.n))
-    for i in range(B.n):
-        for j in range(max(0, i - B.bandwidth),
-                       min(B.n, i + B.bandwidth + 1)):
-            out[i, j] = B.ab[B.bandwidth + i - j, j]
+def to_dense(ab: np.ndarray) -> np.ndarray:
+    """The n x n matrix of the band ab."""
+    bw, n = (len(ab) - 1) // 2, ab.shape[1]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - bw), min(n, i + bw + 1)):
+            out[i, j] = ab[bw + i - j, j]
     return out
+
+
+def band_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ab x by BLAS gbmv, the routine the stage kernel forms K products
+    with, so bit for bit its products (n >= 2 bw + 1)."""
+    bw, n = (len(ab) - 1) // 2, ab.shape[1]
+    return dgbmv(n, n, bw, bw, 1.0, ab, x)
+
+
+def banded(space, me: np.ndarray) -> np.ndarray:
+    """The band of the sum of the element matrices `me`, one per cell of
+    `space`, scattered by its cell table."""
+    n, bw = space.n_dofs, space.bandwidth
+    ab = np.bincount(space.table.scatter, me.ravel(),
+                     minlength=(2 * bw + 1) * n)
+    return ab.reshape(n, -1).T
 
 
 def reference_residual(space, Sigma, Sigma_dot, Sigma_ddot, p, elastic=0.0):
@@ -73,17 +100,14 @@ def reference_residual(space, Sigma, Sigma_dot, Sigma_ddot, p, elastic=0.0):
 
 def reference_tangent(space, Sigma, Sigma_dot, Sigma_ddot, p, c_dot=0.0,
                       c=0.0):
-    """M(S) + c_dot C_nl + c (K + K_sig) at the nodal stage, as a
-    BandedMatrix; the mass matrix M(S) at c = c_dot = 0."""
+    """M(S) + c_dot C_nl + c (K + K_sig) at the nodal stage, as a band;
+    the mass matrix M(S) at c = c_dot = 0."""
     t = space.table
     s, sd, sdd = t.at_points(Sigma, Sigma_dot, Sigma_ddot)
     fp, fpp, fppp = derivatives(s, p)
     h = fp + c_dot * 2.0 * fpp * sd + c * (fpp * sdd + fppp * sd**2)
     me = t.integrate(p.rho * h * t.wj, t.ref_outer)
-    n, bw = space.n_dofs, space.bandwidth
-    ab = np.bincount(t.scatter, me.ravel(), minlength=(2 * bw + 1) * n)
-    return BandedMatrix(n, bw, ab.reshape(n, -1).T
-                        + c * assemble_stiffness(space).ab)
+    return banded(space, me) + c * assemble_stiffness(space)
 
 
 def per_cell_stage(space, base, base_dot, sdd, load, p, c, c_dot):

@@ -176,7 +176,7 @@ def test_criterion_07_tangent_consistency_and_newton():
 
         eps = 1e-6
         fd = (residual(sdd + eps * d)[1] - residual(sdd - eps * d)[1]) / (2 * eps)
-        Sd = tangent(residual(sdd)[0]).matvec(d)
+        Sd = tangent(residual(sdd)[0]) @ d
         worst = max(worst, float(np.linalg.norm(fd - Sd)
                                  / np.linalg.norm(Sd)))
     fd_ok = worst <= 1e-5

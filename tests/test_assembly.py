@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresswave.assembly import (BandedMatrix, StageKernel,
+from scipy.linalg import solve_banded
+
+from stresswave.assembly import (SingularMatrixError, StageKernel,
                                  _scipy_linalg_extension, assemble_load_at,
                                  assemble_stiffness)
 from stresswave.constitutive import HyperbolicityError, Law, MaterialParams
@@ -14,7 +16,8 @@ from stresswave.integrator import HhtParams
 from stresswave.verification import mms_fields, mms_forcing
 
 from derivative_helpers import strain_derivative
-from stage_helpers import (per_cell_stage, stage_weights, step_system,
+from stage_helpers import (band_product, dense_tangent, per_cell_stage,
+                           singular_tangent, stage_weights, step_system,
                            to_dense)
 from state_helpers import newmark_update, state, zero_state
 
@@ -39,82 +42,83 @@ def _inertial(space, Sigma, Sigma_dot, Sigma_ddot, p):
     cancels the elastic term exactly."""
     kernel = StageKernel(space, p)
     stage = kernel.stage(Sigma, Sigma_dot,
-                         assemble_stiffness(space).matvec(Sigma))
+                         band_product(assemble_stiffness(space), Sigma))
     return kernel.residual(stage, Sigma_ddot)[1]
 
 
 def _mass(space, Sigma, p):
-    """Mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx, the tangent of
-    the stage kernel at c = c_dot = 0."""
+    """Mass M_IJ = integral rho eps'(sigma_h) N_I N_J dx, the dense
+    tangent of the stage kernel at c = c_dot = 0."""
     zero = np.zeros_like(Sigma)
     kernel = StageKernel(space, p)
-    return kernel.tangent(kernel.residual(kernel.stage(Sigma, zero, 0.0),
-                                          zero)[0])
+    return dense_tangent(kernel, kernel.residual(
+        kernel.stage(Sigma, zero, 0.0), zero)[0])
 
 
 def _random_state(rng, n, t=0.0):
     return state(t, rng.normal(size=n), rng.normal(size=n), rng.normal(size=n))
 
 
-def _random_banded(n, bw, seed):
-    """Random diagonally dominant banded matrix and its dense copy."""
+_STEP = stage_weights(HhtParams(alpha=-0.05, dt=5e-2))  # (c, c_dot) of a step
+
+
+def _stage_data(space, seed, big=None):
+    """Random bases, acceleration and load; `big` = (node, stress) sets
+    one node's base stress."""
+    data = 0.3 * np.random.default_rng(seed).normal(size=(4, space.n_dofs))
+    if big is not None:
+        data[0, big[0]] = big[1]
+    return data
+
+
+def _random_band(n, bw, seed):
+    """A random band and its dense matrix."""
     rng = np.random.default_rng(seed)
     dense = np.zeros((n, n))
     for d in range(-bw, bw + 1):
         dense += np.diag(rng.uniform(-1.0, 1.0, size=n - abs(d)), d)
-    dense += np.diag(2.0 * bw + 1.0 + rng.random(n))
     ab = np.zeros((2 * bw + 1, n))
     for i in range(n):
         for j in range(max(0, i - bw), min(n, i + bw + 1)):
             ab[bw + i - j, j] = dense[i, j]
-    return BandedMatrix(n, bw, ab), dense, rng
+    return ab, dense
 
 
 @settings(max_examples=40, deadline=None)
 @given(bw=st.integers(1, 3), n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
-def test_banded_matrix_roundtrip_and_matvec(bw, n, seed):
-    B, dense, rng = _random_banded(n, bw, seed)
-    np.testing.assert_array_equal(to_dense(B), dense)
-    if n >= 2 * bw + 1:  # the least size of gbmv's wrapper, and of a space
-        x = rng.normal(size=n)
-        np.testing.assert_allclose(B.matvec(x), dense @ x, rtol=1e-12,
-                                   atol=1e-12)
+def test_band_roundtrip(bw, n, seed):
+    ab, dense = _random_band(n, bw, seed)
+    np.testing.assert_array_equal(to_dense(ab), dense)
+
+
+def _kernel_iterate(space, seed, c_pair=None):
+    """(kernel, pts, R) of one iterate of a random stage, in a run's error
+    state; the step's (c, c_dot) unless `c_pair` is given."""
+    base, base_dot, sdd, load = _stage_data(space, seed)
+    kernel = StageKernel(space, MaterialParams(rho=1.3, b=5.0, a=1.5),
+                         *(c_pair or _STEP))
+    with _run_scope():
+        pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
+    return kernel, pts, R
 
 
 @settings(max_examples=40, deadline=None)
-@given(bw=st.integers(1, 3), n=st.integers(5, 40), seed=st.integers(0, 2**32 - 1))
-def test_banded_interior_solve_matches_dense(bw, n, seed):
-    B, dense, rng = _random_banded(n, bw, seed)
-    rhs = rng.normal(size=n - 2)
-    np.testing.assert_allclose(B.solve(rhs, interior=True),
-                               np.linalg.solve(dense[1:-1, 1:-1], rhs),
-                               rtol=1e-10)
-
-
-def test_banded_solve_matches_dense():
-    rng = np.random.default_rng(1)
-    space = build_space(1.0, 5, "uniform(2)")
-    K = assemble_stiffness(space)
-    A = BandedMatrix(K.n, K.bandwidth, K.ab.copy())
-    A.ab[A.bandwidth] += 1.0  # shift to make it definite
-    rhs = rng.normal(size=space.n_dofs)
-    x = A.solve(rhs)
-    np.testing.assert_allclose(to_dense(A) @ x, rhs, atol=1e-12)
-
-
-@pytest.mark.parametrize("bw", [1, 3])
-def test_solve_leaves_the_band_it_is_given_unchanged(bw):
-    # a BandedMatrix solve factors a copy: K's band, a band built by hand
-    # and the right-hand side keep every bit, solved whole or by interior
-    B, _, rng = _random_banded(12, bw, seed=bw)
-    K = assemble_stiffness(build_space(1.0, 6, f"uniform({bw})"))
-    for A, whole in ((B, True), (B, False), (K, False)):
-        before = A.ab.copy()
-        rhs = rng.normal(size=A.n if whole else A.n - 2)
-        rhs_before = rhs.copy()
-        A.solve(rhs, interior=not whole)
-        assert A.ab.tobytes() == before.tobytes()
-        assert rhs.tobytes() == rhs_before.tobytes()
+@given(policy=st.sampled_from(["uniform(1)", "uniform(2)", "uniform(3)",
+                               "center_graded"]),
+       n_cells=st.integers(2, 20), t0=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_banded_interior_solve_matches_dense(policy, n_cells, t0, seed):
+    # the kernel's solve (gtsv, or gbsv above bandwidth 1 and for the 1x1
+    # interior of two linear cells) of the tangent's interior block, at a
+    # step's (c, c_dot) and at the t = 0 balance's (0, 0), against numpy
+    space = build_space(1.0, n_cells, policy)
+    kernel, pts, R = _kernel_iterate(space, seed, (0.0, 0.0) if t0 else None)
+    with _run_scope():
+        T = dense_tangent(kernel, pts)[1:-1, 1:-1]
+        want = np.linalg.solve(T, R[1:-1])
+        got = kernel.solve(pts, R[1:-1])
+    np.testing.assert_allclose(got, want, rtol=1e-10,
+                               atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("policy", ["uniform(1)", "uniform(3)",
@@ -122,21 +126,21 @@ def test_solve_leaves_the_band_it_is_given_unchanged(bw):
 def test_kernel_tangent_is_spent_by_its_solve_to_the_bits_of_a_copy(policy):
     # the kernel's solve factors its band in place (gtsv's three rows at
     # bandwidth 1, gbsv's storage above) and writes the update into the
-    # residual's interior: the bits of a BandedMatrix solve of a copy of
-    # the tangent, whose band the kernel then no longer holds
+    # residual's interior: the bits of scipy's solve_banded (the same gtsv
+    # and gbsv) of a copy of the tangent's interior, whose band the kernel
+    # then no longer holds
     space = build_space(1.0, 10, policy)
-    base, base_dot, sdd, load = _stage_data(space, 7)
-    kernel = StageKernel(space, MaterialParams(rho=1.3, b=5.0, a=1.5), *_STEP)
+    kernel, pts, R = _kernel_iterate(space, 7)
+    bw = space.bandwidth
     with _run_scope():
-        pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
-        tangent = kernel.tangent(pts)
-        want = tangent.solve(R[1:-1], interior=True)
+        tangent = kernel.band(pts)[kernel.fill:, 1:-1].copy()
+        want = solve_banded((bw, bw), tangent, R[1:-1])
         r = R[1:-1]
         got = kernel.solve(pts, r)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert np.shares_memory(got, r)
-    band = kernel.ab[kernel.ab.shape[0] - tangent.ab.shape[0]:]
-    assert band.tobytes() != tangent.ab.tobytes()  # it holds the factors
+    band = kernel.ab[kernel.fill:, 1:-1]
+    assert band.tobytes() != tangent.tobytes()  # it holds the factors
 
 
 def test_missing_scipy_linalg_extension_names_its_directory():
@@ -145,11 +149,20 @@ def test_missing_scipy_linalg_extension_names_its_directory():
 
 
 @pytest.mark.parametrize("bw", [1, 3])
-def test_banded_solve_singular_raises(bw):
-    B, _, rng = _random_banded(9, bw, seed=bw)
-    B.ab[:, 4] = 0.0  # column 4 is zero, so a pivot is exactly zero
-    with pytest.raises(np.linalg.LinAlgError):
-        B.solve(rng.normal(size=9))
+def test_banded_solve_singular_raises(bw, monkeypatch):
+    # a tangent whose first or last interior column is zero meets an
+    # exactly zero pivot there (gtsv at bandwidth 1, gbsv above), and the
+    # error names that column's node: pivot k of the interior is node k
+    space = build_space(1.0, 4, f"uniform({bw})")
+    last = space.n_dofs - 2
+    for node in (1, last):
+        with monkeypatch.context() as m:
+            singular_tangent(m, node)
+            kernel, pts, R = _kernel_iterate(space, node)
+            with pytest.raises(SingularMatrixError) as err, _run_scope():
+                kernel.solve(pts, R[1:-1])
+        assert str(err.value) == f"singular matrix (zero pivot {node})"
+        assert err.value.x == space.dof_coords[node]
 
 
 def test_stiffness_two_cell_hand_value():
@@ -173,7 +186,7 @@ def test_mass_linear_material_hand_value():
     space = _two_cells(h)
     M = _mass(space, np.zeros(3), MaterialParams(rho=2.0, b=0.0, a=1.5))
     np.testing.assert_allclose(
-        to_dense(M),
+        M,
         2.0 * h / 6.0 * np.array([[2.0, 1.0, 0.0], [1.0, 4.0, 1.0],
                                   [0.0, 1.0, 2.0]]), atol=1e-15)
 
@@ -278,7 +291,7 @@ def test_residual_alpha_zero_is_plain_newmark_form():
     Sigma, Sigma_dot = newmark_update(sn, sdd, hht)
     K = assemble_stiffness(space)
     expected = _inertial(space, Sigma, Sigma_dot, sdd, P12) \
-        + K.matvec(Sigma) - load
+        + band_product(K, Sigma) - load
     np.testing.assert_allclose(R, expected, atol=1e-14)
 
 
@@ -299,8 +312,8 @@ def test_residual_linear_material_exact_form():
     Sigma, _ = newmark_update(sn, sdd, hht)
     M0 = _mass(space, np.zeros(n), p)
     K = assemble_stiffness(space)
-    expected = (M0.matvec(sdd) + (1 + a) * K.matvec(Sigma)
-                - a * K.matvec(sn.Sigma) - (1 + a) * ln + a * lp)
+    expected = (M0 @ sdd + (1 + a) * band_product(K, Sigma)
+                - a * band_product(K, sn.Sigma) - (1 + a) * ln + a * lp)
     np.testing.assert_allclose(R, expected, atol=1e-14)
 
 
@@ -337,8 +350,8 @@ def test_tangent_linear_material_exact():
     state_n = state(0.0, np.random.default_rng(2).normal(size=n),
                     np.zeros(n), np.zeros(n))
     residual, tangent = step_system(state_n, space, hht, p)
-    S = to_dense(tangent(residual(np.zeros(n))[0]))
-    M0 = to_dense(_mass(space, np.zeros(n), p))
+    S = tangent(residual(np.zeros(n))[0])
+    M0 = _mass(space, np.zeros(n), p)
     K = to_dense(assemble_stiffness(space))
     expected = M0 + hht.beta_nm * hht.dt**2 * (1.0 + hht.alpha) * K
     np.testing.assert_allclose(S, expected, atol=1e-14)
@@ -353,10 +366,8 @@ def test_tangent_structure_matches_stiffness():
     residual, tangent = step_system(state_n, space,
                                     HhtParams(alpha=-0.05, dt=1e-2), P12)
     S = tangent(residual(rng.normal(size=n))[0])
-    K = assemble_stiffness(space)
-    assert S.bandwidth == K.bandwidth
-    np.testing.assert_array_equal(np.abs(to_dense(S)) > 0,
-                                  np.abs(to_dense(K)) > 0)
+    K = to_dense(assemble_stiffness(space))
+    np.testing.assert_array_equal(np.abs(S) > 0, np.abs(K) > 0)
 
 
 def _fd_directional(residual, sdd, d, eps=1e-6):
@@ -377,7 +388,7 @@ def test_tangent_matches_fd_jacobian():
         residual, tangent = step_system(state_n, space, hht, P12)
         S = tangent(residual(sdd)[0])
         fd = _fd_directional(residual, sdd, d)
-        Sd = S.matvec(d)
+        Sd = S @ d
         assert np.linalg.norm(fd - Sd) <= 1e-5 * np.linalg.norm(Sd)
 
 
@@ -400,36 +411,31 @@ def test_graded_assembly_matches_per_cell_loop():
         fp, fpp = strain_derivative(s, 1, P12), strain_derivative(s, 2, P12)
         M_ref[np.ix_(dofs, dofs)] += (shp * (P12.rho * fp * wj)[:, None]).T @ shp
         F_ref[dofs] += shp.T @ (P12.rho * (fp * sdd + fpp * sd**2) * wj)
-    np.testing.assert_allclose(to_dense(_mass(space, Sigma, P12)),
-                               M_ref, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(_mass(space, Sigma, P12), M_ref, rtol=1e-14,
+                               atol=1e-15)
     np.testing.assert_allclose(
         _inertial(space, Sigma, Sigma_dot, Sigma_ddot, P12), F_ref,
         rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("bw", [1, 2])
-def test_one_by_one_solve_and_its_zero_pivot(bw):
-    # the interior of a 2-cell uniform(1) mesh: gtsv rejects its empty
-    # off-diagonals, so gbsv solves it and reports a zero pivot
-    ab = np.zeros((2 * bw + 1, 1))
-    ab[bw] = 4.0
-    assert BandedMatrix(1, bw, ab).solve(np.array([2.0])).tolist() == [0.5]
-    ab[bw] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        BandedMatrix(1, bw, ab).solve(np.array([2.0]))
-
-
-
-_STEP = stage_weights(HhtParams(alpha=-0.05, dt=5e-2))  # (c, c_dot) of a step
-
-
-def _stage_data(space, seed, big=None):
-    """Random bases, acceleration and load; `big` = (node, stress) sets
-    one node's base stress."""
-    data = 0.3 * np.random.default_rng(seed).normal(size=(4, space.n_dofs))
-    if big is not None:
-        data[0, big[0]] = big[1]
-    return data
+@pytest.mark.parametrize("h", [1, 2])
+def test_one_by_one_solve_and_its_zero_pivot(h, monkeypatch):
+    # two linear cells of width h have a 1x1 interior, the mass 2 rho h / 3
+    # at t = 0: gtsv rejects its empty off-diagonals, so gbsv solves it,
+    # and a zero pivot names the middle node, x = h
+    space = _two_cells(h)
+    kernel = StageKernel(space, MaterialParams(rho=1.3, b=0.0, a=1.5))
+    zero = np.zeros(3)
+    pts, _ = kernel.residual(kernel.stage(zero, zero, 0.0), zero)
+    m = kernel.band(pts)[kernel.fill + kernel.bw, 1]  # the diagonal
+    assert m == pytest.approx(2.0 * 1.3 * h / 3.0, rel=1e-15)
+    assert kernel.solve(pts, np.array([2.0])).tolist() == [2.0 / m]
+    singular_tangent(monkeypatch, 1)
+    kernel, pts, R = _kernel_iterate(space, 0)
+    with pytest.raises(SingularMatrixError) as err, _run_scope():
+        kernel.solve(pts, R[1:-1])
+    assert str(err.value) == "singular matrix (zero pivot 1)"
+    assert err.value.x == h
 
 
 def _kernel_stage(space, p, c, c_dot, base, base_dot, sdd, load):
@@ -437,7 +443,7 @@ def _kernel_stage(space, p, c, c_dot, base, base_dot, sdd, load):
     kernel = StageKernel(space, p, c, c_dot)
     with _run_scope():
         pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
-        return R, to_dense(kernel.tangent(pts))
+        return R, dense_tangent(kernel, pts)
 
 
 @pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",

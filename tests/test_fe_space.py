@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from stresswave import cli
-from stresswave.assembly import _banded, assemble_stiffness
+from stresswave.assembly import assemble_stiffness
 from stresswave.config import load_config, parse_config
 from stresswave.fe_space import (FeSpace, build_space, cell_table, gauss_rule,
                                  lagrange_basis)
 from stresswave.integrator import run_simulation
 from stresswave.postprocess import sample_solution
 from stresswave.verification import convergence_study, l2_error
+
+from stage_helpers import banded
 
 # local nodes of degrees 1-3 on [-1, 1] (Gauss-Lobatto for p = 3)
 NODES = {1: [-1.0, 1.0], 2: [-1.0, 0.0, 1.0],
@@ -260,13 +262,13 @@ def test_cell_table_weighted_tables(policy, n_extra):
                       minlength=space.n_dofs),
           np.bincount(dofs.ravel(), np.einsum("mq,mqi->mi", h, wshape).ravel(),
                       minlength=space.n_dofs))
-    close(_banded(space, t, t.integrate(h * t.wj, t.ref_outer)).ab,
-          _banded(space, t, np.einsum("mq,mqk->mk", h, wouter)).ab)
+    close(banded(space, t.integrate(h * t.wj, t.ref_outer)),
+          banded(space, np.einsum("mq,mqk->mk", h, wouter)))
     if n_extra == 2:
-        close(assemble_stiffness(space).ab,
-              _banded(space, t, np.einsum("mq,mqi,mqj->mij",
-                                          wj / t.jac[:, None] ** 2,
-                                          dshape, dshape)).ab)
+        close(assemble_stiffness(space),
+              banded(space, np.einsum("mq,mqi,mqj->mij",
+                                      wj / t.jac[:, None] ** 2,
+                                      dshape, dshape)))
 
 
 def test_global_polynomial_reproduction():
@@ -301,3 +303,8 @@ def test_fe_space_direct_construction_validates():
         FeSpace(np.array([0.0, 0.0, 1.0]), np.array([1, 1]))
     with pytest.raises(ValueError):
         FeSpace(np.array([0.0, 0.5, 1.0]), np.array([1, 5]))
+    # 5 DoFs at bandwidth 3: fewer than the 2 bandwidth + 1 rows that
+    # BLAS gbmv takes, so its first stage could not be formed
+    with pytest.raises(ValueError, match=r"^5 DoFs at bandwidth 3: .* = 7, "
+                                         r"the least size BLAS gbmv takes"):
+        FeSpace(np.array([0.0, 0.5, 1.0]), np.array([1, 3]))

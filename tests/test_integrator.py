@@ -16,9 +16,9 @@ from stresswave.integrator import (BoundaryDrive, HhtParams,
                                    run_simulation)
 from stresswave.verification import mms_fields, mms_forcing
 
-from stage_helpers import (reference_residual, reference_tangent,
-                           singular_tangent, stage_weights, step_system,
-                           to_dense)
+from stage_helpers import (band_product, reference_residual,
+                           reference_tangent, singular_tangent, stage_weights,
+                           step_system, to_dense)
 from state_helpers import (boundary_acceleration, linear_modal_oracle,
                            newmark_update, state, zero_state)
 
@@ -39,7 +39,7 @@ def _inline_stage(space, state_n, sdd, hht, p, load):
     Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
     stage = ((1 + a) * Sigma - a * state_n.Sigma,
              (1 + a) * Sigma_dot - a * state_n.Sigma_dot, sdd)
-    elastic = assemble_stiffness(space).matvec(stage[0]) - load
+    elastic = band_product(assemble_stiffness(space), stage[0]) - load
     return (stage, reference_residual(space, *stage, p, elastic),
             (Sigma, Sigma_dot))
 
@@ -307,16 +307,17 @@ def test_solver_errors_pickle_with_their_fields():
         assert vars(back) == vars(exc)
 
 
-def _run_or_failure(cfg, sign, amp, rate):
-    """(snapshots, report) of cfg with its drive and its initial stress
-    amp sin(pi x) and rate rate sin(2 pi x) times sign, or the solver
-    failure it ends in."""
+def _run_or_failure(cfg, sign, mu, amp, rate):
+    """(snapshots, report) of cfg, on [0, L] = [0, mu], with its drive and
+    its initial stress amp sin(pi x / mu) and rate rate sin(2 pi x / mu)
+    / mu times sign, or the solver failure it ends in."""
     cfg = dataclasses.replace(
         cfg, drive=dataclasses.replace(cfg.drive, A=sign * cfg.drive.A))
     try:
         return run_simulation(
-            cfg, initial_sigma=lambda x: sign * amp * np.sin(np.pi * x),
-            initial_rate=lambda x: sign * rate * np.sin(2.0 * np.pi * x))
+            cfg, initial_sigma=lambda x: sign * amp * np.sin(np.pi * x / mu),
+            initial_rate=lambda x: (sign * rate / mu
+                                    * np.sin(2.0 * np.pi * x / mu)))
     except (NewtonDivergedError, HyperbolicityError) as exc:
         return exc
 
@@ -326,36 +327,53 @@ def _run_or_failure(cfg, sign, amp, rate):
                                "center_graded"]),
        b=st.floats(0.0, 10.0), a=st.floats(0.5, 10.0),
        n_cells=st.integers(16, 32), A=st.floats(0.0, 0.05),
-       amp=st.floats(-1.0, 1.0), rate=st.floats(-1.0, 1.0))
+       amp=st.floats(-1.0, 1.0), rate=st.floats(-1.0, 1.0),
+       mu=st.sampled_from([1.0, 2.0, 0.25]))
 # Newton stalls at t = 0.035 (a = 0.5, a stress near 0)
 @example(policy="uniform(1)", b=9.122578539660545, a=0.5, n_cells=29, A=0.0,
-         amp=-3.4649221734554626e-34, rate=0.5)
+         amp=-3.4649221734554626e-34, rate=0.5, mu=1.0)
+@example(policy="uniform(1)", b=9.122578539660545, a=0.5, n_cells=29, A=0.0,
+         amp=-3.4649221734554626e-34, rate=0.5, mu=2.0)
 def test_negated_data_give_negated_states(policy, b, a, n_cells, A, amp,
-                                           rate):
+                                           rate, mu):
     # the law is odd in sigma and every other operation of a step is
     # linear or even in the state, so negated initial stress, rate and
     # drive give negated states with equal floats (the sign of an exact
     # zero aside) and the same Newton histories, 200 steps long; a run
-    # that fails fails the same way, at the same step and node
-    cfg = parse_config({"material": {"b": b, "a": a}, "drive": {"A": A},
-                        "mesh": {"n_cells": n_cells, "degree_policy": policy},
-                        "time": {"dt": 1e-3, "t_final": 0.2},
-                        "output": {"snapshot_interval": 0.05}})
-    pos, neg = (_run_or_failure(cfg, sign, amp, rate) for sign in (1.0, -1.0))
+    # that fails fails the same way, at the same step and node.  Lengths
+    # and times scaled by mu, a power of 2, and omega by 1 / mu scale
+    # every operation by a power of 2, so they give the same stresses at
+    # the scaled times, rates / mu and accelerations / mu^2, bit for bit,
+    # and fail at the scaled time and node; the Newton counts are not
+    # compared then, since the residual scales by 1 / mu and the absolute
+    # floor NEWTON_ABS_FLOOR does not
+    def config(mu):
+        return parse_config({
+            "material": {"b": b, "a": a}, "drive": {"A": A,
+                                                    "omega": 2.0 * np.pi / mu},
+            "mesh": {"L": mu, "n_cells": n_cells, "degree_policy": policy},
+            "time": {"dt": 1e-3 * mu, "t_final": 0.2 * mu},
+            "output": {"snapshot_interval": 0.05 * mu}})
+
+    pos = _run_or_failure(config(1.0), 1.0, 1.0, amp, rate)
+    neg = _run_or_failure(config(mu), -1.0, mu, amp, rate)
     if isinstance(pos, Exception):
         assert type(neg) is type(pos)
-        assert (neg.t, neg.x) == (pos.t, pos.x)
+        assert (neg.t, neg.x) == (mu * pos.t, mu * pos.x)
         if isinstance(pos, NewtonDivergedError):
-            assert (neg.iters, neg.history) == (pos.iters, pos.history)
+            if mu == 1.0:
+                assert (neg.iters, neg.history) == (pos.iters, pos.history)
         else:
             assert neg.sigma == -pos.sigma
         return
     (snaps, report), (neg_snaps, neg_report) = pos, neg
-    assert neg_report.newton_iters == report.newton_iters
-    assert neg_report.residual_histories == report.residual_histories
-    assert [s.t for s in neg_snaps] == [s.t for s in snaps]
+    if mu == 1.0:
+        assert neg_report.newton_iters == report.newton_iters
+        assert neg_report.residual_histories == report.residual_histories
+    assert [s.t for s in neg_snaps] == [mu * s.t for s in snaps]
+    scale = np.array([[1.0], [1.0 / mu], [1.0 / mu**2]])
     for mine, ref in zip(neg_snaps, snaps):
-        assert np.array_equal(mine.X, -ref.X)
+        assert np.array_equal(mine.X, -scale * ref.X)
 
 
 def test_hyperbolicity_failure_names_its_time():
@@ -480,9 +498,9 @@ def test_linear_energy_kept_at_alpha_zero_lost_below(alpha):
     space, p = report.space, cfg.material
     zero = np.zeros(space.n_dofs)
     K = assemble_stiffness(space)
-    M = reference_tangent(space, zero, zero, zero, p)
-    E = np.array([0.5 * (s.Sigma_dot @ M.matvec(s.Sigma_dot)
-                         + s.Sigma @ K.matvec(s.Sigma)) for s in snaps])
+    M = to_dense(reference_tangent(space, zero, zero, zero, p))
+    E = np.array([0.5 * (s.Sigma_dot @ (M @ s.Sigma_dot)
+                         + s.Sigma @ band_product(K, s.Sigma)) for s in snaps])
     assert len(E) == 201
     if alpha == 0.0:
         assert np.max(np.abs(E - E[0])) <= 1e-13 * E[0]
@@ -598,7 +616,7 @@ def test_initial_acceleration_solves_t0_balance():
     Sigma_dot0 = 0.1 * np.sin(2 * np.pi * x)
     sdd0 = initial_acceleration(space, Sigma0, Sigma_dot0, P12)
     R = reference_residual(space, Sigma0, Sigma_dot0, sdd0, P12,
-                           assemble_stiffness(space).matvec(Sigma0))
+                           band_product(assemble_stiffness(space), Sigma0))
     np.testing.assert_allclose(R[1:-1], 0.0, atol=1e-12)
     # MMS initial data has zero exact acceleration
     f0 = mms_fields(x, 0.0)
@@ -623,7 +641,7 @@ def test_initial_acceleration_of_driven_run():
     assert s0.Sigma_ddot[0] == s0.Sigma_ddot[-1] == 0.0
     assert np.max(np.abs(s0.Sigma_ddot)) > 0.1
     R = reference_residual(space, s0.Sigma, s0.Sigma_dot, s0.Sigma_ddot, p,
-                           assemble_stiffness(space).matvec(s0.Sigma))
+                           band_product(assemble_stiffness(space), s0.Sigma))
     np.testing.assert_allclose(R[1:-1], 0.0, atol=1e-12)
 
 
