@@ -87,17 +87,19 @@ def fit_material(data: StressStrainDataset, init: tuple = (1.0, 1.0),
     def residuals(x):
         return data.strains - _model_strain(data.stresses, x[0], x[1])
 
-    result = least_squares(residuals, x0=[b0, max(a0, _A_MIN)],
-                           bounds=([0.0, _A_MIN], [np.inf, np.inf]),
-                           method="trf", xtol=_TOL, ftol=_TOL, gtol=_TOL,
-                           max_nfev=max_iters)
-    b_fit, a_fit = float(result.x[0]), float(result.x[1])
-    sse = sse_objective(b_fit, a_fit, data)
-    sse_init = sse_objective(b0, a0, data)
-    if sse > sse_init:  # trf is monotone, but guard the contract anyway
-        b_fit, a_fit, sse = b0, a0, sse_init
+    # the law's error-state scope: a sum of squares may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        result = least_squares(residuals, x0=[b0, max(a0, _A_MIN)],
+                               bounds=([0.0, _A_MIN], [np.inf, np.inf]),
+                               method="trf", xtol=_TOL, ftol=_TOL, gtol=_TOL,
+                               max_nfev=max_iters)
+        b_fit, a_fit = float(result.x[0]), float(result.x[1])
+        sse = sse_objective(b_fit, a_fit, data)
+        sse_init = sse_objective(b0, a0, data)
+        if sse > sse_init:  # trf is monotone, but guard the contract anyway
+            b_fit, a_fit, sse = b0, a0, sse_init
 
-    tss = float(np.sum((data.strains - np.mean(data.strains)) ** 2))
+        tss = float(np.sum((data.strains - np.mean(data.strains)) ** 2))
     if tss > 0.0:
         r2 = 1.0 - sse / tss
     else:

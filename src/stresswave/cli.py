@@ -45,6 +45,9 @@ MMS_SPATIAL_T_FINAL = 0.1
 SWEEP_B_GRID = ((0.0, 1.5), (1.0, 1.5), (5.0, 1.5), (10.0, 1.5))
 SWEEP_A_GRID = ((1.0, 1.5), (1.0, 3.0), (1.0, 5.0), (1.0, 10.0))
 
+# Largest gen-data --n: a 39 MB file, made in about 100 MB of peak memory.
+GEN_DATA_MAX_POINTS = 10**6
+
 
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     """Run one scenario, write snapshots + manifest, return run metrics."""
@@ -150,8 +153,14 @@ def _mms_preset(kind: str) -> dict:
 
 
 def cmd_mms(args, kind: str) -> int:
-    from .verification import convergence_study
-    config = parse_config(_config_mapping(args, preset=_mms_preset(kind)))
+    from .verification import SPATIAL_DT, TEMPORAL_DTS, convergence_study
+    mapping = _config_mapping(args, preset=_mms_preset(kind))
+    config = parse_config(mapping)
+    for dt in [SPATIAL_DT] if kind == "spatial" else TEMPORAL_DTS:
+        try:  # each rung runs to t_final at its own dt
+            parse_config({**mapping, "time": {**mapping["time"], "dt": dt}})
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (the {kind} study's dt={dt:g})") from exc
     table = convergence_study(kind, config)
     out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,6 +234,10 @@ def cmd_fit(args) -> int:
                               max_iters=args.max_iters)
     except ValueError as exc:  # a bad data line, initial guess or budget
         raise ConfigError(str(exc)) from exc
+    if not (math.isfinite(result.sse) and math.isfinite(result.r2)):
+        print(f"solver failure: fit {data.label}: sse={result.sse:.6g} "
+              f"r2={result.r2:.6g} is not finite", file=sys.stderr)
+        return 3
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     path = write_fit_csv(out / "fit.csv", data.label, result)
@@ -237,6 +250,9 @@ def cmd_fit(args) -> int:
 
 def cmd_gen_data(args) -> int:
     from .calibration import generate_synthetic
+    if not 3 <= args.n <= GEN_DATA_MAX_POINTS:
+        raise ConfigError(f"--n: must be in [3, {GEN_DATA_MAX_POINTS}], "
+                          f"got {args.n}")
     try:
         data = generate_synthetic(b=args.b, a=args.a, n_points=args.n,
                                   sigma_max=args.sigma_max, noise=args.noise,

@@ -143,6 +143,10 @@ def _validated(merged: dict) -> ScenarioConfig:
         raise ConfigError(f"time.t_final: must be positive, got {t['t_final']}")
     if not t["t_final"] / t["dt"] <= 2.0**53:  # (k + 1) dt hits every step time
         raise ConfigError(f"time.dt: t_final / dt is {t['t_final'] / t['dt']:g}, over 2**53")
+    h, w = min(0.5 * t["dt"], t["t_final"]), 1.0 - t["alpha"]
+    if 0.25 * w * w * h * h == 0.0:  # beta h^2; no step of a run is shorter
+        raise ConfigError(f"time: a step as short as {h:g} has beta dt^2 = 0 "
+                          f"(underflow)")
     if d["A"] < 0:
         raise ConfigError(f"drive.A: must be non-negative, got {d['A']}")
     if o["snapshot_interval"] < 0:

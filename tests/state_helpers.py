@@ -43,17 +43,19 @@ def linear_modal_oracle(space, p, hht, Sigma0, n_steps):
     """Nodal stress after n_steps HHT steps of the linear law (p.b = 0)
     from Sigma0 at rest, with no load and 0 stress at both ends.
 
-    The interior K and M decouple in the modes of K phi = lam M phi,
+    M is the inertial residual of the weak form at rest, column by
+    column.  The interior K and M decouple in the modes of K phi = lam M phi,
     found from the Cholesky factor M = C C^T and eigh of C^-1 K C^-T,
     with each lam taken again as the Rayleigh quotient of its mode.
     Each modal amplitude then follows the scalar recursion of the
     scheme: qdd_{n+1} + (1+alpha) lam q_{n+1} - alpha lam q_n = 0, with
     q_{n+1} and qd_{n+1} the Newmark update of qdd_{n+1}.
     """
-    from stage_helpers import reference_tangent, to_dense
+    from stage_helpers import reference_residual, to_dense
     zero = np.zeros(space.n_dofs)
     K = to_dense(assemble_stiffness(space))[1:-1, 1:-1]
-    M = to_dense(reference_tangent(space, zero, zero, zero, p))[1:-1, 1:-1]
+    M = np.array([reference_residual(space, zero, zero, e, p)[1:-1]
+                  for e in np.eye(space.n_dofs)[1:-1]]).T
     C_inv = np.linalg.inv(np.linalg.cholesky(M))
     lam, V = np.linalg.eigh(C_inv @ K @ C_inv.T)
     phi = C_inv.T @ V  # phi^T M phi = I and phi^T K phi = diag(lam)

@@ -11,14 +11,13 @@ from stresswave.assembly import (SingularMatrixError, StageKernel,
                                  _scipy_linalg_extension, assemble_load_at,
                                  assemble_stiffness)
 from stresswave.constitutive import HyperbolicityError, Law, MaterialParams
-from stresswave.fe_space import build_space, gauss_rule, lagrange_basis
+from stresswave.fe_space import build_space
 from stresswave.integrator import HhtParams
 from stresswave.verification import mms_fields, mms_forcing
 
-from derivative_helpers import strain_derivative
-from stage_helpers import (band_product, dense_tangent, per_cell_stage,
-                           singular_tangent, stage_weights, step_system,
-                           to_dense)
+from stage_helpers import (band_product, dense_tangent, difference_jacobian,
+                           kernel_functions, per_cell_stage, singular_tangent,
+                           stage_weights, step_system, to_dense)
 from state_helpers import newmark_update, state, zero_state
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
@@ -274,7 +273,7 @@ def test_residual_zero_states():
     n = space.n_dofs
     hht = HhtParams(alpha=-0.05, dt=1e-2)
     residual, _ = step_system(zero_state(n), space, hht, P12)
-    _, R = residual(np.zeros(n))
+    R = residual(np.zeros(n))
     np.testing.assert_array_equal(R, np.zeros(n))
 
 
@@ -287,7 +286,7 @@ def test_residual_alpha_zero_is_plain_newmark_form():
     sdd = rng.normal(size=n)
     load = rng.normal(size=n)
     residual, _ = step_system(sn, space, hht, P12, load)
-    _, R = residual(sdd)
+    R = residual(sdd)
     Sigma, Sigma_dot = newmark_update(sn, sdd, hht)
     K = assemble_stiffness(space)
     expected = _inertial(space, Sigma, Sigma_dot, sdd, P12) \
@@ -308,7 +307,7 @@ def test_residual_linear_material_exact_form():
     ln, lp = rng.normal(size=n), rng.normal(size=n)
     a = hht.alpha
     residual, _ = step_system(sn, space, hht, p, (1 + a) * ln - a * lp)
-    _, R = residual(sdd)
+    R = residual(sdd)
     Sigma, _ = newmark_update(sn, sdd, hht)
     M0 = _mass(space, np.zeros(n), p)
     K = assemble_stiffness(space)
@@ -335,7 +334,7 @@ def test_residual_mms_consistency_linear():
         a = hht.alpha
         residual, _ = step_system(state(t, f.sigma, f.sigma_t, f.sigma_tt),
                                   space, hht, P0, (1 + a) * ln - a * lp)
-        _, R = residual(mms_fields(x, t + hht.dt).sigma_tt)
+        R = residual(mms_fields(x, t + hht.dt).sigma_tt)
         norms.append(np.max(np.abs(R[1:-1])))
     assert norms[1] < norms[0] / 3.0
     assert norms[2] < norms[1] / 3.0
@@ -350,7 +349,7 @@ def test_tangent_linear_material_exact():
     state_n = state(0.0, np.random.default_rng(2).normal(size=n),
                     np.zeros(n), np.zeros(n))
     residual, tangent = step_system(state_n, space, hht, p)
-    S = tangent(residual(np.zeros(n))[0])
+    S = tangent(np.zeros(n))
     M0 = _mass(space, np.zeros(n), p)
     K = to_dense(assemble_stiffness(space))
     expected = M0 + hht.beta_nm * hht.dt**2 * (1.0 + hht.alpha) * K
@@ -365,57 +364,9 @@ def test_tangent_structure_matches_stiffness():
                     rng.normal(size=n))
     residual, tangent = step_system(state_n, space,
                                     HhtParams(alpha=-0.05, dt=1e-2), P12)
-    S = tangent(residual(rng.normal(size=n))[0])
+    S = tangent(rng.normal(size=n))
     K = to_dense(assemble_stiffness(space))
     np.testing.assert_array_equal(np.abs(S) > 0, np.abs(K) > 0)
-
-
-def _fd_directional(residual, sdd, d, eps=1e-6):
-    return (residual(sdd + eps * d)[1] - residual(sdd - eps * d)[1]) / (2.0 * eps)
-
-
-def test_tangent_matches_fd_jacobian():
-    rng = np.random.default_rng(17)
-    space = build_space(1.0, 8, "uniform(2)")
-    n = space.n_dofs
-    hht = HhtParams(alpha=-0.05, dt=1e-2)
-    for _ in range(5):
-        # states bounded away from sigma = 0 so the regularization is inactive
-        state_n = state(0.0, 0.5 + 0.5 * rng.random(n),
-                        rng.normal(size=n), rng.normal(size=n))
-        sdd = rng.normal(size=n)
-        d = rng.normal(size=n)
-        residual, tangent = step_system(state_n, space, hht, P12)
-        S = tangent(residual(sdd)[0])
-        fd = _fd_directional(residual, sdd, d)
-        Sd = S @ d
-        assert np.linalg.norm(fd - Sd) <= 1e-5 * np.linalg.norm(Sd)
-
-
-def test_graded_assembly_matches_per_cell_loop():
-    # reference: each cell integrated with its own (degree + 2)-point rule
-    space = build_space(1.0, 10, "center_graded")
-    n = space.n_dofs
-    rng = np.random.default_rng(21)
-    Sigma, Sigma_dot, Sigma_ddot = 0.3 * rng.normal(size=(3, n))
-    M_ref = np.zeros((n, n))
-    F_ref = np.zeros(n)
-    for k, p in enumerate(space.degrees):
-        dofs = space.dof_table[k, :p + 1]
-        xl, xr = space.cell_edges[k], space.cell_edges[k + 1]
-        rule = gauss_rule(len(dofs) + 1)
-        shp, _ = lagrange_basis(2.0 * (space.dof_coords[dofs] - xl) / (xr - xl)
-                                - 1.0, rule.points)
-        wj = rule.weights * 0.5 * (xr - xl)
-        s, sd, sdd = shp @ Sigma[dofs], shp @ Sigma_dot[dofs], shp @ Sigma_ddot[dofs]
-        fp, fpp = strain_derivative(s, 1, P12), strain_derivative(s, 2, P12)
-        M_ref[np.ix_(dofs, dofs)] += (shp * (P12.rho * fp * wj)[:, None]).T @ shp
-        F_ref[dofs] += shp.T @ (P12.rho * (fp * sdd + fpp * sd**2) * wj)
-    np.testing.assert_allclose(_mass(space, Sigma, P12), M_ref, rtol=1e-14,
-                               atol=1e-15)
-    np.testing.assert_allclose(
-        _inertial(space, Sigma, Sigma_dot, Sigma_ddot, P12), F_ref,
-        rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("h", [1, 2])
@@ -439,30 +390,31 @@ def test_one_by_one_solve_and_its_zero_pivot(h, monkeypatch):
 
 
 def _kernel_stage(space, p, c, c_dot, base, base_dot, sdd, load):
-    """(R, dense tangent) of the stage kernel, in a run's error state."""
+    """kernel_functions of the stage kernel at (c, c_dot) and the bases."""
     kernel = StageKernel(space, p, c, c_dot)
-    with _run_scope():
-        pts, R = kernel.residual(kernel.stage(base, base_dot, load), sdd)
-        return R, dense_tangent(kernel, pts)
+    return kernel_functions(kernel, kernel.stage(base, base_dot, load))
 
 
 @pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
                                     "center_graded"])
 @pytest.mark.parametrize("b", [0.0, 1.0, 5.0])
 def test_stage_kernel_matches_per_cell_loop(policy, b):
-    # residual and tangent of the kernel against a loop over cells that
-    # takes the law at each cell's points, for the (c, c_dot) of a step
-    # and of the t = 0 balance, to 1e-13 of their largest entry
+    # the kernel's residual against a loop over cells that takes the law
+    # at each cell's points, to 1e-13 of its largest entry, and its
+    # tangent against the central-difference Jacobian of that residual,
+    # for the (c, c_dot) of a step and of the t = 0 balance
     space = build_space(1.0, 10, policy)
     for seed, a in enumerate((0.5, 1.0, 1.5, 2.0, 3.0)):
         p = MaterialParams(rho=1.3, b=b, a=a)
         data = _stage_data(space, seed)
         for c, c_dot in (_STEP, (0.0, 0.0)):
-            got = _kernel_stage(space, p, c, c_dot, *data)
-            ref = per_cell_stage(space, *data, p, c, c_dot)
-            for mine, want in zip(got, ref):
-                assert (np.max(np.abs(mine - want))
-                        <= 1e-13 * np.max(np.abs(want))), (a, c)
+            residual, tangent = _kernel_stage(space, p, c, c_dot, *data)
+            sdd, want = data[2], per_cell_stage(space, *data, p, c, c_dot)
+            with _run_scope():
+                R, T = residual(sdd), tangent(sdd)
+                fd = difference_jacobian(residual, sdd)
+            assert np.max(np.abs(R - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.linalg.norm(fd - T) <= 1e-5 * np.linalg.norm(T), (a, c)
 
 
 @pytest.mark.parametrize("policy", ["uniform(1)", "uniform(2)", "uniform(3)",
@@ -470,16 +422,17 @@ def test_stage_kernel_matches_per_cell_loop(policy, b):
 def test_stage_kernel_evaluates_the_law_at_real_points_only(policy,
                                                             monkeypatch):
     # a mixed-degree table pads each cell to the largest point count; the
-    # kernel takes the law at each cell's p + 2 points and no padded slot
+    # kernel takes the law at each cell's p + 2 points and no padded slot,
+    # once for an iterate's residual and tangent
     space = build_space(1.0, 10, policy)
     seen = []
-    derivatives, third = Law.derivatives, Law.third
+    derivatives = Law.derivatives
     monkeypatch.setattr(Law, "derivatives", lambda law, s, *out: (
         seen.append(s.size), derivatives(law, s, *out))[1])
-    monkeypatch.setattr(Law, "third", lambda law, late, *out: (
-        seen.append(late[0].size), third(law, late, *out))[1])
-    _kernel_stage(space, P12, *_STEP, *_stage_data(space, 0))
-    assert seen == [int(np.sum(space.degrees + 2))] * 2
+    data = _stage_data(space, 0)
+    with _run_scope():
+        _kernel_stage(space, P12, *_STEP, *data)[1](data[2])
+    assert seen == [int(np.sum(space.degrees + 2))]
 
 
 @pytest.mark.parametrize("policy", ["uniform(2)", "center_graded"])
@@ -495,8 +448,8 @@ def test_stage_kernel_guard_names_the_loops_point(policy, p, stress, why, c,
     # = 0, and names the same first point of least eps'
     space = build_space(1.0, 10, policy)
     data = _stage_data(space, 3, big=(space.n_dofs // 2, stress))
-    with pytest.raises(HyperbolicityError) as err:
-        _kernel_stage(space, p, c, c_dot, *data)
+    with pytest.raises(HyperbolicityError) as err, _run_scope():
+        _kernel_stage(space, p, c, c_dot, *data)[0](data[2])
     with pytest.raises(HyperbolicityError) as ref, _run_scope():
         per_cell_stage(space, *data, p, c, c_dot)
     assert why in str(err.value)
@@ -526,4 +479,4 @@ def test_warm_iterate_allocates_no_point_sized_array():
         finally:
             tracemalloc.stop()
     results = R.nbytes + kernel.ab.nbytes
-    assert peak < results + pts[0].nbytes, (peak, results)
+    assert peak < results + space.table.x_q.nbytes, (peak, results)

@@ -632,12 +632,15 @@ time: {alpha: -0.05, t_final: 0.01}
     (["gen-data", "g.csv", "--b", "nan", "--a", "1"], "nan"),
     (["gen-data", "g.csv", "--b", "1", "--a", "0"], "a must"),
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--n", "2"], "got 2"),
+    # 745 GiB of stresses, which NumPy refuses in one piece
+    (["gen-data", "g.csv", "--b", "1", "--a", "1", "--n", "100000000000"],
+     "--n: must be in [3, 1000000]"),
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--sigma-max", "0"],
      "sigma_max"),
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--noise", "-1"], "noise"),
 ], ids=["fit-data-line", "fit-one-column-first-line", "fit-init-b",
         "fit-init-b-inf", "fit-max-iters-zero", "b-negative", "b-nan", "a-zero",
-        "n-two", "sigma-max-zero", "noise-negative"])
+        "n-two", "n-1e11", "sigma-max-zero", "noise-negative"])
 def test_bad_fit_and_gen_data_input_exit_code(tmp_path, monkeypatch, capsys,
                                               argv, named):
     monkeypatch.chdir(tmp_path)
@@ -648,3 +651,21 @@ def test_bad_fit_and_gen_data_input_exit_code(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and named in err and "Traceback" not in err
     assert not Path("g.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["d.csv", "--init-b", "1e300"], 0), (["d.csv", "--init-a", "1e300"], 0),
+    (["huge.csv"], 3)], ids=["init-b-1e300", "init-a-1e300", "strains-1e307"])
+def test_fit_warns_nowhere_and_a_fit_that_is_not_finite_exits_3(
+        tmp_path, monkeypatch, capsys, argv, code):
+    # overflow in the optimizer's sums of squares is the law's to ignore
+    # (a RuntimeWarning is an error here); an SSE of strains near 1e307
+    # overflows to inf, and R^2 is then NaN
+    monkeypatch.chdir(tmp_path)
+    Path("d.csv").write_text("0 0\n1 0.5\n2 0.7\n3 0.8\n")
+    Path("huge.csv").write_text("0 3e307\n2.5 7e307\n5 3e307\n")
+    assert main(["fit", *argv, "--out", "o", "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   "solver failure: fit huge: sse=inf r2=nan is not finite\n")
+    assert Path("o/fit.csv").exists() == (code == 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stresswave.constitutive import (HyperbolicityError, MaterialParams,
+from stresswave.constitutive import (HyperbolicityError, Law, MaterialParams,
                                      derivatives, strain, wave_speed)
 
 from derivative_helpers import strain_derivative
@@ -342,6 +342,21 @@ def test_late_third_derivative_equals_eager_form(b, a, reg_eta):
         assert derivatives(float(sigma[i]), p) == tuple(float(g[i]) for g in got)
     if b == 1e50:
         assert got[0][-1] == 0.0  # saturated: eps' underflows
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5, 2.0, 3.0])
+def test_derivatives_form_no_third_derivative(a, monkeypatch):
+    # eps''' is a tangent's alone: Law.derivatives, which every residual
+    # calls, neither calls Law.third nor leaves eps''' in an array it
+    # writes; Law.third forms it from the late factors
+    p, s = MaterialParams(rho=1.0, b=5.0, a=a), np.linspace(-2.0, 2.0, 40)
+    third = Law.third
+    monkeypatch.setattr(Law, "third", lambda *args: pytest.fail("called"))
+    work = list(np.full((8,) + s.shape, np.nan))
+    late = p.law.derivatives(s, work)[3]
+    fppp = third(p.law, late)
+    assert np.all(fppp != 0.0)
+    assert not any(np.array_equal(w, fppp) for w in work)
 
 
 @pytest.mark.parametrize("a", [1.5, 2.0])

@@ -1,9 +1,10 @@
-"""The input contract of `simulate`: whatever a config holds, the command
-ends with exit 0, 2 (config error) or 3 (solver failure), never a
-traceback, and a failure is one line on stderr.  Config mappings are
-drawn key by key from the defaults, edge values, wrong types and unknown
-names, with sizes kept small (n_cells <= 64, samples <= 16, at most 20
-steps) so that no example allocates much."""
+"""The input contract of `simulate`, `sweep` and the MMS studies: whatever
+a config holds, the command ends with exit 0, 2 (config error) or 3
+(solver failure), never a traceback, and a failure is one line on stderr
+(a line per failed sweep member).  Config mappings are drawn key by key
+from the defaults, edge values, wrong types and unknown names, with sizes
+kept small (n_cells <= 64, samples <= 16, at most 20 steps a run) so that
+no example allocates much."""
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stresswave.cli import main
@@ -90,30 +91,65 @@ def configs(draw):
     return mapping
 
 
-def _bound_steps(time):
-    """At most MAX_STEPS steps: a t_final over MAX_STEPS dt becomes
-    MAX_STEPS dt, unless t_final / dt is over 2**53 (an exit-2 case)."""
+def _bound_steps(time, dt=None):
+    """At most MAX_STEPS steps of dt (the config's if None): a t_final
+    over MAX_STEPS dt becomes MAX_STEPS dt, unless t_final / dt is over
+    2**53 (an exit-2 case)."""
     def number(key, default):
         v = time.get(key, default)
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             if not isinstance(v, bool):
                 return float(v)
         return math.nan
-    dt, t_final = number("dt", 1e-3), number("t_final", 1.0)
+    dt, t_final = dt or number("dt", 1e-3), number("t_final", 1.0)
     if dt > 0 and MAX_STEPS < t_final / dt <= 2.0**53:
         time["t_final"] = MAX_STEPS * dt
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(mapping=configs())
-def test_simulate_exits_0_2_or_3_with_one_line(mapping):
+def _exit_and_lines(argv, mapping):
+    """(exit code, stderr lines) of the command `argv` on the config."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.json"
         cfg.write_text(json.dumps(mapping))
         with contextlib.redirect_stderr(err):
-            code = main(["simulate", "--config", str(cfg),
+            code = main([*argv, "--config", str(cfg),
                          "--out", str(Path(tmp) / "o"), "--quiet"])
     assert code in (0, 2, 3)
-    lines = err.getvalue().splitlines()
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mapping=configs())
+def test_simulate_exits_0_2_or_3_with_one_line(mapping):
+    code, lines = _exit_and_lines(["simulate"], mapping)
     assert len(lines) == (0 if code == 0 else 1), lines
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mapping=configs())
+# Newton fails in every nonlinear member, after its one iteration
+@example(mapping={"material": {"b": 1.0}, "newton": {"k_max": 1},
+                  "time": {"t_final": 0.005}})
+def test_sweep_exits_0_2_or_3_with_a_line_per_failed_member(mapping):
+    # each member's solver failure is its own line, and the sweep goes on
+    code, lines = _exit_and_lines(["sweep", "--grid", "b", "--jobs", "1"],
+                                  mapping)
+    member = [line.startswith("solver failure: sweep member b") for line in lines]
+    assert (1 <= len(lines) <= 4 and all(member) if code == 3
+            else len(lines) == (code == 2)), lines
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mapping=configs())
+@example(mapping={"material": {"b": 1.0}, "time": {"t_final": 1e-300}})
+@example(mapping={"material": {"b": 1.0}, "time": {"t_final": 1e300,
+                                                   "dt": 1e300}})
+def test_mms_studies_exit_0_2_or_3_with_one_line(mapping):
+    # a study runs each rung to t_final at the rung's own dt (1e-3 to
+    # 8e-3, then 1e-5): one step of 1e-300, whose beta dt^2 is 0, or
+    # 1e302 steps and more, are config errors
+    for kind, dt in (("temporal", 1e-3), ("spatial", 1e-5)):
+        _bound_steps(mapping["time"], dt)
+        code, lines = _exit_and_lines([f"mms-{kind}"], mapping)
+        assert len(lines) == (0 if code == 0 else 1), lines

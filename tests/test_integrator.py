@@ -17,8 +17,7 @@ from stresswave.integrator import (BoundaryDrive, HhtParams,
 from stresswave.verification import mms_fields, mms_forcing
 
 from stage_helpers import (band_product, reference_residual,
-                           reference_tangent, singular_tangent, stage_weights,
-                           step_system, to_dense)
+                           singular_tangent, stage_weights, step_system)
 from state_helpers import (boundary_acceleration, linear_modal_oracle,
                            newmark_update, state, zero_state)
 
@@ -28,20 +27,16 @@ NEWTON = NewtonSettings(tol=1.0e-10, k_max=20)
 
 
 def _inline_stage(space, state_n, sdd, hht, p, load):
-    """Stage of the trial acceleration sdd, blended explicitly.
-
-    Returns (stage, R, (Sigma, Sigma_dot)): the nodal stage (S*, Sd*, sdd)
-    at S* = (1+alpha) S_{n+1} - alpha S_n (and the same for the rate),
-    with S_{n+1}, Sd_{n+1} the Newmark update of sdd, and its reference
-    residual.
-    """
+    """The reference residual of the trial acceleration sdd at the stage
+    blended explicitly: (S*, Sd*, sdd) with S* = (1+alpha) S_{n+1} - alpha
+    S_n (and the same for the rate), S_{n+1}, Sd_{n+1} the Newmark update
+    of sdd."""
     a = hht.alpha
     Sigma, Sigma_dot = newmark_update(state_n, sdd, hht)
     stage = ((1 + a) * Sigma - a * state_n.Sigma,
              (1 + a) * Sigma_dot - a * state_n.Sigma_dot, sdd)
     elastic = band_product(assemble_stiffness(space), stage[0]) - load
-    return (stage, reference_residual(space, *stage, p, elastic),
-            (Sigma, Sigma_dot))
+    return reference_residual(space, *stage, p, elastic)
 
 
 def _mms_config(overrides=None):
@@ -137,7 +132,7 @@ def test_newmark_stage_rows():
         sdd = state_n.Sigma_ddot.copy()
         sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
         sdd[-1] = boundary_acceleration(bc, -1, state_n, hht)
-        _, R, _ = _inline_stage(space, state_n, sdd, hht, p, load)
+        R = _inline_stage(space, state_n, sdd, hht, p, load)
         assert report.history[0] == pytest.approx(np.linalg.norm(R[1:-1]),
                                                   rel=1e-12)
 
@@ -395,47 +390,29 @@ def test_hyperbolicity_failure_names_its_time():
     assert str(step.value).startswith("tangent compliance 0.000e+00 <= 0")
 
 
-def test_advance_step_matches_public_newton_loop():
-    # Reference: the stage blended inline from the Newmark update, the
-    # assembly kernels and a dense solve, iterated to the same stopping
-    # rule as advance_step.
+def test_advance_step_solves_its_discrete_equations():
+    # the converged step is the Newmark update of its own acceleration
+    # with the boundary data met, its stage residual (the weak form
+    # blended inline) is below Newton's threshold, and Newton got there
+    # quadratically, which a tangent that is not dR/dSdd does not
     space = build_space(1.0, 12, "center_graded")
     n = space.n_dofs
     p = MaterialParams(rho=1.0, b=5.0, a=1.5)
     hht = HhtParams(alpha=-0.05, dt=1e-2)
-    newton = NEWTON
-    drive = BoundaryDrive(A=0.3, omega=3.0)
+    bc = BoundaryDrive(A=0.3, omega=3.0).value(0.21)
     rng = np.random.default_rng(11)
     state_n = state(0.2, 0.2 * rng.normal(size=n), rng.normal(size=n),
                     rng.normal(size=n))
     load = rng.normal(size=n)
-    t_next = 0.21
-    got, report = advance_step(state_n, t_next, hht.kernel(space, p), newton,
-                               drive.value(t_next), load)
-
-    sdd = state_n.Sigma_ddot.copy()
-    sdd[0] = boundary_acceleration(0.0, 0, state_n, hht)
-    sdd[-1] = boundary_acceleration(drive.value(t_next), -1, state_n, hht)
-    w = 1 + hht.alpha
-    c_dot, c = w * hht.gamma_nm * hht.dt, w * hht.beta_nm * hht.dt**2
-    history = []
-    while True:
-        stage, R, (Sigma, Sigma_dot) = _inline_stage(space, state_n, sdd, hht,
-                                                     p, load)
-        history.append(np.linalg.norm(R[1:-1]))
-        threshold = max(newton.tol * history[0], integrator.NEWTON_ABS_FLOOR)
-        if len(history) > 1 and history[-1] <= threshold:
-            break
-        S = to_dense(reference_tangent(space, *stage, p, c_dot, c))
-        sdd = sdd.copy()
-        sdd[1:-1] -= np.linalg.solve(S[1:-1, 1:-1], R[1:-1])
-
+    got, report = advance_step(state_n, 0.21, hht.kernel(space, p), NEWTON,
+                               bc, load)
+    _assert_newmark_step(state_n, got, hht, bc)
+    R = _inline_stage(space, state_n, got.Sigma_ddot, hht, p, load)
+    history = report.history
     assert report.iters == len(history) - 1 >= 3
-    np.testing.assert_allclose(report.history, history, rtol=1e-9,
-                               atol=1e-12 * history[0])
-    for mine, ref in ((got.Sigma, Sigma), (got.Sigma_dot, Sigma_dot),
-                      (got.Sigma_ddot, sdd)):
-        assert np.linalg.norm(mine - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(R[1:-1]) <= NEWTON.tol * history[0]
+    assert all(r1 <= 2.0 * r0**2 / history[0] for r0, r1 in
+               zip(history, history[1:]) if r0 >= 1e-6 * history[0])
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.05, -1.0 / 3.0])
@@ -451,8 +428,8 @@ def test_step_system_residual_matches_inline_stage(alpha):
     residual, _ = step_system(state_n, space, hht, p, load)
     for _ in range(3):
         sdd = rng.normal(size=n)
-        _, R = residual(sdd)
-        _, R_ref, _ = _inline_stage(space, state_n, sdd, hht, p, load)
+        R = residual(sdd)
+        R_ref = _inline_stage(space, state_n, sdd, hht, p, load)
         assert np.linalg.norm(R - R_ref) <= 1e-13 * np.linalg.norm(R_ref)
 
 
@@ -498,9 +475,10 @@ def test_linear_energy_kept_at_alpha_zero_lost_below(alpha):
     space, p = report.space, cfg.material
     zero = np.zeros(space.n_dofs)
     K = assemble_stiffness(space)
-    M = to_dense(reference_tangent(space, zero, zero, zero, p))
-    E = np.array([0.5 * (s.Sigma_dot @ (M @ s.Sigma_dot)
-                         + s.Sigma @ band_product(K, s.Sigma)) for s in snaps])
+    # M Sd is the inertial residual of the rate at rest (b = 0)
+    E = np.array([0.5 * (s.Sigma_dot @ reference_residual(
+        space, zero, zero, s.Sigma_dot, p) + s.Sigma @ band_product(K, s.Sigma))
+        for s in snaps])
     assert len(E) == 201
     if alpha == 0.0:
         assert np.max(np.abs(E - E[0])) <= 1e-13 * E[0]
@@ -829,39 +807,18 @@ def test_linear_run_matches_modal_oracle(policy, alpha, dt):
 
 
 def test_third_derivative_formed_once_per_tangent(monkeypatch):
-    # eps''' is read by a tangent only: a step forms it once per Newton
-    # iteration, and no residual forms it (the t = 0 mass matrix is a
-    # tangent too, so each run forms it once more)
-    from stresswave.constitutive import Law
-    third, step, formed, per_step = (Law.third, integrator.advance_step,
-                                     [], [])
-
-    def counting_third(law, late, *out):
-        formed.append(1)
-        return third(law, late, *out)
-
-    def counting_step(*args, **kwargs):
-        before = len(formed)
-        state, report = step(*args, **kwargs)
-        per_step.append((len(formed) - before, report.iters))
-        return state, report
-
-    monkeypatch.setattr(Law, "third", counting_third)
-    monkeypatch.setattr(integrator, "advance_step", counting_step)
-    _run_mms(_mms_config({"material": {"a": 1.5},
-                          "time": {"dt": 1e-5, "t_final": 5e-5}}))
-    assert per_step == [(1, 1)] * 5 and len(formed) == 6
-    per_step.clear()
-    cfg = parse_config({"material": {"b": 5.0, "a": 1.5},
-                        "drive": {"A": 0.02},
-                        "mesh": {"n_cells": 16},
-                        "time": {"dt": 1e-3, "t_final": 0.02},
-                        "output": {"snapshot_interval": 0.0}})
-    snaps, report = run_simulation(cfg)
-    assert per_step == [(2, 2)] * 20
-    state = snaps[-1]
-    residual, _ = step_system(state, report.space,
-                              HhtParams(alpha=-0.05, dt=1e-3), cfg.material)
-    before = len(formed)
-    residual(state.Sigma_ddot)
-    assert len(formed) == before
+    # eps''' is a tangent's alone (Law.derivatives, which a residual calls,
+    # forms none: test_constitutive): a run forms one tangent, through
+    # StageKernel.band, per Newton iteration, and one for the t = 0 mass
+    from stresswave.assembly import StageKernel
+    band, formed = StageKernel.band, []
+    monkeypatch.setattr(StageKernel, "band", lambda kernel, pts: (
+        formed.append(1), band(kernel, pts))[1])
+    _, report = _run_mms(_mms_config({"material": {"a": 1.5},
+                                      "time": {"dt": 1e-5, "t_final": 5e-5}}))
+    assert report.newton_iters == [1] * 5 and len(formed) == 6
+    _, report = run_simulation(parse_config({
+        "material": {"b": 5.0, "a": 1.5}, "drive": {"A": 0.02},
+        "mesh": {"n_cells": 16}, "time": {"dt": 1e-3, "t_final": 0.02},
+        "output": {"snapshot_interval": 0.0}}))
+    assert report.newton_iters == [2] * 20 and len(formed) == 6 + 41

@@ -5,11 +5,13 @@ import pytest
 
 from stresswave.config import parse_config
 from stresswave.assembly import assemble_load_at
-from stresswave.constitutive import MaterialParams, derivatives
+from stresswave.constitutive import MaterialParams
 from stresswave.fe_space import build_space
 from stresswave.verification import (_mms_run_error, convergence_study,
                                      l2_error, mms_fields, mms_forcing,
                                      observed_rate)
+
+from stage_helpers import inertia
 
 P12 = MaterialParams(rho=1.0, b=1.0, a=2.0)
 
@@ -47,8 +49,7 @@ def test_mms_forcing_matches_field_expression(policy, p):
     def full(x, t):
         # f = rho [eps' sigma_tt + eps'' sigma_t^2] - sigma_xx from all fields
         f = mms_fields(x, t)
-        fp, fpp, _ = derivatives(f.sigma, p)
-        return p.rho * (fp * f.sigma_tt + fpp * f.sigma_t**2) - f.sigma_xx
+        return inertia(f.sigma, f.sigma_t, f.sigma_tt, p) - f.sigma_xx
 
     space = build_space(1.0, 24, policy)
     times = [0.0, 0.37, 1.9, 4.0]
@@ -76,9 +77,10 @@ def test_mms_forcing_spot_value_against_mpmath():
     sigma_t = mp.sin(mp.pi * x) * mp.cos(t)
     sigma_tt = -sigma
     sigma_xx = -mp.pi**2 * sigma
-    fp = mp.diff(eps_of, sigma)
-    fpp = mp.diff(eps_of, sigma, 2)
-    expected = float(fp * sigma_tt + fpp * sigma_t**2 - sigma_xx)
+    def law(s, p):
+        return mp.diff(eps_of, s), mp.diff(eps_of, s, 2)
+
+    expected = float(inertia(sigma, sigma_t, sigma_tt, P12, law) - sigma_xx)
     got = float(mms_forcing(0.5, 1.0, P12))
     assert got == pytest.approx(expected, abs=1e-12)
 
