@@ -54,7 +54,7 @@ import os
 import sys
 
 import numpy as np
-import scipy
+import scipy  # must stay: perfbench/worker.py reads sys.modules["scipy"]
 
 from .constitutive import MaterialParams
 from .fe_space import FeSpace
@@ -72,9 +72,8 @@ def _scipy_linalg_extension(name: str):
     if spec is None:
         raise ImportError(f"no extension module {name} in {path}",
                           name=full, path=path)
-    module = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)  # f2py's init registers it
     spec.loader.exec_module(module)
-    sys.modules[full] = module
     return module
 
 

@@ -148,14 +148,15 @@ def load_dataset(path, label: str | None = None) -> StressStrainDataset:
             parts = line.replace(",", " ").split()
             header_allowed, first = first, False
             try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except (ValueError, IndexError):
-                try:
-                    float(parts[0])  # a number: a data line short of a column
+                stress, strain = map(float, parts)
+            except ValueError:  # not two numbers
+                try:  # a number (or no token): a data line, not a header
+                    float((parts or ["0"])[0])
                 except ValueError:
                     if header_allowed:
                         continue
                 raise ValueError(f"unparseable data line in {path}: {line!r}") from None
+            rows.append((stress, strain))
     if not rows:
         raise ValueError(f"no data rows found in {path}")
     arr = np.array(rows)

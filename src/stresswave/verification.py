@@ -13,12 +13,12 @@ second-order rates.
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, config_to_mapping, parse_config
 from .constitutive import MaterialParams
 from .fe_space import FeSpace, cell_table
 from .integrator import run_simulation
@@ -137,8 +137,9 @@ def convergence_study(kind: str, base_config,
     temporal: cubic elements on a fixed fine mesh while the time step
               halves, so the time integration error dominates.
 
-    `cells` / `dts` override the standard ladders (testing hook); the
-    defaults are the module-level ladder constants.
+    `cells` / `dts` override the standard ladders (testing hook; the
+    defaults are the module-level constants).  parse_config checks every
+    rung before the first runs, and a rejected rung's ConfigError names it.
     """
     if kind not in ("spatial", "temporal"):
         raise ValueError(f"kind must be 'spatial' or 'temporal', got {kind!r}")
@@ -149,18 +150,23 @@ def convergence_study(kind: str, base_config,
     else:
         ladder = [(f"dt={dt:g}", TEMPORAL_MESH_CELLS, "uniform(3)", dt)
                   for dt in (TEMPORAL_DTS if dts is None else dts)]
-    rows = []
+    # the manufactured solution needs homogeneous boundary values, and
+    # only each run's final state is measured
+    base = config_to_mapping(base_config)
+    rungs = []
     for label, n, policy, dt in ladder:
-        # the manufactured solution needs homogeneous boundary values, and
-        # only each run's final state is measured
-        err, ndofs = _mms_run_error(dataclasses.replace(
-            base_config,
-            mesh=dataclasses.replace(base_config.mesh, n_cells=n,
-                                     degree_policy=policy),
-            time=dataclasses.replace(base_config.time, dt=dt),
-            drive=dataclasses.replace(base_config.drive, A=0.0),
-            output=dataclasses.replace(base_config.output,
-                                       snapshot_interval=0.0)))
+        try:
+            rungs.append((label, parse_config({
+                **base,
+                "mesh": {**base["mesh"], "n_cells": n, "degree_policy": policy},
+                "time": {**base["time"], "dt": dt},
+                "drive": {**base["drive"], "A": 0.0},
+                "output": {**base["output"], "snapshot_interval": 0.0}})))
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (the {kind} study's {label} rung)") from exc
+    rows = []
+    for label, config in rungs:
+        err, ndofs = _mms_run_error(config)
         rate = observed_rate(rows[-1].l2_error, err) if rows else None
         rows.append(ConvergenceRow(label, ndofs if kind == "spatial" else None,
                                    err, rate))

@@ -120,6 +120,9 @@ def test_dataset_whitespace_and_comments(tmp_path):
     ("1.0\n2.0 0.5\n3.0 0.7\n4.0 0.8\n", None),
     ("2.0 0.5\n1.0\n3.0 0.7\n4.0 0.8\n", None),
     ("stress,strain\nsigma,eps\n2.0,0.5\n3.0,0.7\n4.0,0.8\n", None),
+    ("1,0.5,9\n2.0 0.5\n3.0 0.7\n4.0 0.8\n", None),  # a third field
+    ("stress,strain\n,\n2.0 0.5\n3.0 0.7\n4.0 0.8\n", None),  # no field
+    ("stress,strain,note\n2.0 0.5\n3.0 0.7\n4.0 0.8\n", 3),
     ("# units: MPa\n\nstress\n2.0 0.5\n3.0 0.7\n4.0 0.8\n", 3),
 ])
 def test_dataset_header_only_on_a_non_numeric_first_line(tmp_path, text, rows):

@@ -625,6 +625,7 @@ time: {alpha: -0.05, t_final: 0.01}
 @pytest.mark.parametrize("argv, named", [
     (["fit", "bad.csv"], "'foo,bar'"),
     (["fit", "one.csv"], "'1.0'"),
+    (["fit", "three.csv"], "'1,0.5,9'"),
     (["fit", "good.csv", "--init-b", "-1"], "-1.0"),
     (["fit", "good.csv", "--init-b", "inf"], "inf"),
     (["fit", "good.csv", "--max-iters", "0"], "max_iters"),
@@ -638,14 +639,15 @@ time: {alpha: -0.05, t_final: 0.01}
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--sigma-max", "0"],
      "sigma_max"),
     (["gen-data", "g.csv", "--b", "1", "--a", "1", "--noise", "-1"], "noise"),
-], ids=["fit-data-line", "fit-one-column-first-line", "fit-init-b",
-        "fit-init-b-inf", "fit-max-iters-zero", "b-negative", "b-nan", "a-zero",
-        "n-two", "n-1e11", "sigma-max-zero", "noise-negative"])
+], ids=["fit-data-line", "fit-one-column-first-line", "fit-three-fields",
+        "fit-init-b", "fit-init-b-inf", "fit-max-iters-zero", "b-negative",
+        "b-nan", "a-zero", "n-two", "n-1e11", "sigma-max-zero", "noise-negative"])
 def test_bad_fit_and_gen_data_input_exit_code(tmp_path, monkeypatch, capsys,
                                               argv, named):
     monkeypatch.chdir(tmp_path)
     Path("bad.csv").write_text("stress,strain\n1,2\nfoo,bar\n")
     Path("one.csv").write_text("1.0\n2.0 0.5\n3.0 0.7\n4.0 0.8\n")
+    Path("three.csv").write_text("stress,strain\n1,0.5,9\n2,0.7\n3,0.8\n4,1\n")
     Path("good.csv").write_text("stress,strain\n0,0\n1,0.5\n2,0.7\n3,0.8\n")
     assert main(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err

@@ -145,10 +145,13 @@ def test_sweep_exits_0_2_or_3_with_a_line_per_failed_member(mapping):
 @example(mapping={"material": {"b": 1.0}, "time": {"t_final": 1e-300}})
 @example(mapping={"material": {"b": 1.0}, "time": {"t_final": 1e300,
                                                    "dt": 1e300}})
+@example(mapping={"material": {"b": 1.0}, "mesh": {"L": 1e-153, "n_cells": 2},
+                  "time": {}})
 def test_mms_studies_exit_0_2_or_3_with_one_line(mapping):
     # a study runs each rung to t_final at the rung's own dt (1e-3 to
-    # 8e-3, then 1e-5): one step of 1e-300, whose beta dt^2 is 0, or
-    # 1e302 steps and more, are config errors
+    # 8e-3, then 1e-5) and on its own mesh (16 to 128 cells): one step of
+    # 1e-300, whose beta dt^2 is 0, 1e302 steps and more, or an L that
+    # separates 2 cells but not 16, are config errors
     for kind, dt in (("temporal", 1e-3), ("spatial", 1e-5)):
         _bound_steps(mapping["time"], dt)
         code, lines = _exit_and_lines([f"mms-{kind}"], mapping)

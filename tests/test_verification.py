@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stresswave.config import parse_config
+from stresswave import verification
+from stresswave.config import ConfigError, parse_config
 from stresswave.assembly import assemble_load_at
 from stresswave.constitutive import MaterialParams
 from stresswave.fe_space import build_space
@@ -156,6 +157,28 @@ def test_spatial_rate_is_degree_plus_one(policy, min_rate):
         errors.append(err)
     rates = [observed_rate(a, b) for a, b in zip(errors, errors[1:])]
     assert min(rates[-1:] if graded else rates) >= min_rate, rates
+
+
+def _no_run(*args, **kwargs):
+    pytest.fail("a rung ran before every rung's config was checked")
+
+
+# 1 step at the base dt, over 2**53 steps at every rung's dt
+HUGE_T = {"material": {"b": 1.0}, "time": {"t_final": 1e300, "dt": 1e300}}
+
+
+@pytest.mark.parametrize("kind, base, cells, named", [
+    ("spatial", HUGE_T, None, r"over 2\*\*53 \(the spatial study's 16 cells rung\)"),
+    ("temporal", HUGE_T, None, r"over 2\*\*53 \(the temporal study's dt=0.008 rung\)"),
+    # the base mesh passes, the last rung's does not
+    ("spatial", {"material": {"b": 1.0}, "time": {"t_final": 0.02}}, (16, 2**32),
+     r"n_cells must be in .* \(the spatial study's 4294967296 cells rung\)"),
+], ids=["spatial-steps", "temporal-steps", "spatial-mesh"])
+def test_convergence_study_checks_every_rung_before_any_runs(
+        monkeypatch, kind, base, cells, named):
+    monkeypatch.setattr(verification, "run_simulation", _no_run)
+    with pytest.raises(ConfigError, match=named):
+        convergence_study(kind, parse_config(base), cells=cells)
 
 
 def test_convergence_study_rejects_unknown_kind():
