@@ -18,19 +18,25 @@ the calibration module, and sweep --jobs N > 1 the process pool.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import pickle
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .config import (ConfigError, ScenarioConfig, config_to_mapping,
                      load_config, parse_config)
-from .constitutive import HyperbolicityError, wave_speed
-from .integrator import NewtonDivergedError, run_simulation, snapshot_schedule
-from .postprocess import (BLOCK_ROWS, reconstruct, sample_solution,
-                          snapshot_filename, write_snapshot)
+from .constitutive import HyperbolicityError
+from .fe_space import build_space
+from .integrator import (NewtonDivergedError, SystemState, run_simulation,
+                         snapshot_schedule)
+from .postprocess import SnapshotWriter, snapshot_filename
 
 # Constitutive setting of the published convergence tables.
 MMS_BASE_MAPPING = {
@@ -45,12 +51,102 @@ MMS_SPATIAL_T_FINAL = 0.1
 SWEEP_B_GRID = ((0.0, 1.5), (1.0, 1.5), (5.0, 1.5), (10.0, 1.5))
 SWEEP_A_GRID = ((1.0, 1.5), (1.0, 3.0), (1.0, 5.0), (1.0, 10.0))
 
+# Fewest sample rows, kept states x (output.samples + 1), that run_scenario
+# writes in a forked child.  Below it the fork's own costs (fork and reap,
+# the copy-on-write faults a live child causes, the wait for the child's
+# last block) exceed the output time it takes off the run's path; the
+# measured costs are in CHANGES.md.
+FORK_MIN_ROWS = 6_120
+
 # Largest gen-data --n: a 39 MB file, made in about 100 MB of peak memory.
 GEN_DATA_MAX_POINTS = 10**6
 
 
+class _ForkedWriter:
+    """A SnapshotWriter run in a forked child, fed through a pipe.
+
+    keep sends a state down the pipe as the bytes of t and of its (3, n)
+    array; the child writes each block as it fills, and when the pipe
+    ends it sends back writer.finish() (or whatever ended it) by pickle
+    and leaves by os._exit.  finish closes the pipe, reaps the child and
+    returns its result, or an OSError if the child ended without one.
+    """
+
+    def __init__(self, writer: SnapshotWriter):
+        states_r, self._states = os.pipe()
+        self._result, result_w = os.pipe()
+        # Python 3.12 warns when a process with threads forks, since a
+        # lock another thread holds stays locked in the child.  The only
+        # threads here are BLAS's, and the child makes no BLAS or LAPACK
+        # call: sampling, reconstruction and formatting are elementwise.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:
+            for fd in (states_r, self._states, self._result, result_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(self._states)
+                os.close(self._result)
+                result = self._serve(writer, states_r)
+            except BaseException as exc:
+                result = exc
+            try:
+                with open(result_w, "wb") as fh:
+                    pickle.dump(result, fh)
+            finally:
+                os._exit(0)
+        os.close(states_r)
+        os.close(result_w)
+
+    @staticmethod
+    def _serve(writer: SnapshotWriter, fd: int):
+        size = 8 * (1 + 3 * writer.space.n_dofs)
+        with open(fd, "rb") as states:
+            while len(data := states.read(size)) == size:
+                a = np.frombuffer(data)
+                writer.keep(SystemState(float(a[0]), a[1:].reshape(3, -1)))
+        return writer.finish()
+
+    def keep(self, state: SystemState):
+        if self._states is None:
+            return  # the child is gone; finish says so
+        view = memoryview(np.append(state.t, state.X)).cast("B")
+        try:
+            while view:
+                view = view[os.write(self._states, view):]
+        except BrokenPipeError:
+            os.close(self._states)
+            self._states = None
+
+    def finish(self) -> dict | BaseException:
+        if self._states is not None:
+            os.close(self._states)
+        try:
+            with open(self._result, "rb") as fh:
+                data = fh.read()
+        finally:
+            _, status = os.waitpid(self.pid, 0)
+        try:
+            return pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            return OSError(f"the snapshot writer process ended without a "
+                           f"result (exit code "
+                           f"{os.waitstatus_to_exitcode(status)})")
+
+
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
-    """Run one scenario, write snapshots + manifest, return run metrics."""
+    """Run one scenario, write snapshots + manifest, return run metrics.
+
+    The snapshots are written while the run steps: by a SnapshotWriter in
+    a forked child when the run writes at least FORK_MIN_ROWS sample rows
+    and os.fork exists, else in this process.  A solver error wins over
+    the writer's; either way the snapshots kept before it are on disk,
+    and only a run that succeeds writes manifest.json.
+    """
     schedule = snapshot_schedule(config.time.dt, config.time.t_final,
                                  config.output.snapshot_interval)
     names = [snapshot_filename(t) for _, t in schedule]
@@ -62,48 +158,46 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
         raise ConfigError(
             f"output.snapshot_interval: {len(names)} snapshots map to "
             f"{len(set(names))} file names, which carry t to 6 decimals{final}")
-    snapshots, report = run_simulation(config)
-    space = report.space
-    m = config.output.samples
-    # deviation is measured from the speed at zero stress, the linear-law
-    # speed (identical to |c - 1| in the rho = 1 sweep presets)
-    c0 = wave_speed(0.0, config.material)
+    space = build_space(config.mesh.L, config.mesh.n_cells,
+                        config.mesh.degree_policy)
+    writer = feed = SnapshotWriter(config, space, out_dir)
+    if (len(schedule) * (config.output.samples + 1) >= FORK_MIN_ROWS
+            and hasattr(os, "fork")):
+        with contextlib.suppress(OSError):  # no process to spare: write here
+            feed = _ForkedWriter(writer)
+    handed_s = 0.0
 
-    max_c_dev = 0.0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "spacetime.csv").unlink(missing_ok=True)
-    i, per_block = 0, max(1, BLOCK_ROWS // (m + 1))
-    while i < len(snapshots):
-        block = snapshots[i:i + per_block]
-        try:
-            rec = reconstruct(sample_solution(
-                space, np.array([s.Sigma for s in block]),
-                np.array([s.Sigma_dot for s in block]), m), config.material)
-        except HyperbolicityError:
-            if per_block == 1:
-                raise
-            per_block = 1  # redo it a snapshot at a time: the ones before
-            continue  # the failing one are written, then its error raised
-        max_c_dev = max(max_c_dev, float(np.max(np.abs(rec.c - c0))))
-        write_snapshot(rec, [s.t for s in block], out_dir)
-        i += len(block)
+    def on_keep(state: SystemState):
+        nonlocal handed_s
+        start = time.perf_counter()
+        feed.keep(state)
+        handed_s += time.perf_counter() - start
 
-    # of the final snapshot, with x scaled into [0, 1) by a power of 2:
-    # exact, and np.gradient's products of spacings cannot overflow
-    scale = math.ldexp(1.0, -math.frexp(config.mesh.L)[1])
-    grad = np.gradient(rec.sigma[-1], rec.x * scale) * scale
+    try:
+        _, report = run_simulation(config, on_keep=on_keep, space=space)
+    finally:
+        start = time.perf_counter()
+        written = feed.finish()
+        write_wait_s = time.perf_counter() - start
+    if isinstance(written, BaseException):
+        raise written
+    step_s = report.wall_time - handed_s
     metrics = {
         "b": config.material.b,
         "a": config.material.a,
         "steps": len(report.newton_iters),
         "total_newton_iters": sum(report.newton_iters),
         "max_newton_iters": max(report.newton_iters),
-        "max_abs_c_minus_1": max_c_dev,
-        "final_max_stress_gradient": float(np.max(np.abs(grad))),
-        "wall_time": report.wall_time,
-        "snapshots": len(snapshots),
+        "max_abs_c_minus_1": written["max_abs_c_minus_1"],
+        "final_max_stress_gradient": written["final_max_stress_gradient"],
+        "wall_time": step_s,
+        "snapshots": len(schedule),
     }
-    manifest = {"config": config_to_mapping(config), "stats": metrics}
+    telemetry = {"step_s": step_s, "write_s": written["write_s"],
+                 "write_wait_s": write_wait_s,
+                 "writer": "inline" if feed is writer else "forked"}
+    manifest = {"config": config_to_mapping(config), "stats": metrics,
+                "telemetry": telemetry}
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
     return metrics

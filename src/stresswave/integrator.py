@@ -363,6 +363,8 @@ def run_simulation(config: "ScenarioConfig",
                    forcing: Callable | None = None,
                    initial_sigma: Callable | None = None,
                    initial_rate: Callable | None = None,
+                   on_keep: Callable | None = None,
+                   space: FeSpace | None = None,
                    ) -> tuple[list[SystemState], RunReport]:
     """Run a scenario from t=0 to t_final, collecting state snapshots.
 
@@ -370,13 +372,18 @@ def run_simulation(config: "ScenarioConfig",
     given callables (zero by default).  Snapshots are taken at t=0,
     every output.snapshot_interval and at t_final (snapshot_schedule).
     The initial acceleration is solved from the t=0 balance.
+    `on_keep(state)`, if given, is called with each snapshot as the run
+    reaches it, so a writer can work while the run steps.  `space`, if
+    given, is the space of config.mesh, which the caller built (the CLI
+    builds one for the run and its writer); else the run builds it.
 
     `forcing(x, t)` gets the (n_cells, n_points) quadrature points and up
     to LOAD_BLOCK step times as t of shape (k, 1, 1); its result must
     broadcast to (k, n_cells, n_points).
     """
-    space = build_space(config.mesh.L, config.mesh.n_cells,
-                        config.mesh.degree_policy)
+    if space is None:
+        space = build_space(config.mesh.L, config.mesh.n_cells,
+                            config.mesh.degree_policy)
     hht = HhtParams(alpha=config.time.alpha, dt=config.time.dt)
     p = config.material
     drive = config.drive
@@ -400,8 +407,15 @@ def run_simulation(config: "ScenarioConfig",
             L = assembly.assemble_load_at(space, forcing, [0.0])
         X0[2] = initial_acceleration(space, X0[0], X0[1], p,
                                      0.0 if L is None else L[0])
+        snapshots, newton_iters, histories = [], [], []
+
+        def kept(state: SystemState):
+            snapshots.append(state)
+            if on_keep is not None:
+                on_keep(state)
+
         state = SystemState(0.0, X0)
-        snapshots, newton_iters, histories = [state], [], []
+        kept(state)
         stepper = hht.kernel(space, p)
         t_start = _time.perf_counter()
         for lo in range(0, n_steps, LOAD_BLOCK):
@@ -424,8 +438,8 @@ def run_simulation(config: "ScenarioConfig",
                 newton_iters.append(report.iters)
                 histories.append(report.history)
                 if len(newton_iters) in keep:
-                    snapshots.append(state)
-    snapshots.append(state)
+                    kept(state)
+    kept(state)
 
     run_report = RunReport(newton_iters=newton_iters,
                            wall_time=_time.perf_counter() - t_start,

@@ -28,17 +28,29 @@ formatted by Python's own %, one element at a time.  The tables are built
 with integer arithmetic on the first write, not at import.  What depends
 only on the sample points is done once per run: their cells and basis
 values are cached per space, and the x column is formatted once per x.
+
+SnapshotWriter is the output of one run.  It takes the kept states one at
+a time, as the run reaches them, writes each block as soon as it is full
+and keeps its first error until the run ends; it makes no BLAS or LAPACK
+call, so it can run in a process forked from one whose BLAS has threads.
 """
 from __future__ import annotations
 
+import math
+import time as _time
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constitutive import MaterialParams
+from .constitutive import HyperbolicityError, MaterialParams, wave_speed
 from .fe_space import FeSpace
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
+    from .integrator import SystemState
 
 BLOCK_ROWS = 2048  # sample rows per block of output: whole snapshots, at least one
 
@@ -256,3 +268,96 @@ def write_snapshot(record: SnapshotRecord, t: float | list, directory) -> Path:
             spacetime.writelines((t_text, memoryview(
                 text.replace(b"\n", b"\n" + t_text))[:-len(t_text)]))
     return path
+
+
+class SnapshotWriter:
+    """The output of one run, fed its kept states in time order.
+
+    The snapshots go out in blocks of whole snapshots up to BLOCK_ROWS
+    sample rows, each block as soon as it is full and the last one at
+    finish.  A block whose reconstruction fails is redone a snapshot at a
+    time, so the snapshots before the failing one are written.  The first
+    error (I/O or reconstruction) is kept and every state after it is
+    ignored; finish gives it back instead of the totals, so the caller
+    decides whether a solver error of the same run wins.
+    """
+
+    def __init__(self, config: "ScenarioConfig", space: FeSpace, directory):
+        self.config = config
+        self.space = space
+        self.directory = Path(directory)
+        self.per_block = max(1, BLOCK_ROWS // (config.output.samples + 1))
+        self.pending: list = []
+        self.error: Exception | None = None
+        self.max_c_dev = 0.0
+        self.last: SnapshotRecord | None = None
+        self.busy_s = 0.0
+        self._guarded(self._start)
+
+    @cached_property
+    def c0(self) -> float:
+        """The speed at zero stress, the linear-law speed, which max |c - c0|
+        is measured from (|c - 1| in the rho = 1 sweep presets)."""
+        return wave_speed(0.0, self.config.material)
+
+    def _start(self):
+        """An empty spacetime.csv to append to and no manifest of an
+        earlier run in the directory."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        for name in ("spacetime.csv", "manifest.json"):
+            (self.directory / name).unlink(missing_ok=True)
+
+    def _guarded(self, work):
+        """work(), timed; an I/O or reconstruction error it raises is kept.
+        Called only while no error is kept."""
+        start = _time.perf_counter()
+        try:
+            work()
+        except (HyperbolicityError, OSError) as exc:
+            self.error = exc
+        self.busy_s += _time.perf_counter() - start
+
+    def keep(self, state: "SystemState"):
+        """Take one kept state; write the block it fills."""
+        if self.error is None:
+            self.pending.append(state)
+            if len(self.pending) == self.per_block:
+                self._guarded(self._write_pending)
+
+    def _write_pending(self):
+        block, self.pending = self.pending, []
+        i, per_block = 0, len(block)
+        while i < len(block):
+            part = block[i:i + per_block]
+            try:
+                rec = reconstruct(sample_solution(
+                    self.space, np.array([s.Sigma for s in part]),
+                    np.array([s.Sigma_dot for s in part]),
+                    self.config.output.samples), self.config.material)
+            except HyperbolicityError:
+                if per_block == 1:
+                    raise
+                per_block = 1  # redo it a snapshot at a time: the ones before
+                continue  # the failing one are written, then its error raised
+            self.max_c_dev = max(self.max_c_dev,
+                                 float(np.max(np.abs(rec.c - self.c0))))
+            write_snapshot(rec, [s.t for s in part], self.directory)
+            self.last = rec
+            i += len(part)
+
+    def finish(self) -> dict | Exception | None:
+        """Write the last block; the kept error, or the run's output
+        totals: max |c - c0|, the final stress gradient and the busy time
+        (None if no state came)."""
+        if self.pending:
+            self._guarded(self._write_pending)
+        if self.error is not None or self.last is None:
+            return self.error
+        # of the final snapshot, with x scaled into [0, 1) by a power of 2:
+        # exact, and np.gradient's products of spacings cannot overflow
+        rec = self.last
+        scale = math.ldexp(1.0, -math.frexp(self.config.mesh.L)[1])
+        grad = np.gradient(rec.sigma[-1], rec.x * scale) * scale
+        return {"max_abs_c_minus_1": self.max_c_dev,
+                "final_max_stress_gradient": float(np.max(np.abs(grad))),
+                "write_s": self.busy_s}

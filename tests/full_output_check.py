@@ -3,7 +3,10 @@
 Runs `stresswave simulate` on two scenarios and checks every CSV each
 writes: the header, the row count, `\\r\\n` row ends, that every float token
 equals '%.17g' % float(token), and that spacetime.csv is the snapshot
-files' rows in time order, each prefixed by '%.17g,' % t.
+files' rows in time order, each prefixed by '%.17g,' % t.  Each scenario
+runs again with the snapshot writer in the other placement (in a forked
+child or in the run's own process), and every CSV of the two runs must be
+the same bytes.
 
 - driven-graded: b=5, a=1.5, 128 center-graded cells, 1,000 steps of 1e-3,
   a snapshot every 0.01 with 2,048 samples: 101 snapshots of 2,049 rows,
@@ -20,6 +23,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from stresswave import cli
 from stresswave.cli import main
 from stresswave.config import parse_config
 from stresswave.integrator import snapshot_schedule
@@ -66,30 +70,56 @@ def check_spacetime(result: Path, times: list) -> None:
         "spacetime.csv is not the snapshot files' rows prefixed by t"
 
 
+def simulate(config: Path, result: Path, forked: bool) -> float:
+    """Run simulate with the writer placed as asked; return its seconds."""
+    default = cli.FORK_MIN_ROWS
+    cli.FORK_MIN_ROWS = 0 if forked else 2**62
+    try:
+        start = time.perf_counter()
+        code = main(["simulate", "--config", str(config), "--out",
+                     str(result), "--quiet"])
+        ran = time.perf_counter() - start
+    finally:
+        cli.FORK_MIN_ROWS = default
+    assert code == 0, f"{result.name}: simulate exited {code}"
+    writer = json.loads((result / "manifest.json").read_text())["telemetry"]
+    assert writer["writer"] == ("forked" if forked else "inline")
+    return ran
+
+
 def run_case(out: Path, name: str, mapping: dict, snapshots: int,
              rows: int) -> None:
     config = out / f"{name}.json"
     config.write_text(json.dumps(mapping))
+    parsed = parse_config(mapping)
+    forked = len(snapshot_schedule(
+        parsed.time.dt, parsed.time.t_final, parsed.output.snapshot_interval)
+    ) * (parsed.output.samples + 1) >= cli.FORK_MIN_ROWS
     result = out / name
     start = time.perf_counter()
-    code = main(["simulate", "--config", str(config), "--out", str(result),
-                 "--quiet"])
-    assert code == 0, f"{name}: simulate exited {code}"
-    ran = time.perf_counter() - start
+    ran = simulate(config, result, forked)
     files = sorted(result.glob("snapshot_t*.csv"))
     assert len(files) == snapshots, f"{name}: {len(files)} snapshot files"
     floats = sum(check_csv(path, b"x,sigma,u,v,eps,c", rows) for path in files)
     floats += check_csv(result / "spacetime.csv", b"t,x,sigma,u,v,eps,c",
                         snapshots * rows)
-    parsed = parse_config(mapping)
     times = [t for _, t in snapshot_schedule(
         parsed.time.dt, parsed.time.t_final, parsed.output.snapshot_interval)]
     assert [snapshot_filename(t) for t in times] == [p.name for p in files]
     check_spacetime(result, times)
+    checked = time.perf_counter() - start - ran
+    other = out / f"{name}_other"
+    simulate(config, other, not forked)
+    names = sorted(p.name for p in result.glob("*.csv"))
+    assert names == sorted(p.name for p in other.glob("*.csv"))
+    for csv in names:
+        assert (result / csv).read_bytes() == (other / csv).read_bytes(), \
+            f"{name}: {csv} differs between the forked and inline writers"
+    placement = "forked" if forked else "inline"
     print(f"{name}: {snapshots} snapshots and spacetime.csv: {floats} floats, "
           f"all exact %.17g, spacetime.csv their rows in time order "
-          f"(simulate {ran:.1f} s, check "
-          f"{time.perf_counter() - start - ran:.1f} s)")
+          f"(simulate {ran:.1f} s with the {placement} writer, check "
+          f"{checked:.1f} s); the other writer wrote the same bytes")
 
 
 def run(out: Path) -> None:

@@ -300,7 +300,8 @@ def test_singular_mass_at_t0_exits_3(tmp_path, capsys, b):
 def test_infinite_wave_speed_exits_3(tmp_path, capsys):
     # eps' falls below 1e-40 at quadrature points in the first step, where
     # rho eps' underflows to 0: the mass matrix would be 0 there, so the run
-    # stops at t = 0.001, before any snapshot is written
+    # stops at t = 0.001.  The snapshot kept before it, t = 0, is on disk
+    # in both CSV files, and there is no manifest
     cfg = _write(tmp_path, "run.yaml", "material: {b: 1.0e20, rho: 1.0e-300}\n"
                  "time: {t_final: 0.02}\n")
     out = tmp_path / "o"
@@ -310,7 +311,11 @@ def test_infinite_wave_speed_exits_3(tmp_path, capsys):
     assert line.startswith("solver failure: tangent compliance ")
     assert " times rho=1.000e-300 underflows to 0 at sigma=" in line
     assert line.endswith(" at t=0.001")
-    assert [f.name for f in out.glob("snapshot_*.csv")] == []
+    assert sorted(f.name for f in out.iterdir()) == [
+        "snapshot_t0.000000.csv", "spacetime.csv"]
+    rows = (out / "spacetime.csv").read_bytes().split(b"\r\n")[1:-1]
+    assert len(rows) == 257
+    assert {row.split(b",", 1)[0] for row in rows} == {b"0"}
 
 
 def test_singular_tangent_exit_code(tmp_path, monkeypatch, capsys):
@@ -331,6 +336,148 @@ def test_io_failure_exit_code(tmp_path):
     rc = main(["simulate", "--config", str(cfg), "--out",
                str(blocker / "sub"), "--quiet"])
     assert rc == 4
+
+
+@pytest.fixture(params=["inline", "forked"])
+def writer(request, monkeypatch):
+    """Where run_scenario writes: in this process or in a forked child."""
+    monkeypatch.setattr(cli, "FORK_MIN_ROWS",
+                        0 if request.param == "forked" else 2**62)
+    return request.param
+
+
+DIVERGE = """
+material: {b: 10.0, a: 1.5}
+mesh: {n_cells: 8}
+time: {dt: 0.2, t_final: 1.0}
+drive: {A: 0.5}
+newton: {tol: 1.0e-12, k_max: 1}
+"""
+
+
+def test_solver_failure_wins_over_an_unwritable_out(tmp_path, capsys, writer):
+    # the writer keeps its error until the run ends: a run that diverges
+    # exits 3 as if --out were fine, and alone the same --out exits 4
+    blocker = tmp_path / "blocked"
+    blocker.write_text("i am a file")
+    out = str(blocker / "sub")
+    for text, code in [(DIVERGE, 3), (SMALL_SIM, 4)]:
+        cfg = _write(tmp_path, "run.yaml", text)
+        assert main(["simulate", "--config", str(cfg), "--out", out,
+                     "--quiet"]) == code
+    diverged, io = capsys.readouterr().err.splitlines()
+    assert diverged.startswith("solver failure: Newton did not converge at t=0.2")
+    assert io == f"i/o failure: [Errno 20] Not a directory: {out!r}"
+
+
+def _outputs(out: Path) -> dict:
+    """Every file's bytes, the manifest without its timings."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["stats"]["wall_time"]
+    return {**files, "manifest": manifest.pop("telemetry")["writer"],
+            "manifest.json": manifest}
+
+
+@pytest.mark.parametrize("text, per_block", [
+    # 1,025 rows: a block per snapshot; the default 257: seven per block
+    ("mesh: {n_cells: 32, degree_policy: center_graded}\n"
+     "time: {t_final: 0.1}\noutput: {snapshot_interval: 0.01, samples: 1024}",
+     1),
+    ("time: {t_final: 1.0}", 7),
+])
+def test_forked_and_inline_writers_write_the_same_bytes(tmp_path, monkeypatch,
+                                                        text, per_block):
+    from stresswave.postprocess import BLOCK_ROWS
+    cfg = _write(tmp_path, "run.yaml", f"material: {{b: 5.0, a: 1.5}}\n{text}\n")
+    got = {}
+    for where, rows in [("forked", 0), ("inline", 2**62)]:
+        monkeypatch.setattr(cli, "FORK_MIN_ROWS", rows)
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / where), "--quiet"]) == 0
+        got[where] = _outputs(tmp_path / where)
+        assert got[where].pop("manifest") == where
+    samples = got["inline"]["manifest.json"]["config"]["output"]["samples"]
+    assert BLOCK_ROWS // (samples + 1) == per_block
+    assert len(got["inline"]) == 2 + got["inline"]["manifest.json"]["stats"][
+        "snapshots"]
+    assert got["forked"] == got["inline"]
+
+
+def test_manifest_telemetry(tmp_path, writer):
+    cfg = _write(tmp_path, "run.yaml", SMALL_SIM)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    telemetry = manifest["telemetry"]
+    assert telemetry["writer"] == writer
+    assert set(telemetry) == {"step_s", "write_s", "write_wait_s", "writer"}
+    assert telemetry["step_s"] == manifest["stats"]["wall_time"] > 0
+    assert telemetry["write_s"] > 0 and telemetry["write_wait_s"] >= 0
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_writer_is_reaped(tmp_path, monkeypatch):
+    # after a success, a solver failure, a writer failure and an interrupt
+    monkeypatch.setattr(cli, "FORK_MIN_ROWS", 0)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("i am a file")
+    for text, out, code in [(SMALL_SIM, tmp_path / "o", 0),
+                            (DIVERGE, tmp_path / "d", 3),
+                            (SMALL_SIM, blocker / "sub", 4)]:
+        cfg = _write(tmp_path, "run.yaml", text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == code
+        _no_child_left()
+    from stresswave import integrator
+    step = integrator.advance_step
+
+    def interrupted(state, t_next, *args):
+        if t_next > 0.03:
+            raise KeyboardInterrupt
+        return step(state, t_next, *args)
+
+    monkeypatch.setattr(integrator, "advance_step", interrupted)
+    cfg = _write(tmp_path, "run.yaml", SMALL_SIM)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "i"),
+              "--quiet"])
+    _no_child_left()
+    # the snapshots kept before the interrupt are written, and no manifest
+    assert sorted(p.name for p in (tmp_path / "i").iterdir()) == [
+        "snapshot_t0.000000.csv", "snapshot_t0.025000.csv", "spacetime.csv"]
+
+
+def test_forked_writer_that_ends_without_a_result_exits_4(tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(cli, "FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(cli._ForkedWriter, "_serve",
+                        staticmethod(lambda writer, fd: os._exit(7)))
+    cfg = _write(tmp_path, "run.yaml", SMALL_SIM)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "i/o failure: the snapshot writer process ended without a result "
+        "(exit code 7)"]
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    _no_child_left()
+
+
+def test_writer_stays_in_process_when_fork_fails(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "FORK_MIN_ROWS", 0)
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = _write(tmp_path, "run.yaml", SMALL_SIM)
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "o"), "--quiet"]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["telemetry"]["writer"] == "inline"
 
 
 def test_gen_data_and_fit_roundtrip(tmp_path):

@@ -14,8 +14,8 @@ from stresswave.constitutive import (HyperbolicityError, MaterialParams,
                                      strain, wave_speed)
 from stresswave.fe_space import _LOCAL_NODES, build_space, lagrange_basis
 from stresswave.integrator import run_simulation
-from stresswave.postprocess import (Samples, SnapshotRecord, _format_g17,
-                                    reconstruct, sample_solution,
+from stresswave.postprocess import (BLOCK_ROWS, Samples, SnapshotRecord,
+                                    _format_g17, reconstruct, sample_solution,
                                     snapshot_filename, write_snapshot)
 
 from state_helpers import state
@@ -357,16 +357,23 @@ def test_failure_inside_a_block_writes_the_snapshots_before_it(tmp_path,
                            "drive": {"A": 0.0},
                            "time": {"t_final": 0.2},
                            "output": {"snapshot_interval": 0.01}})
-    assert cli.BLOCK_ROWS // (config.output.samples + 1) == 7
+    assert BLOCK_ROWS // (config.output.samples + 1) == 7
     run = cli.run_simulation
 
-    def one_bad_snapshot(config):
-        snapshots, report = run(config)
-        s = snapshots[10]
-        Sigma = s.Sigma.copy()
-        Sigma[0] = 1.0e-5  # the node at x = 0, sampled exactly
-        snapshots[10] = state(s.t, Sigma, s.Sigma_dot, s.Sigma_ddot)
-        return snapshots, report
+    def one_bad_snapshot(config, on_keep=None, **kwargs):
+        kept = []
+
+        def keep(s):
+            if len(kept) == 10:
+                Sigma = s.Sigma.copy()
+                Sigma[0] = 1.0e-5  # the node at x = 0, sampled exactly
+                s = state(s.t, Sigma, s.Sigma_dot, s.Sigma_ddot)
+            kept.append(s)
+            if on_keep is not None:
+                on_keep(s)
+
+        _, report = run(config, on_keep=keep, **kwargs)
+        return kept, report
 
     monkeypatch.setattr(cli, "run_simulation", one_bad_snapshot)
     with pytest.raises(HyperbolicityError) as err:
