@@ -341,6 +341,8 @@ def cmd_gen_data(args) -> int:
     if not 3 <= args.n <= GEN_DATA_MAX_POINTS:
         raise ConfigError(f"--n: must be in [3, {GEN_DATA_MAX_POINTS}], "
                           f"got {args.n}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     try:
         data = generate_synthetic(b=args.b, a=args.a, n_points=args.n,
                                   sigma_max=args.sigma_max, noise=args.noise,

@@ -1,12 +1,13 @@
 """The input contract of `simulate`, `sweep` and the MMS studies: whatever
 a config holds, the command ends with exit 0, 2 (config error) or 3
 (solver failure), never a traceback, and a failure is one line on stderr
-(a line per failed sweep member).  Config mappings are drawn key by key
+(a line per failed sweep member) that starts "config error: " on 2 and
+"solver failure: " on 3.  The command runs through `test_cli`'s
+in-process driver.  Config mappings are drawn key by key
 from the defaults, edge values, wrong types and unknown names, with sizes
 kept small (n_cells <= 64, samples <= 16, at most 20 steps a run) so that
 no example allocates much."""
 import contextlib
-import io
 import json
 import math
 import tempfile
@@ -15,7 +16,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stresswave.cli import main
+from test_cli import in_process
 
 EDGES = [0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
          "nan", "inf", "-inf", 10**400]  # the last, an integer beyond float64
@@ -38,6 +39,7 @@ INTS = {"mesh": {"n_cells": (-1, 64)}, "newton": {"k_max": (-1, 25)},
 BOUNDED = {("mesh", "n_cells"), ("output", "samples")}  # defaults too large
 POLICIES = ["uniform(2)", "uniform(3)", "center_graded"]
 ABSENT = object()
+PREFIX = {0: "", 2: "config error: ", 3: "solver failure: "}
 
 
 def _typical(section, key):
@@ -107,16 +109,16 @@ def _bound_steps(time, dt=None):
 
 
 def _exit_and_lines(argv, mapping):
-    """(exit code, stderr lines) of the command `argv` on the config."""
-    err = io.StringIO()
+    """(exit code, stderr lines) of the command `argv` on the config,
+    each line with the prefix of its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "run.json"
-        cfg.write_text(json.dumps(mapping))
-        with contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", str(cfg),
-                         "--out", str(Path(tmp) / "o"), "--quiet"])
-    assert code in (0, 2, 3)
-    return code, err.getvalue().splitlines()
+        Path(tmp, "run.json").write_text(json.dumps(mapping))
+        code, err = in_process(
+            [*argv, "--config", "run.json", "--out", "o", "--quiet"], tmp)
+    lines = err.splitlines()
+    assert code in PREFIX
+    assert all(line.startswith(PREFIX[code]) for line in lines), lines
+    return code, lines
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
